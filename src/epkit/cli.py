@@ -7,21 +7,23 @@ Subcommands:
     sweep           run a randomized perturbation sweep, emit CSV plus a slope fit
     reproduce-fig3  run the built-in dimer-trimer scaling experiment with pinned defaults
 
-Exit codes: 0 success, 2 unreadable/invalid input, 3 violated precondition,
-4 numerical failure.  Identical invocations produce byte-identical output.
+Exit codes: 0 success, 2 unreadable/invalid input or unwritable output,
+3 violated precondition, 4 numerical failure.  Identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import cmatrix, compose, ep_core, jordan, models, perturb
-from .errors import EpkitError, NumericalError, ParseError
+from .errors import EpkitError, NumericalError, ParseError, PreconditionError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -42,6 +44,14 @@ FIG3_DEFAULTS = {
 }
 #: Strength window used for slope fits, chosen above the rounding-noise knee.
 FIT_WINDOW = (1e-8, 1e-3)
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite number greater than zero."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
 
 
 def _load_json(path: str):
@@ -120,8 +130,8 @@ def _cmd_sweep(args) -> int:
     records = perturb.sweep(
         system.h, report.ep_eigenvalue, args.mode, grid, args.trials, args.seed, n_a=system.n_a
     )
-    Path(args.out).write_text(perturb.records_to_csv(records), encoding="utf-8")
     fit = perturb.fit_slope(records, _fit_window(args.eps_min, args.eps_max))
+    Path(args.out).write_text(perturb.records_to_csv(records), encoding="utf-8")
     _dump_json(fit.to_json(), None)
     return EXIT_OK
 
@@ -129,6 +139,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_reproduce_fig3(args) -> int:
     d = FIG3_DEFAULTS
     system = models.dimer_trimer_system(d["omega0"], args.g_a, args.g_b, args.k)
+    report = ep_core.detect_ep(system.h)
+    if not report.is_full_ep:
+        raise PreconditionError(
+            f"composite is not a full-order exceptional point: order {report.order}, dim {system.dim}"
+        )
     grid = perturb.log_grid(args.eps_min, args.eps_max, args.points)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -168,13 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="detect an exceptional point in a matrix or named model")
     p.add_argument("--input", required=True, help="matrix JSON or named-model JSON file")
-    p.add_argument("--tol", type=float, default=None, help="nilpotency tolerance override")
+    p.add_argument("--tol", type=_tolerance, default=None, help="nilpotency tolerance override")
     p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("jordan", help="emit the gauge-fixed Jordan chain")
     p.add_argument("--input", required=True, help="matrix JSON or named-model JSON file")
-    p.add_argument("--tol", type=float, default=None, help="nilpotency tolerance override")
+    p.add_argument("--tol", type=_tolerance, default=None, help="nilpotency tolerance override")
     p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
     p.set_defaults(func=_cmd_jordan)
 
@@ -182,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="upstream subsystem file")
     p.add_argument("--b", required=True, help="downstream subsystem file")
     p.add_argument("--k", required=True, help="coupling matrix JSON file (n_b x n_a)")
-    p.add_argument("--tol", type=float, default=None, help="eigenvalue agreement tolerance")
+    p.add_argument("--tol", type=_tolerance, default=None, help="eigenvalue agreement tolerance")
     p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
     p.set_defaults(func=_cmd_compose)
 
@@ -194,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=FIG3_DEFAULTS["points"])
     p.add_argument("--trials", type=int, default=FIG3_DEFAULTS["trials"])
     p.add_argument("--seed", type=int, default=FIG3_DEFAULTS["seed"])
-    p.add_argument("--tol", type=float, default=None, help="nilpotency tolerance override")
+    p.add_argument("--tol", type=_tolerance, default=None, help="nilpotency tolerance override")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sweep)
 
@@ -233,6 +248,10 @@ def main(argv=None) -> int:
     except EpkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except OSError as exc:
+        # Inputs are read through _load_json, so this is an output write.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def entry() -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import cmatrix
 from .errors import NumericalError, ParameterError, PoleError, PreconditionError, ShapeError
@@ -280,6 +279,10 @@ def predicted_splitting(report: EpReport, h1, eps: float) -> SplittingPrediction
 
 def match_eigenvalues(computed, predicted) -> float:
     """Largest matched distance under a minimum-cost pairing of two spectra."""
+    # Imported here, not at module scope: scipy.optimize dominates the start-up
+    # time of every CLI call, and nothing else in epkit needs scipy.
+    from scipy.optimize import linear_sum_assignment
+
     a = np.asarray(computed, dtype=complex)
     b = np.asarray(predicted, dtype=complex)
     if a.shape != b.shape or a.ndim != 1:

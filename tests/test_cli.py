@@ -1,6 +1,10 @@
 """Tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,3 +250,74 @@ def test_help_lists_commands(capsys):
     out = capsys.readouterr().out
     for command in ("analyze", "jordan", "compose", "sweep", "reproduce-fig3"):
         assert command in out
+
+
+# ---------------------------------------------------------------------------
+# start-up and error contract
+
+def test_import_cli_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, epkit.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def command_argv(command, tmp_path, dimer_file, trimer_file):
+    """A valid invocation of `command` without --tol or --out."""
+    if command == "compose":
+        k_path = write_json(tmp_path / "k.json", cmatrix.matrix_to_json(single_entry_coupling(1.0, 3, 2)))
+        return ["compose", "--a", dimer_file, "--b", trimer_file, "--k", k_path]
+    if command == "reproduce-fig3":
+        return ["reproduce-fig3", "--points", "4", "--trials", "1"]
+    return [command, "--input", trimer_file]
+
+
+@pytest.mark.parametrize("command", ["analyze", "jordan", "sweep", "compose"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_bad_tol_exits_2(capsys, tmp_path, dimer_file, trimer_file, command, tol):
+    argv = command_argv(command, tmp_path, dimer_file, trimer_file)
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--tol", tol, "--out", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "jordan", "compose", "sweep", "reproduce-fig3"])
+def test_unwritable_out_exits_2(capsys, tmp_path, dimer_file, trimer_file, command):
+    (tmp_path / "f").write_text("", encoding="utf-8")
+    argv = command_argv(command, tmp_path, dimer_file, trimer_file)
+    code, out, err = run(capsys, argv + ["--out", str(tmp_path / "f" / "x")])
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+def test_reproduce_fig3_zero_coupling_exits_3(capsys, tmp_path):
+    out_dir = tmp_path / "fig3"
+    code, out, err = run(capsys, ["reproduce-fig3", "--k", "0", "--out", str(out_dir)])
+    assert code == 3
+    assert out == "" and "order 3" in err
+    assert not out_dir.exists()
+
+
+def test_sweep_fit_failure_writes_no_csv(capsys, tmp_path):
+    system_file = write_json(
+        tmp_path / "sys.json",
+        {"model": "dimer_trimer", "omega0": 1.0, "g_a": 1.5, "g_b": 1.3, "k": [1.0, 0.0]},
+    )
+    csv_path = tmp_path / "sweep.csv"
+    code, _, _ = run(
+        capsys,
+        [
+            "sweep", "--input", system_file, "--eps-min", "1e-3", "--eps-max", "1e-2",
+            "--points", "4", "--trials", "1", "--out", str(csv_path),
+        ],
+    )
+    assert code == 3
+    assert not csv_path.exists()
