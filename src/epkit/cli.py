@@ -46,12 +46,25 @@ FIG3_DEFAULTS = {
 FIT_WINDOW = (1e-8, 1e-3)
 
 
-def _tolerance(text: str) -> float:
-    """argparse type for --tol: a finite number greater than zero."""
+def _positive_float(text: str) -> float:
+    """argparse type for --tol, --eps-min and --eps-max: a finite number greater than zero."""
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
+
+
+def _int_at_least(lowest: int):
+    """argparse type for an integer option with a lower limit (--points, --trials)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lowest}, got {text}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
 
 
 def _load_json(path: str):
@@ -183,13 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="detect an exceptional point in a matrix or named model")
     p.add_argument("--input", required=True, help="matrix JSON or named-model JSON file")
-    p.add_argument("--tol", type=_tolerance, default=None, help="nilpotency tolerance override")
+    p.add_argument("--tol", type=_positive_float, default=None, help="nilpotency tolerance override")
     p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("jordan", help="emit the gauge-fixed Jordan chain")
     p.add_argument("--input", required=True, help="matrix JSON or named-model JSON file")
-    p.add_argument("--tol", type=_tolerance, default=None, help="nilpotency tolerance override")
+    p.add_argument("--tol", type=_positive_float, default=None, help="nilpotency tolerance override")
     p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
     p.set_defaults(func=_cmd_jordan)
 
@@ -197,19 +210,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="upstream subsystem file")
     p.add_argument("--b", required=True, help="downstream subsystem file")
     p.add_argument("--k", required=True, help="coupling matrix JSON file (n_b x n_a)")
-    p.add_argument("--tol", type=_tolerance, default=None, help="eigenvalue agreement tolerance")
+    p.add_argument("--tol", type=_positive_float, default=None, help="eigenvalue agreement tolerance")
     p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
     p.set_defaults(func=_cmd_compose)
 
     p = sub.add_parser("sweep", help="randomized perturbation sweep; CSV to --out, slope fit to stdout")
     p.add_argument("--input", required=True, help="matrix JSON or named-model JSON file")
     p.add_argument("--mode", choices=("generic", "preserving"), default="generic")
-    p.add_argument("--eps-min", type=float, default=FIG3_DEFAULTS["eps_min"])
-    p.add_argument("--eps-max", type=float, default=FIG3_DEFAULTS["eps_max"])
-    p.add_argument("--points", type=int, default=FIG3_DEFAULTS["points"])
-    p.add_argument("--trials", type=int, default=FIG3_DEFAULTS["trials"])
+    p.add_argument("--eps-min", type=_positive_float, default=FIG3_DEFAULTS["eps_min"])
+    p.add_argument("--eps-max", type=_positive_float, default=FIG3_DEFAULTS["eps_max"])
+    p.add_argument("--points", type=_int_at_least(2), default=FIG3_DEFAULTS["points"])
+    p.add_argument("--trials", type=_int_at_least(1), default=FIG3_DEFAULTS["trials"])
     p.add_argument("--seed", type=int, default=FIG3_DEFAULTS["seed"])
-    p.add_argument("--tol", type=_tolerance, default=None, help="nilpotency tolerance override")
+    p.add_argument("--tol", type=_positive_float, default=None, help="nilpotency tolerance override")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sweep)
 
@@ -223,10 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-a", type=float, default=FIG3_DEFAULTS["g_a"], dest="g_a")
     p.add_argument("--g-b", type=float, default=FIG3_DEFAULTS["g_b"], dest="g_b")
     p.add_argument("--k", type=float, default=FIG3_DEFAULTS["k"])
-    p.add_argument("--eps-min", type=float, default=FIG3_DEFAULTS["eps_min"])
-    p.add_argument("--eps-max", type=float, default=FIG3_DEFAULTS["eps_max"])
-    p.add_argument("--points", type=int, default=FIG3_DEFAULTS["points"])
-    p.add_argument("--trials", type=int, default=FIG3_DEFAULTS["trials"])
+    p.add_argument("--eps-min", type=_positive_float, default=FIG3_DEFAULTS["eps_min"])
+    p.add_argument("--eps-max", type=_positive_float, default=FIG3_DEFAULTS["eps_max"])
+    p.add_argument("--points", type=_int_at_least(2), default=FIG3_DEFAULTS["points"])
+    p.add_argument("--trials", type=_int_at_least(1), default=FIG3_DEFAULTS["trials"])
     p.add_argument("--seed", type=int, default=FIG3_DEFAULTS["seed"])
     p.add_argument("--out", default=".", help="output directory for the two CSVs and slope JSON")
     p.set_defaults(func=_cmd_reproduce_fig3)

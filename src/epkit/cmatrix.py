@@ -8,6 +8,8 @@ SVD-based code path so their tolerance semantics agree.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -202,15 +204,30 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _finite_number(value, where: str) -> float:
+    """A JSON number as a finite float; bools, strings and overflowing integers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{where} must be a number")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ParseError(f"{where} does not fit in a float") from None
+    if not math.isfinite(x):
+        raise ParseError(f"{where} must be finite")
+    return x
+
+
+def _positive_int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ParseError(f"{where} must be a positive integer")
+    return value
+
+
 def _entry_to_complex(entry, where: str) -> complex:
     if not isinstance(entry, (list, tuple)) or len(entry) != 2:
         raise ParseError(f"{where}: each entry must be a [re, im] pair")
     re, im = entry
-    if isinstance(re, bool) or isinstance(im, bool) or not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-        raise ParseError(f"{where}: entry components must be numbers")
-    if not (np.isfinite(re) and np.isfinite(im)):
-        raise ParseError(f"{where}: entry components must be finite")
-    return complex(re, im)
+    return complex(_finite_number(re, f"{where}: real part"), _finite_number(im, f"{where}: imaginary part"))
 
 
 def matrix_to_json(a) -> dict:
@@ -229,8 +246,7 @@ def matrix_from_json(obj) -> np.ndarray:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     except KeyError as exc:
         raise ParseError(f"matrix JSON missing key {exc}") from exc
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
-        raise ParseError("rows and cols must be positive integers")
+    rows, cols = _positive_int(rows, "rows"), _positive_int(cols, "cols")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ParseError(
             f"entries must hold rows*cols = {rows * cols} pairs, got {len(entries) if isinstance(entries, list) else type(entries).__name__}"
@@ -251,8 +267,7 @@ def vector_from_json(obj) -> np.ndarray:
         dim, entries = obj["dim"], obj["entries"]
     except KeyError as exc:
         raise ParseError(f"vector JSON missing key {exc}") from exc
-    if not isinstance(dim, int) or dim < 1:
-        raise ParseError("dim must be a positive integer")
+    dim = _positive_int(dim, "dim")
     if not isinstance(entries, list) or len(entries) != dim:
         raise ParseError(f"entries must hold dim = {dim} pairs")
     return np.array([_entry_to_complex(e, f"entry {i}") for i, e in enumerate(entries)], dtype=complex)

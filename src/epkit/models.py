@@ -110,13 +110,9 @@ class LoadedSystem:
 
 
 def _scalar_from_json(value, where: str) -> complex:
-    if isinstance(value, bool):
-        raise ParseError(f"{where} must be a number or [re, im] pair")
-    if isinstance(value, (int, float)):
-        if not math.isfinite(value):
-            raise ParseError(f"{where} must be finite")
-        return complex(value)
-    return cmatrix._entry_to_complex(value, where)
+    if isinstance(value, (list, tuple)):
+        return cmatrix._entry_to_complex(value, where)
+    return complex(cmatrix._finite_number(value, where))
 
 
 def load_system(obj) -> LoadedSystem:
@@ -131,14 +127,18 @@ def load_system(obj) -> LoadedSystem:
     if "model" not in obj:
         return LoadedSystem(h=cmatrix.matrix_from_json(obj), kind="matrix")
     name = obj["model"]
+
+    def number(key: str) -> float:
+        return cmatrix._finite_number(obj[key], key)
+
     try:
         if name == "dimer":
-            return LoadedSystem(h=pt_dimer(obj["omega0"], obj["g_a"]), kind=name)
+            return LoadedSystem(h=pt_dimer(number("omega0"), number("g_a")), kind=name)
         if name == "trimer":
-            return LoadedSystem(h=pt_trimer(obj["omega0"], obj["g_b"]), kind=name)
+            return LoadedSystem(h=pt_trimer(number("omega0"), number("g_b")), kind=name)
         if name == "dimer_trimer":
             k = _scalar_from_json(obj["k"], "k")
-            system = dimer_trimer_system(obj["omega0"], obj["g_a"], obj["g_b"], k)
+            system = dimer_trimer_system(number("omega0"), number("g_a"), number("g_b"), k)
             return LoadedSystem(h=np.asarray(system.h), kind=name, n_a=system.n_a)
     except KeyError as exc:
         raise ParseError(f"model '{name}' is missing parameter {exc}") from exc

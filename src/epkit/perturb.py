@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmatrix
-from .errors import FitError, ParameterError, ShapeError
+from .errors import ConvergenceError, FitError, ParameterError, ShapeError
 
 __all__ = [
     "Perturbation",
@@ -118,6 +118,23 @@ def random_preserving(n_a: int, n_b: int, seed: int) -> Perturbation:
     return Perturbation(matrix=full, mode="preserving", seed=int(seed))
 
 
+def _splittings(h: np.ndarray, ep_eigenvalue: complex, h1: np.ndarray, eps: float) -> np.ndarray:
+    """max_j |E_j - ep_eigenvalue| for H + eps * H1, one value per matrix of an H1 stack.
+
+    H1 is a (d, d) matrix or a (trials, d, d) stack; numpy runs the same LAPACK
+    eigenvalue routine on every matrix of a stack as on a single matrix, so a
+    stacked call gives the same bits as one call per matrix.
+    """
+    perturbed = h + eps * h1
+    if not np.all(np.isfinite(perturbed.view(float))):
+        raise ParameterError(f"H + eps * H1 contains non-finite entries at eps={eps:g}")
+    try:
+        vals = np.linalg.eigvals(perturbed)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
+    return np.max(np.abs(vals - complex(ep_eigenvalue)), axis=-1)
+
+
 def max_splitting(h, ep_eigenvalue: complex, h1, eps: float) -> float:
     """max_j |E_j - ep_eigenvalue| over the eigenvalues of H + eps * H1."""
     h = cmatrix.as_square(h, "H")
@@ -127,8 +144,7 @@ def max_splitting(h, ep_eigenvalue: complex, h1, eps: float) -> float:
     eps = float(eps)
     if eps < 0.0:
         raise ParameterError(f"eps must be nonnegative, got {eps}")
-    vals = cmatrix.eigenvalues(h + eps * h1)
-    return float(np.max(np.abs(vals - complex(ep_eigenvalue))))
+    return float(_splittings(h, ep_eigenvalue, h1, eps))
 
 
 def sweep(h, ep_eigenvalue: complex, mode: str, eps_grid, trials: int, seed: int,
@@ -138,13 +154,15 @@ def sweep(h, ep_eigenvalue: complex, mode: str, eps_grid, trials: int, seed: int
     Trial t draws its matrix once from child_seed(seed, t) and reuses it for
     every strength, so each trial traces a curve over the grid.  Preserving
     mode needs n_a, the upstream block size.  Records are ordered by strength,
-    then trial.
+    then trial.  Each strength takes one eigenvalue call on the stack of its
+    `trials` perturbed matrices.
     """
     h = cmatrix.as_square(h, "H")
     dim = h.shape[0]
     grid = [float(e) for e in eps_grid]
-    if not grid or any(e <= 0.0 for e in grid) or any(a >= b for a, b in zip(grid, grid[1:])):
-        raise ParameterError("eps_grid must be strictly ascending and positive")
+    if (not grid or not all(math.isfinite(e) and e > 0.0 for e in grid)
+            or any(a >= b for a, b in zip(grid, grid[1:]))):
+        raise ParameterError("eps_grid must be strictly ascending, positive and finite")
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if mode == "generic":
@@ -155,10 +173,11 @@ def sweep(h, ep_eigenvalue: complex, mode: str, eps_grid, trials: int, seed: int
         perts = [random_preserving(n_a, dim - n_a, child_seed(seed, t)) for t in range(trials)]
     else:
         raise ParameterError(f"mode must be 'generic' or 'preserving', got {mode!r}")
+    h1_stack = np.stack([p.matrix for p in perts])
     return [
-        SweepRecord(eps=eps, max_splitting=max_splitting(h, ep_eigenvalue, p.matrix, eps), trial=t)
+        SweepRecord(eps=eps, max_splitting=value, trial=t)
         for eps in grid
-        for t, p in enumerate(perts)
+        for t, value in enumerate(_splittings(h, ep_eigenvalue, h1_stack, eps).tolist())
     ]
 
 

@@ -321,3 +321,44 @@ def test_sweep_fit_failure_writes_no_csv(capsys, tmp_path):
     )
     assert code == 3
     assert not csv_path.exists()
+
+
+HUGE_INT = 10**400
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"rows": True, "cols": True, "entries": [[1, 0]]},
+        {"rows": 1, "cols": 1, "entries": [[HUGE_INT, 0]]},
+        {"model": "dimer", "omega0": 1.0, "g_a": "x"},
+        {"model": "trimer", "omega0": HUGE_INT, "g_b": 1.3},
+        {"model": "dimer", "omega0": 1.0, "g_a": True},
+    ],
+    ids=["bool-shape", "huge-entry", "string-parameter", "huge-parameter", "bool-parameter"],
+)
+def test_analyze_malformed_input_exits_2(capsys, tmp_path, payload):
+    path = write_json(tmp_path / "bad.json", payload)
+    code, out, err = run(capsys, ["analyze", "--input", path])
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["sweep", "reproduce-fig3"])
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--points", "1"),
+        ("--trials", "0"),
+        ("--eps-min", "nan"),
+        ("--eps-min", "0"),
+        ("--eps-max", "inf"),
+        ("--eps-max", "-1"),
+    ],
+)
+def test_bad_grid_argument_exits_2(capsys, tmp_path, dimer_file, trimer_file, command, option, value):
+    argv = command_argv(command, tmp_path, dimer_file, trimer_file)
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + [option, value, "--out", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert option in capsys.readouterr().err

@@ -7,7 +7,7 @@ import helpers
 from epkit import ep_core, perturb
 from epkit.cmatrix import spectral_norm
 from epkit.errors import FitError, ParameterError, ShapeError
-from epkit.models import dimer_trimer_system
+from epkit.models import dimer_trimer_system, pt_dimer, pt_trimer
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +151,57 @@ def test_sweep_records_respect_bound(system5):
     norms = [spectral_norm(p.matrix) for p in perts]
     for record in records:
         assert record.max_splitting**5 <= (record.eps * norms[record.trial] * xi) * (1 + 1e-6) + 1e-12
+
+
+@pytest.mark.parametrize("grid", [[1e-8, float("nan"), 1e-6], [1e-8, float("inf")]])
+def test_sweep_rejects_non_finite_grid(system5, grid):
+    with pytest.raises(ParameterError, match="positive and finite"):
+        perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", grid, 2, seed=1)
+
+
+def _sweep_cases():
+    composite = dimer_trimer_system(1.0, 1.5, 1.3, 1.0)
+    systems = [
+        ("dimer", pt_dimer(1.0, 1.5), 1.0, None),
+        ("trimer", pt_trimer(1.0, 1.3), 1.0, None),
+        ("composite", np.asarray(composite.h), composite.ep_eigenvalue, composite.n_a),
+    ]
+    for name, h, ep, n_a in systems:
+        for mode in ("generic", "preserving") if n_a is not None else ("generic",):
+            for seed in (0, 1, 42, 2**63 + 5):
+                yield pytest.param(h, ep, mode, seed, n_a, id=f"{name}-{mode}-{seed}")
+
+
+@pytest.mark.parametrize("h, ep, mode, seed, n_a", list(_sweep_cases()))
+def test_sweep_matches_per_matrix_loop(h, ep, mode, seed, n_a):
+    grid = perturb.log_grid(1e-12, 1e-2, 9)
+    trials = 3
+    records = perturb.sweep(h, ep, mode, grid, trials, seed, n_a=n_a)
+    if mode == "generic":
+        perts = [perturb.random_generic(h.shape[0], perturb.child_seed(seed, t)) for t in range(trials)]
+    else:
+        perts = [perturb.random_preserving(n_a, h.shape[0] - n_a, perturb.child_seed(seed, t)) for t in range(trials)]
+    expected = [
+        perturb.SweepRecord(eps=eps, max_splitting=perturb.max_splitting(h, ep, p.matrix, eps), trial=t)
+        for eps in grid
+        for t, p in enumerate(perts)
+    ]
+    assert records == expected
+
+
+@pytest.mark.parametrize("trials", [1, 4, 9])
+def test_sweep_one_eigvals_call_per_strength(system5, monkeypatch, trials):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    grid = perturb.log_grid(1e-10, 1e-3, 6)
+    perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", grid, trials, seed=5)
+    assert calls == [(trials, 5, 5)] * len(grid)
 
 
 # ---------------------------------------------------------------------------
