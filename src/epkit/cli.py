@@ -46,12 +46,17 @@ FIG3_DEFAULTS = {
 FIT_WINDOW = (1e-8, 1e-3)
 
 
-def _positive_float(text: str) -> float:
-    """argparse type for --tol, --eps-min and --eps-max: a finite number greater than zero."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
+def _float_above(lowest: float):
+    """argparse type for a finite float option above `lowest` (0 for --tol, --eps-*, --g-*; -inf for --k)."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and value > lowest):
+            raise argparse.ArgumentTypeError(f"must be finite and > {lowest:g}, got {text}")
+        return value
+
+    parse.__name__ = "float"  # argparse names the type in its "invalid float value" message
+    return parse
 
 
 def _int_at_least(lowest: int):
@@ -108,23 +113,20 @@ def _cmd_compose(args) -> int:
     k = cmatrix.matrix_from_json(_load_json(args.k))
     tol = args.tol if args.tol is not None else compose.DEFAULT_EIGENVALUE_TOL
     system = compose.block_compose(h_a, h_b, k, tol=tol)
-    rep_a = ep_core.detect_ep(h_a)
-    rep_b = ep_core.detect_ep(h_b)
+    xi_a, xi_b = system.rep_a.response_strength, system.rep_b.response_strength
     xi = compose.composite_response(system)
-    chain_b = jordan.jordan_chain(rep_b)
-    psi_a = cmatrix.kernel_vector(rep_a.nilpotent)
+    chain_b = jordan.jordan_chain(system.rep_b)
+    psi_a = cmatrix.kernel_vector(system.rep_a.nilpotent)
     amplitude = jordan.coupling_amplitude(chain_b, psi_a, k)
     payload = {
         "dim": system.dim,
         "order": ep_core.detect_ep(system.h).order,
         "ep_eigenvalue": [system.ep_eigenvalue.real, system.ep_eigenvalue.imag],
         "xi": xi,
-        "xi_a": rep_a.response_strength,
-        "xi_b": rep_b.response_strength,
+        "xi_a": xi_a,
+        "xi_b": xi_b,
         "coupling_spectral_norm": cmatrix.spectral_norm(k),
-        "upper_bound": compose.response_upper_bound(
-            rep_a.response_strength, rep_b.response_strength, k
-        ),
+        "upper_bound": compose.response_upper_bound(xi_a, xi_b, k),
         "coupling_amplitude_modulus": abs(amplitude),
         "generic": True,
     }
@@ -196,13 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="detect an exceptional point in a matrix or named model")
     p.add_argument("--input", required=True, help="matrix JSON or named-model JSON file")
-    p.add_argument("--tol", type=_positive_float, default=None, help="nilpotency tolerance override")
+    p.add_argument("--tol", type=_float_above(0.0), default=None, help="nilpotency tolerance override")
     p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("jordan", help="emit the gauge-fixed Jordan chain")
     p.add_argument("--input", required=True, help="matrix JSON or named-model JSON file")
-    p.add_argument("--tol", type=_positive_float, default=None, help="nilpotency tolerance override")
+    p.add_argument("--tol", type=_float_above(0.0), default=None, help="nilpotency tolerance override")
     p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
     p.set_defaults(func=_cmd_jordan)
 
@@ -210,19 +212,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="upstream subsystem file")
     p.add_argument("--b", required=True, help="downstream subsystem file")
     p.add_argument("--k", required=True, help="coupling matrix JSON file (n_b x n_a)")
-    p.add_argument("--tol", type=_positive_float, default=None, help="eigenvalue agreement tolerance")
+    p.add_argument("--tol", type=_float_above(0.0), default=None, help="eigenvalue agreement tolerance")
     p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
     p.set_defaults(func=_cmd_compose)
 
     p = sub.add_parser("sweep", help="randomized perturbation sweep; CSV to --out, slope fit to stdout")
     p.add_argument("--input", required=True, help="matrix JSON or named-model JSON file")
     p.add_argument("--mode", choices=("generic", "preserving"), default="generic")
-    p.add_argument("--eps-min", type=_positive_float, default=FIG3_DEFAULTS["eps_min"])
-    p.add_argument("--eps-max", type=_positive_float, default=FIG3_DEFAULTS["eps_max"])
+    p.add_argument("--eps-min", type=_float_above(0.0), default=FIG3_DEFAULTS["eps_min"])
+    p.add_argument("--eps-max", type=_float_above(0.0), default=FIG3_DEFAULTS["eps_max"])
     p.add_argument("--points", type=_int_at_least(2), default=FIG3_DEFAULTS["points"])
     p.add_argument("--trials", type=_int_at_least(1), default=FIG3_DEFAULTS["trials"])
     p.add_argument("--seed", type=int, default=FIG3_DEFAULTS["seed"])
-    p.add_argument("--tol", type=_positive_float, default=None, help="nilpotency tolerance override")
+    p.add_argument("--tol", type=_float_above(0.0), default=None, help="nilpotency tolerance override")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sweep)
 
@@ -233,11 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
         f"grid {FIG3_DEFAULTS['eps_min']:g}..{FIG3_DEFAULTS['eps_max']:g} with {FIG3_DEFAULTS['points']} points, "
         f"{FIG3_DEFAULTS['trials']} trials, seed {FIG3_DEFAULTS['seed']})",
     )
-    p.add_argument("--g-a", type=float, default=FIG3_DEFAULTS["g_a"], dest="g_a")
-    p.add_argument("--g-b", type=float, default=FIG3_DEFAULTS["g_b"], dest="g_b")
-    p.add_argument("--k", type=float, default=FIG3_DEFAULTS["k"])
-    p.add_argument("--eps-min", type=_positive_float, default=FIG3_DEFAULTS["eps_min"])
-    p.add_argument("--eps-max", type=_positive_float, default=FIG3_DEFAULTS["eps_max"])
+    p.add_argument("--g-a", type=_float_above(0.0), default=FIG3_DEFAULTS["g_a"], dest="g_a")
+    p.add_argument("--g-b", type=_float_above(0.0), default=FIG3_DEFAULTS["g_b"], dest="g_b")
+    p.add_argument("--k", type=_float_above(-math.inf), default=FIG3_DEFAULTS["k"])
+    p.add_argument("--eps-min", type=_float_above(0.0), default=FIG3_DEFAULTS["eps_min"])
+    p.add_argument("--eps-max", type=_float_above(0.0), default=FIG3_DEFAULTS["eps_max"])
     p.add_argument("--points", type=_int_at_least(2), default=FIG3_DEFAULTS["points"])
     p.add_argument("--trials", type=_int_at_least(1), default=FIG3_DEFAULTS["trials"])
     p.add_argument("--seed", type=int, default=FIG3_DEFAULTS["seed"])

@@ -33,7 +33,6 @@ __all__ = [
     "adjoint",
     "frobenius_norm",
     "spectral_norm",
-    "singular_values",
     "rank",
     "kernel_vector",
     "min_norm_solve",
@@ -74,13 +73,6 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return w
 
 
-def _check_rtol(rtol: float) -> float:
-    rtol = float(rtol)
-    if not np.isfinite(rtol) or rtol <= 0.0:
-        raise ParameterError(f"rtol must be positive and finite, got {rtol}")
-    return rtol
-
-
 # ---------------------------------------------------------------------------
 # elementary operations
 
@@ -103,27 +95,31 @@ def frobenius_norm(a) -> float:
     return float(np.linalg.norm(as_matrix(a), "fro"))
 
 
-def singular_values(a) -> np.ndarray:
-    """Singular values in descending order."""
-    a = as_matrix(a)
+def _svd(a: np.ndarray, compute_uv: bool = True):
+    """np.linalg.svd with a LAPACK failure raised as ConvergenceError."""
     try:
-        return np.linalg.svd(a, compute_uv=False)
+        return np.linalg.svd(a, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
 
 
+def _above_cutoff(a: np.ndarray, s: np.ndarray, rtol: float) -> np.ndarray:
+    """Mask of the singular values s of A above rtol * max(rows, cols) * sigma_max."""
+    rtol = float(rtol)
+    if not np.isfinite(rtol) or rtol <= 0.0:
+        raise ParameterError(f"rtol must be positive and finite, got {rtol}")
+    return s > rtol * max(a.shape) * s[0]
+
+
 def spectral_norm(a) -> float:
     """Largest singular value."""
-    return float(singular_values(a)[0])
+    return float(_svd(as_matrix(a), compute_uv=False)[0])
 
 
 def rank(a, rtol: float = DEFAULT_RTOL) -> int:
     """Number of singular values above rtol * max(rows, cols) * sigma_max."""
     a = as_matrix(a)
-    rtol = _check_rtol(rtol)
-    s = singular_values(a)
-    cutoff = rtol * max(a.shape) * s[0]
-    return int(np.count_nonzero(s > cutoff))
+    return int(np.count_nonzero(_above_cutoff(a, _svd(a, compute_uv=False), rtol)))
 
 
 def kernel_vector(a, rtol: float = DEFAULT_RTOL) -> np.ndarray:
@@ -134,13 +130,12 @@ def kernel_vector(a, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     DegeneracyError when the null space is not exactly one-dimensional.
     """
     a = as_matrix(a)
-    rtol = _check_rtol(rtol)
-    try:
-        _, s, vh = np.linalg.svd(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
-    cutoff = rtol * max(a.shape) * s[0]
-    null_dim = a.shape[1] - int(np.count_nonzero(s > cutoff))
+    return _kernel_vector(a, _svd(a), rtol)
+
+
+def _kernel_vector(a: np.ndarray, svd, rtol: float) -> np.ndarray:
+    _, s, vh = svd
+    null_dim = a.shape[1] - int(np.count_nonzero(_above_cutoff(a, s, rtol)))
     if null_dim != 1:
         raise DegeneracyError(f"null space dimension is {null_dim}, expected 1 at rtol={rtol:g}")
     v = vh[-1].conj()
@@ -160,16 +155,15 @@ def min_norm_solve(a, b, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     (residual larger than rtol * cond * ||b||).
     """
     a = as_matrix(a, "A")
+    return _min_norm_solve(a, _svd(a), b, rtol)
+
+
+def _min_norm_solve(a: np.ndarray, svd, b, rtol: float) -> np.ndarray:
     b = as_vector(b, "b")
-    rtol = _check_rtol(rtol)
+    u, s, vh = svd
+    keep = _above_cutoff(a, s, rtol)
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"A has {a.shape[0]} rows but b has length {b.shape[0]}")
-    try:
-        u, s, vh = np.linalg.svd(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
-    cutoff = rtol * max(a.shape) * s[0]
-    keep = s > cutoff
     if not np.any(keep):
         x = np.zeros(a.shape[1], dtype=complex)
     else:

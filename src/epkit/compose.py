@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmatrix
-from .ep_core import EpReport, _clean_power, detect_ep, nilpotency_index, traceless_part
+from .ep_core import EpReport, _norm_power, detect_ep, nilpotency_index, traceless_part
 from .errors import (
     DegenerateCouplingError,
     IncompatibleSubsystemsError,
@@ -42,13 +42,19 @@ DEFAULT_EIGENVALUE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CompositeSystem:
-    """Assembled unidirectionally coupled pair with its shared eigenvalue."""
+    """Assembled unidirectionally coupled pair with its shared eigenvalue.
+
+    rep_a and rep_b are the full-order certificates of h_a and h_b as stored,
+    so of the shifted H_b when block_compose shifted it.
+    """
 
     h_a: np.ndarray
     h_b: np.ndarray
     k: np.ndarray
     h: np.ndarray
     ep_eigenvalue: complex
+    rep_a: EpReport
+    rep_b: EpReport
 
     def __post_init__(self):
         for m in (self.h_a, self.h_b, self.k, self.h):
@@ -110,13 +116,15 @@ def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL, nil_tol: flo
                 "shift_b=True shifts H_b onto the eigenvalue of H_a"
             )
         h_b = h_b + (rep_a.ep_eigenvalue - rep_b.ep_eigenvalue) * np.eye(n_b)
+        rep_b = _certified(h_b, nil_tol, "b")
     dim = n_a + n_b
     h = np.zeros((dim, dim), dtype=complex)
     h[:n_a, :n_a] = h_a
     h[n_a:, :n_a] = k
     h[n_a:, n_a:] = h_b
     ep_eigenvalue = complex(np.trace(h)) / dim
-    return CompositeSystem(h_a=h_a.copy(), h_b=h_b.copy(), k=k.copy(), h=h, ep_eigenvalue=ep_eigenvalue)
+    return CompositeSystem(h_a=h_a.copy(), h_b=h_b.copy(), k=k.copy(), h=h, ep_eigenvalue=ep_eigenvalue,
+                           rep_a=rep_a, rep_b=rep_b)
 
 
 def compose_many(hams, couplings, tol: float = DEFAULT_EIGENVALUE_TOL,
@@ -140,54 +148,38 @@ def compose_many(hams, couplings, tol: float = DEFAULT_EIGENVALUE_TOL,
     return system
 
 
-def genericity_product(sys: CompositeSystem, nil_tol: float | None = None) -> np.ndarray:
+def genericity_product(sys: CompositeSystem) -> np.ndarray:
     """C = N_b^(n_b-1) K N_a^(n_a-1), the only nonzero block of N^(dim-1).
 
     Cross-checked against direct powering of the assembled traceless part; a
     disagreement beyond 1e-10 relative raises NumericalError.
     """
-    rep_a = _certified(sys.h_a, nil_tol, "a")
-    rep_b = _certified(sys.h_b, nil_tol, "b")
-    pow_a = _clean_power(np.asarray(rep_a.nilpotent), rep_a.dim - 1, rep_a.nil_tol)
-    pow_b = _clean_power(np.asarray(rep_b.nilpotent), rep_b.dim - 1, rep_b.nil_tol)
-    c = pow_b @ np.asarray(sys.k) @ pow_a
-
+    c = sys.rep_b.top_power @ np.asarray(sys.k) @ sys.rep_a.top_power
     _, nmat = traceless_part(sys.h)
-    full_power = np.linalg.matrix_power(nmat, sys.dim - 1)
-    block = full_power[sys.n_a:, :sys.n_a]
-    scale = max(
-        cmatrix.spectral_norm(sys.k)
-        * cmatrix.spectral_norm(rep_a.nilpotent) ** (rep_a.dim - 1)
-        * cmatrix.spectral_norm(rep_b.nilpotent) ** (rep_b.dim - 1),
-        np.finfo(float).tiny,
-    )
-    if cmatrix.frobenius_norm(c - block) > 1e-10 * scale:
+    block = np.linalg.matrix_power(nmat, sys.dim - 1)[sys.n_a:, :sys.n_a]
+    if cmatrix.frobenius_norm(c - block) > 1e-10 * max(_coupling_scale(sys, 1.0), np.finfo(float).tiny):
         raise NumericalError("block product and direct matrix power disagree beyond tolerance")
     return c
 
 
-def _genericity_threshold(sys: CompositeSystem, rep_a: EpReport, rep_b: EpReport) -> float:
-    return (
-        1e-8
-        * cmatrix.spectral_norm(sys.k)
-        * cmatrix.spectral_norm(rep_a.nilpotent) ** (rep_a.dim - 1)
-        * cmatrix.spectral_norm(rep_b.nilpotent) ** (rep_b.dim - 1)
-    )
+def _coupling_scale(sys: CompositeSystem, rel: float) -> float:
+    """rel * ||K||_2 * ||N_a||_2^(n_a-1) * ||N_b||_2^(n_b-1), the size C has without cancellation."""
+    a, b = sys.rep_a, sys.rep_b
+    pow_a, pow_b = _norm_power(a.nilpotent_norm, a.dim - 1), _norm_power(b.nilpotent_norm, b.dim - 1)
+    return rel * cmatrix.spectral_norm(sys.k) * pow_a * pow_b
 
 
-def composite_response(sys: CompositeSystem, nil_tol: float | None = None) -> float:
+def composite_response(sys: CompositeSystem) -> float:
     """Composite response strength xi = ||C||_2 = ||C||_F.
 
     Raises DegenerateCouplingError (naming the achieved order) when C is
     numerically zero, i.e. the coupling is nongeneric.
     """
-    rep_a = _certified(sys.h_a, nil_tol, "a")
-    rep_b = _certified(sys.h_b, nil_tol, "b")
-    c = genericity_product(sys, nil_tol)
+    c = genericity_product(sys)
     frob = cmatrix.frobenius_norm(c)
-    if frob <= _genericity_threshold(sys, rep_a, rep_b):
+    if frob <= _coupling_scale(sys, 1e-8):
         _, nmat = traceless_part(sys.h)
-        achieved = nilpotency_index(nmat, nil_tol)
+        achieved = nilpotency_index(nmat)
         raise DegenerateCouplingError(
             f"coupling is degenerate: composite order {achieved} < {sys.dim}",
             achieved_order=achieved,

@@ -58,36 +58,56 @@ def nilpotency_index(nmat, nil_tol: float | None = None) -> int | None:
     numerically zero, i.e. the matrix has at least two distinct eigenvalues.
     """
     nmat = cmatrix.as_square(nmat, "N")
+    return _nilpotency(nmat, default_nil_tol(nmat.shape[0]) if nil_tol is None else nil_tol)[0]
+
+
+def _nilpotency(nmat: np.ndarray, nil_tol: float) -> tuple[int | None, float]:
+    """(nilpotency_index, ||N||_2) of a validated N."""
     dim = nmat.shape[0]
-    if nil_tol is None:
-        nil_tol = default_nil_tol(dim)
     if nil_tol <= 0.0:
         raise ParameterError(f"nil_tol must be positive, got {nil_tol}")
     base = cmatrix.spectral_norm(nmat)
     power = np.eye(dim, dtype=complex)
     for k in range(1, dim + 1):
         power = power @ nmat
-        if cmatrix.spectral_norm(power) <= nil_tol * base**k:
-            return k
-    return None
+        if cmatrix.spectral_norm(power) <= nil_tol * _norm_power(base, k):
+            return k, base
+    return None, base
 
 
-def _clean_power(nmat: np.ndarray, exponent: int, nil_tol: float) -> np.ndarray:
-    """N^exponent with entries below the certification threshold flushed to 0.
+def _norm_power(norm: float, exponent: int) -> float:
+    """norm**exponent; NumericalError when it exceeds the double range."""
+    try:
+        return norm**exponent
+    except OverflowError:
+        raise NumericalError(f"||N||_2^{exponent} overflows a double (||N||_2 = {norm:.3e})") from None
+
+
+def _top_power(nmat: np.ndarray, nil_tol: float, norm: float) -> tuple[np.ndarray, float]:
+    """N^(n-1) with entries below the certification threshold flushed to 0, and its norm.
 
     Matrix powers of a numerically nilpotent N carry rounding residue in
     positions that are structurally zero; the residue is orders of magnitude
-    below nil_tol * ||N||_2^exponent, so flushing it restores the exact block
+    below nil_tol * ||N||_2^(n-1), so flushing it restores the exact block
     pattern (and makes structurally zero traces exactly zero) without touching
-    any certified entry.
+    any certified entry.  The power of a full-order point has rank one, so its
+    spectral and Frobenius norms must agree.
     """
-    if exponent == 0:
-        return np.eye(nmat.shape[0], dtype=complex)
-    power = np.linalg.matrix_power(nmat, exponent)
-    threshold = nil_tol * cmatrix.spectral_norm(nmat) ** exponent
-    out = power.copy()
-    out[np.abs(out) <= threshold] = 0.0
-    return out
+    dim = nmat.shape[0]
+    if dim == 1:
+        power = np.eye(1, dtype=complex)
+    else:
+        power = np.linalg.matrix_power(nmat, dim - 1).copy()  # a copy: matrix_power(N, 1) is N itself
+        power[np.abs(power) <= nil_tol * _norm_power(norm, dim - 1)] = 0.0
+    spec = cmatrix.spectral_norm(power)
+    frob = cmatrix.frobenius_norm(power)
+    if abs(spec - frob) > 1e-10 * max(frob, np.finfo(float).tiny):
+        raise NumericalError(
+            f"spectral ({spec:.15g}) and Frobenius ({frob:.15g}) norms of N^(n-1) disagree; "
+            "matrix is not numerically rank one"
+        )
+    power.setflags(write=False)
+    return power, spec
 
 
 @dataclass(frozen=True)
@@ -97,6 +117,9 @@ class EpReport:
     order is the nilpotency index of the traceless part (None when the
     spectrum is non-degenerate).  response_strength is only defined for
     full-order points (order == dim); partial is True otherwise.
+    nilpotent_norm is ||N||_2 of the traceless part N.  top_power is the
+    certified N^(dim-1) with its rounding residue flushed to zero, whose norm
+    is the response strength; it is None unless the point has full order.
     """
 
     dim: int
@@ -105,6 +128,8 @@ class EpReport:
     nilpotent: np.ndarray
     response_strength: float | None
     nil_tol: float
+    nilpotent_norm: float
+    top_power: np.ndarray | None
 
     def __post_init__(self):
         self.nilpotent.setflags(write=False)
@@ -136,15 +161,12 @@ def detect_ep(h, nil_tol: float | None = None) -> EpReport:
     inside a larger space (response strength omitted); order None means the
     eigenvalues do not all coalesce.
     """
-    h = cmatrix.as_square(h, "H")
-    dim = h.shape[0]
+    ep_eigenvalue, nmat = traceless_part(h)
+    dim = nmat.shape[0]
     if nil_tol is None:
         nil_tol = default_nil_tol(dim)
-    ep_eigenvalue, nmat = traceless_part(h)
-    order = nilpotency_index(nmat, nil_tol)
-    xi = None
-    if order == dim:
-        xi = _certified_response(nmat, dim, nil_tol)
+    order, norm = _nilpotency(nmat, nil_tol)
+    power, xi = _top_power(nmat, nil_tol, norm) if order == dim else (None, None)
     return EpReport(
         dim=dim,
         order=order,
@@ -152,20 +174,9 @@ def detect_ep(h, nil_tol: float | None = None) -> EpReport:
         nilpotent=nmat,
         response_strength=xi,
         nil_tol=float(nil_tol),
+        nilpotent_norm=norm,
+        top_power=power,
     )
-
-
-def _certified_response(nmat: np.ndarray, order: int, nil_tol: float) -> float:
-    """xi = ||N^(n-1)|| with the rank-1 norm-equality cross-check."""
-    power = _clean_power(nmat, order - 1, nil_tol)
-    spec = cmatrix.spectral_norm(power)
-    frob = cmatrix.frobenius_norm(power)
-    if abs(spec - frob) > 1e-10 * max(frob, np.finfo(float).tiny):
-        raise NumericalError(
-            f"spectral ({spec:.15g}) and Frobenius ({frob:.15g}) norms of N^(n-1) disagree; "
-            "matrix is not numerically rank one"
-        )
-    return spec
 
 
 def response_strength(h, nil_tol: float | None = None) -> float:
@@ -251,7 +262,7 @@ def predicted_splitting(report: EpReport, h1, eps: float) -> SplittingPrediction
         raise ShapeError(f"H1 has dimension {h1.shape[0]}, expected {report.dim}")
     eps = float(eps)
     n = report.dim
-    power = _clean_power(np.asarray(report.nilpotent), n - 1, report.nil_tol)
+    power = report.top_power
     product = power @ h1
     trace_form = complex(np.trace(product))
     if n == 1:

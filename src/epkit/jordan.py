@@ -70,13 +70,13 @@ def jordan_chain(report: EpReport, tol: float | None = None, rtol: float = cmatr
         )
     nmat = np.asarray(report.nilpotent)
     n = report.dim
-    norm_n = cmatrix.spectral_norm(nmat) if n > 1 else 0.0
     if tol is None:
-        tol = 1e-10 * norm_n
+        tol = 1e-10 * report.nilpotent_norm
     try:
-        raw = [cmatrix.kernel_vector(nmat, rtol)] if n > 1 else [np.ones(1, dtype=complex)]
+        svd = cmatrix._svd(nmat)  # one SVD of N serves the null vector and every solve
+        raw = [cmatrix._kernel_vector(nmat, svd, rtol)] if n > 1 else [np.ones(1, dtype=complex)]
         for _ in range(n - 1):
-            raw.append(cmatrix.min_norm_solve(nmat, raw[-1], rtol))
+            raw.append(cmatrix._min_norm_solve(nmat, svd, raw[-1], rtol))
     except EpkitError as exc:
         raise StructureError(f"chain solve failed; not a single Jordan block numerically ({exc})") from exc
 

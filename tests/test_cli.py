@@ -115,6 +115,20 @@ def test_compose_reports_response(capsys, tmp_path, dimer_file, trimer_file):
     assert payload["generic"] is True
 
 
+def test_compose_lapack_call_counts(capsys, monkeypatch, tmp_path, dimer_file, trimer_file):
+    calls = {"svd": 0, "matrix_power": 0}
+    for name in calls:
+
+        def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    code, _, _ = run(capsys, command_argv("compose", tmp_path, dimer_file, trimer_file))
+    assert code == 0
+    assert calls["svd"] <= 23 and calls["matrix_power"] <= 4
+
+
 def test_compose_zero_coupling_exits_3(capsys, tmp_path, dimer_file, trimer_file):
     k_path = write_json(tmp_path / "k0.json", cmatrix.matrix_to_json(np.zeros((3, 2))))
     code, _, err = run(capsys, ["compose", "--a", dimer_file, "--b", trimer_file, "--k", k_path])
@@ -306,6 +320,21 @@ def test_reproduce_fig3_zero_coupling_exits_3(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "reproduce-fig3"])
+def test_norm_power_overflow_exits_4(capsys, tmp_path, command):
+    # ||N||_2^2 exceeds the double range while N^2 itself stays finite.
+    system_file = write_json(
+        tmp_path / "sys.json", {"model": "dimer_trimer", "omega0": 1.0, "g_a": 1.5, "g_b": 1.3, "k": 1e300}
+    )
+    if command == "analyze":
+        argv = ["analyze", "--input", system_file]
+    else:
+        argv = ["reproduce-fig3", "--k", "1e300", "--out", str(tmp_path / "fig3")]
+    code, out, err = run(capsys, argv)
+    assert code == 4
+    assert out == "" and "overflows" in err
+
+
 def test_sweep_fit_failure_writes_no_csv(capsys, tmp_path):
     system_file = write_json(
         tmp_path / "sys.json",
@@ -354,6 +383,10 @@ def test_analyze_malformed_input_exits_2(capsys, tmp_path, payload):
         ("--eps-min", "0"),
         ("--eps-max", "inf"),
         ("--eps-max", "-1"),
+        ("--g-a", "nan"),
+        ("--g-b", "inf"),
+        ("--g-a", "-1"),
+        ("--k", "nan"),
     ],
 )
 def test_bad_grid_argument_exits_2(capsys, tmp_path, dimer_file, trimer_file, command, option, value):

@@ -1,5 +1,7 @@
 """Tests for hierarchical composition through unidirectional coupling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,18 @@ def test_shift_b_aligns_eigenvalues():
     assert ep_core.detect_ep(system.h).order == 5
 
 
+def test_shift_b_carries_reports_of_the_shifted_subsystem():
+    system = compose.block_compose(
+        pt_dimer(1.0, 1.5), pt_trimer(2.0, 1.3), single_entry_coupling(1.0, 3, 2), shift_b=True
+    )
+    assert system.rep_b.ep_eigenvalue == pytest.approx(system.rep_a.ep_eigenvalue, abs=1e-12)
+    assert compose.composite_response(system) == pytest.approx(XI_5, rel=1e-10)
+    for rep, h in ((system.rep_a, system.h_a), (system.rep_b, system.h_b)):
+        fresh = ep_core.detect_ep(h)
+        for field in dataclasses.fields(rep):
+            assert np.array_equal(getattr(rep, field.name), getattr(fresh, field.name)), field.name
+
+
 def test_coupling_shape_error():
     with pytest.raises(ShapeError):
         compose.block_compose(pt_dimer(1.0, 1.5), pt_trimer(1.0, 1.3), np.zeros((2, 3)))
@@ -106,6 +120,21 @@ def test_genericity_product_zero_for_zero_coupling():
 
 def test_composite_response_closed_form():
     assert compose.composite_response(dimer_trimer()) == pytest.approx(XI_5, rel=1e-10)
+
+
+def test_composite_response_reuses_subsystem_reports(monkeypatch):
+    system = dimer_trimer()
+    calls = []
+    detect_ep = ep_core.detect_ep
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return detect_ep(*args, **kwargs)
+
+    monkeypatch.setattr(ep_core, "detect_ep", counting)
+    monkeypatch.setattr(compose, "detect_ep", counting)
+    assert compose.composite_response(system) == pytest.approx(XI_5, rel=1e-10)
+    assert calls == []
 
 
 def test_composite_response_linear_in_coupling():

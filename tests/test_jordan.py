@@ -71,6 +71,23 @@ def test_chain_residuals_recorded():
     assert len(chain.orthogonality_residuals) == 2
 
 
+@pytest.mark.parametrize(
+    "h", [pt_dimer(1.0, 1.5), pt_trimer(1.0, 1.3), dimer_trimer_system().h], ids=["dimer", "trimer", "composite"]
+)
+def test_chain_takes_one_svd(monkeypatch, h):
+    report = ep_core.detect_ep(h)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    jordan.jordan_chain(report)
+    assert calls == [h.shape]
+
+
 def test_chain_requires_full_order():
     with pytest.raises(PreconditionError):
         jordan.jordan_chain(ep_core.detect_ep(np.diag([0.0, 1.0])))
