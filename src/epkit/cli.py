@@ -59,13 +59,13 @@ def _float_above(lowest: float):
     return parse
 
 
-def _int_at_least(lowest: int):
-    """argparse type for an integer option with a lower limit (--points, --trials)."""
+def _int_in(lowest: int, stop: float = math.inf):
+    """argparse type for an integer option in [lowest, stop) (--points, --trials, --seed)."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < lowest:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {lowest}, got {text}")
+        if not lowest <= value < stop:
+            raise argparse.ArgumentTypeError(f"must be an integer in [{lowest}, {stop}), got {text}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
@@ -125,7 +125,7 @@ def _cmd_compose(args) -> int:
         "xi": xi,
         "xi_a": xi_a,
         "xi_b": xi_b,
-        "coupling_spectral_norm": cmatrix.spectral_norm(k),
+        "coupling_spectral_norm": system.coupling_norm,
         "upper_bound": compose.response_upper_bound(xi_a, xi_b, k),
         "coupling_amplitude_modulus": abs(amplitude),
         "generic": True,
@@ -163,13 +163,13 @@ def _cmd_reproduce_fig3(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     window = _fit_window(args.eps_min, args.eps_max)
-    slopes = {}
-    for mode, filename in (("generic", "fig3_generic.csv"), ("preserving", "fig3_preserving.csv")):
-        records = perturb.sweep(
-            system.h, system.ep_eigenvalue, mode, grid, args.trials, args.seed, n_a=system.n_a
-        )
-        (out_dir / filename).write_text(perturb.records_to_csv(records), encoding="utf-8")
-        slopes[mode] = perturb.fit_slope(records, window).to_json()
+    records = {
+        mode: perturb.sweep(system.h, system.ep_eigenvalue, mode, grid, args.trials, args.seed, n_a=system.n_a)
+        for mode in ("generic", "preserving")
+    }
+    slopes = {mode: perturb.fit_slope(recs, window).to_json() for mode, recs in records.items()}
+    for mode, recs in records.items():  # written only after both fits succeed: a failed fit leaves no file
+        (out_dir / f"fig3_{mode}.csv").write_text(perturb.records_to_csv(recs), encoding="utf-8")
     payload = {
         "parameters": {
             "omega0": d["omega0"],
@@ -221,9 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("generic", "preserving"), default="generic")
     p.add_argument("--eps-min", type=_float_above(0.0), default=FIG3_DEFAULTS["eps_min"])
     p.add_argument("--eps-max", type=_float_above(0.0), default=FIG3_DEFAULTS["eps_max"])
-    p.add_argument("--points", type=_int_at_least(2), default=FIG3_DEFAULTS["points"])
-    p.add_argument("--trials", type=_int_at_least(1), default=FIG3_DEFAULTS["trials"])
-    p.add_argument("--seed", type=int, default=FIG3_DEFAULTS["seed"])
+    p.add_argument("--points", type=_int_in(2), default=FIG3_DEFAULTS["points"])
+    p.add_argument("--trials", type=_int_in(1), default=FIG3_DEFAULTS["trials"])
+    p.add_argument("--seed", type=_int_in(0, 2**64), default=FIG3_DEFAULTS["seed"])
     p.add_argument("--tol", type=_float_above(0.0), default=None, help="nilpotency tolerance override")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sweep)
@@ -240,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_float_above(-math.inf), default=FIG3_DEFAULTS["k"])
     p.add_argument("--eps-min", type=_float_above(0.0), default=FIG3_DEFAULTS["eps_min"])
     p.add_argument("--eps-max", type=_float_above(0.0), default=FIG3_DEFAULTS["eps_max"])
-    p.add_argument("--points", type=_int_at_least(2), default=FIG3_DEFAULTS["points"])
-    p.add_argument("--trials", type=_int_at_least(1), default=FIG3_DEFAULTS["trials"])
-    p.add_argument("--seed", type=int, default=FIG3_DEFAULTS["seed"])
+    p.add_argument("--points", type=_int_in(2), default=FIG3_DEFAULTS["points"])
+    p.add_argument("--trials", type=_int_in(1), default=FIG3_DEFAULTS["trials"])
+    p.add_argument("--seed", type=_int_in(0, 2**64), default=FIG3_DEFAULTS["seed"])
     p.add_argument("--out", default=".", help="output directory for the two CSVs and slope JSON")
     p.set_defaults(func=_cmd_reproduce_fig3)
 

@@ -21,7 +21,7 @@ from .errors import (
     ShapeError,
 )
 
-#: Default relative tolerance for rank / kernel / least-squares cutoffs.
+#: Relative tolerance of every rank / kernel / least-squares cutoff.
 DEFAULT_RTOL = 1e-12
 
 __all__ = [
@@ -103,12 +103,9 @@ def _svd(a: np.ndarray, compute_uv: bool = True):
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
 
 
-def _above_cutoff(a: np.ndarray, s: np.ndarray, rtol: float) -> np.ndarray:
-    """Mask of the singular values s of A above rtol * max(rows, cols) * sigma_max."""
-    rtol = float(rtol)
-    if not np.isfinite(rtol) or rtol <= 0.0:
-        raise ParameterError(f"rtol must be positive and finite, got {rtol}")
-    return s > rtol * max(a.shape) * s[0]
+def _above_cutoff(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Mask of the singular values s of A above DEFAULT_RTOL * max(rows, cols) * sigma_max."""
+    return s > DEFAULT_RTOL * max(a.shape) * s[0]
 
 
 def spectral_norm(a) -> float:
@@ -116,13 +113,13 @@ def spectral_norm(a) -> float:
     return float(_svd(as_matrix(a), compute_uv=False)[0])
 
 
-def rank(a, rtol: float = DEFAULT_RTOL) -> int:
-    """Number of singular values above rtol * max(rows, cols) * sigma_max."""
+def rank(a) -> int:
+    """Number of singular values above DEFAULT_RTOL * max(rows, cols) * sigma_max."""
     a = as_matrix(a)
-    return int(np.count_nonzero(_above_cutoff(a, _svd(a, compute_uv=False), rtol)))
+    return int(np.count_nonzero(_above_cutoff(a, _svd(a, compute_uv=False))))
 
 
-def kernel_vector(a, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+def kernel_vector(a) -> np.ndarray:
     """Unit-norm vector spanning the one-dimensional numerical null space.
 
     The phase is fixed so that the first component of largest modulus is real
@@ -130,14 +127,14 @@ def kernel_vector(a, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     DegeneracyError when the null space is not exactly one-dimensional.
     """
     a = as_matrix(a)
-    return _kernel_vector(a, _svd(a), rtol)
+    return _kernel_vector(a, _svd(a))
 
 
-def _kernel_vector(a: np.ndarray, svd, rtol: float) -> np.ndarray:
+def _kernel_vector(a: np.ndarray, svd) -> np.ndarray:
     _, s, vh = svd
-    null_dim = a.shape[1] - int(np.count_nonzero(_above_cutoff(a, s, rtol)))
+    null_dim = a.shape[1] - int(np.count_nonzero(_above_cutoff(a, s)))
     if null_dim != 1:
-        raise DegeneracyError(f"null space dimension is {null_dim}, expected 1 at rtol={rtol:g}")
+        raise DegeneracyError(f"null space dimension is {null_dim}, expected 1 at rtol={DEFAULT_RTOL:g}")
     v = vh[-1].conj()
     v = v / np.linalg.norm(v)
     mods = np.abs(v)
@@ -147,21 +144,21 @@ def _kernel_vector(a: np.ndarray, svd, rtol: float) -> np.ndarray:
     return v
 
 
-def min_norm_solve(a, b, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+def min_norm_solve(a, b) -> np.ndarray:
     """Minimum-2-norm solution of A x = b via the pseudoinverse.
 
-    Singular values at or below rtol * max(rows, cols) * sigma_max are treated
-    as zero.  Raises NoSolutionError when b is not in the numerical range of A
-    (residual larger than rtol * cond * ||b||).
+    Singular values at or below DEFAULT_RTOL * max(rows, cols) * sigma_max are
+    treated as zero.  Raises NoSolutionError when b is not in the numerical
+    range of A (residual larger than DEFAULT_RTOL * cond * ||b||).
     """
     a = as_matrix(a, "A")
-    return _min_norm_solve(a, _svd(a), b, rtol)
+    return _min_norm_solve(a, _svd(a), b)
 
 
-def _min_norm_solve(a: np.ndarray, svd, b, rtol: float) -> np.ndarray:
+def _min_norm_solve(a: np.ndarray, svd, b) -> np.ndarray:
     b = as_vector(b, "b")
     u, s, vh = svd
-    keep = _above_cutoff(a, s, rtol)
+    keep = _above_cutoff(a, s)
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"A has {a.shape[0]} rows but b has length {b.shape[0]}")
     if not np.any(keep):
@@ -173,9 +170,9 @@ def _min_norm_solve(a: np.ndarray, svd, b, rtol: float) -> np.ndarray:
     if nb > 0.0:
         cond = s[0] / s[keep][-1] if np.any(keep) else 1.0
         residual = np.linalg.norm(a @ x - b)
-        if residual > rtol * cond * nb:
+        if residual > DEFAULT_RTOL * cond * nb:
             raise NoSolutionError(
-                f"relative residual {residual / nb:.3e} exceeds rtol*cond = {rtol * cond:.3e}"
+                f"relative residual {residual / nb:.3e} exceeds rtol*cond = {DEFAULT_RTOL * cond:.3e}"
             )
     return x
 

@@ -13,11 +13,12 @@ carries the composite response strength xi = ||C||.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import cmatrix
-from .ep_core import EpReport, _norm_power, detect_ep, nilpotency_index, traceless_part
+from .ep_core import EpReport, _norm_power, _rank_one_norm, detect_ep, nilpotency_index, traceless_part
 from .errors import (
     DegenerateCouplingError,
     IncompatibleSubsystemsError,
@@ -72,6 +73,11 @@ class CompositeSystem:
     def dim(self) -> int:
         return self.n_a + self.n_b
 
+    @cached_property
+    def coupling_norm(self) -> float:
+        """||K||_2, computed on first use and kept."""
+        return cmatrix.spectral_norm(self.k)
+
     def to_json(self) -> dict:
         return {
             "h_a": cmatrix.matrix_to_json(self.h_a),
@@ -82,8 +88,8 @@ class CompositeSystem:
         }
 
 
-def _certified(h, nil_tol, label: str) -> EpReport:
-    report = detect_ep(h, nil_tol)
+def _certified(h, label: str) -> EpReport:
+    report = detect_ep(h)
     if not report.is_full_ep:
         raise PreconditionError(
             f"subsystem {label} is not at a full-order exceptional point (order {report.order}, dim {report.dim})"
@@ -91,8 +97,7 @@ def _certified(h, nil_tol, label: str) -> EpReport:
     return report
 
 
-def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL, nil_tol: float | None = None,
-                  shift_b: bool = False) -> CompositeSystem:
+def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL, shift_b: bool = False) -> CompositeSystem:
     """Assemble the block lower-triangular composite of two certified points.
 
     Both subsystems must host full-order exceptional points whose eigenvalues
@@ -103,8 +108,8 @@ def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL, nil_tol: flo
     h_a = cmatrix.as_square(h_a, "H_a")
     h_b = cmatrix.as_square(h_b, "H_b")
     k = cmatrix.as_matrix(k, "K")
-    rep_a = _certified(h_a, nil_tol, "a")
-    rep_b = _certified(h_b, nil_tol, "b")
+    rep_a = _certified(h_a, "a")
+    rep_b = _certified(h_b, "b")
     n_a, n_b = rep_a.dim, rep_b.dim
     if k.shape != (n_b, n_a):
         raise ShapeError(f"K has shape {k.shape}, expected {(n_b, n_a)}")
@@ -116,7 +121,7 @@ def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL, nil_tol: flo
                 "shift_b=True shifts H_b onto the eigenvalue of H_a"
             )
         h_b = h_b + (rep_a.ep_eigenvalue - rep_b.ep_eigenvalue) * np.eye(n_b)
-        rep_b = _certified(h_b, nil_tol, "b")
+        rep_b = _certified(h_b, "b")
     dim = n_a + n_b
     h = np.zeros((dim, dim), dtype=complex)
     h[:n_a, :n_a] = h_a
@@ -127,8 +132,7 @@ def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL, nil_tol: flo
                            rep_a=rep_a, rep_b=rep_b)
 
 
-def compose_many(hams, couplings, tol: float = DEFAULT_EIGENVALUE_TOL,
-                 nil_tol: float | None = None) -> CompositeSystem:
+def compose_many(hams, couplings) -> CompositeSystem:
     """Left fold of block_compose over several subsystems.
 
     couplings[i] maps the composite of hams[:i+1] into hams[i+1], so it must
@@ -142,9 +146,9 @@ def compose_many(hams, couplings, tol: float = DEFAULT_EIGENVALUE_TOL,
         raise ParameterError(
             f"need at least two subsystems and exactly len(hams)-1 couplings, got {len(hams)} and {len(couplings)}"
         )
-    system = block_compose(hams[0], hams[1], couplings[0], tol=tol, nil_tol=nil_tol)
+    system = block_compose(hams[0], hams[1], couplings[0])
     for h_next, k_next in zip(hams[2:], couplings[1:]):
-        system = block_compose(system.h, h_next, k_next, tol=tol, nil_tol=nil_tol)
+        system = block_compose(system.h, h_next, k_next)
     return system
 
 
@@ -166,7 +170,7 @@ def _coupling_scale(sys: CompositeSystem, rel: float) -> float:
     """rel * ||K||_2 * ||N_a||_2^(n_a-1) * ||N_b||_2^(n_b-1), the size C has without cancellation."""
     a, b = sys.rep_a, sys.rep_b
     pow_a, pow_b = _norm_power(a.nilpotent_norm, a.dim - 1), _norm_power(b.nilpotent_norm, b.dim - 1)
-    return rel * cmatrix.spectral_norm(sys.k) * pow_a * pow_b
+    return rel * sys.coupling_norm * pow_a * pow_b
 
 
 def composite_response(sys: CompositeSystem) -> float:
@@ -184,12 +188,7 @@ def composite_response(sys: CompositeSystem) -> float:
             f"coupling is degenerate: composite order {achieved} < {sys.dim}",
             achieved_order=achieved,
         )
-    spec = cmatrix.spectral_norm(c)
-    if abs(spec - frob) > 1e-10 * frob:
-        raise NumericalError(
-            f"spectral ({spec:.15g}) and Frobenius ({frob:.15g}) norms of the genericity product disagree"
-        )
-    return spec
+    return _rank_one_norm(c, "the genericity product")
 
 
 def response_upper_bound(xi_a: float, xi_b: float, k) -> float:

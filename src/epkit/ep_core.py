@@ -17,7 +17,7 @@ import numpy as np
 from . import cmatrix
 from .errors import NumericalError, ParameterError, PoleError, PreconditionError, ShapeError
 
-#: Machine precision of double-precision floating point, used as the default
+#: Machine precision of double-precision floating point, used as the
 #: perturbation scale when modelling rounding errors.
 DEFAULT_EPS_MP = 2.22e-16
 
@@ -90,8 +90,7 @@ def _top_power(nmat: np.ndarray, nil_tol: float, norm: float) -> tuple[np.ndarra
     positions that are structurally zero; the residue is orders of magnitude
     below nil_tol * ||N||_2^(n-1), so flushing it restores the exact block
     pattern (and makes structurally zero traces exactly zero) without touching
-    any certified entry.  The power of a full-order point has rank one, so its
-    spectral and Frobenius norms must agree.
+    any certified entry.  The power of a full-order point has rank one.
     """
     dim = nmat.shape[0]
     if dim == 1:
@@ -99,15 +98,20 @@ def _top_power(nmat: np.ndarray, nil_tol: float, norm: float) -> tuple[np.ndarra
     else:
         power = np.linalg.matrix_power(nmat, dim - 1).copy()  # a copy: matrix_power(N, 1) is N itself
         power[np.abs(power) <= nil_tol * _norm_power(norm, dim - 1)] = 0.0
-    spec = cmatrix.spectral_norm(power)
-    frob = cmatrix.frobenius_norm(power)
+    power.setflags(write=False)
+    return power, _rank_one_norm(power, "N^(n-1)")
+
+
+def _rank_one_norm(m: np.ndarray, name: str) -> float:
+    """||M||_2 of a rank-one M; NumericalError when ||M||_2 and ||M||_F differ beyond 1e-10 relative."""
+    spec = cmatrix.spectral_norm(m)
+    frob = cmatrix.frobenius_norm(m)
     if abs(spec - frob) > 1e-10 * max(frob, np.finfo(float).tiny):
         raise NumericalError(
-            f"spectral ({spec:.15g}) and Frobenius ({frob:.15g}) norms of N^(n-1) disagree; "
+            f"spectral ({spec:.15g}) and Frobenius ({frob:.15g}) norms of {name} disagree; "
             "matrix is not numerically rank one"
         )
-    power.setflags(write=False)
-    return power, spec
+    return spec
 
 
 @dataclass(frozen=True)
@@ -179,9 +183,9 @@ def detect_ep(h, nil_tol: float | None = None) -> EpReport:
     )
 
 
-def response_strength(h, nil_tol: float | None = None) -> float:
+def response_strength(h) -> float:
     """Spectral response strength xi = ||N^(n-1)||_2 of a full-order point."""
-    report = detect_ep(h, nil_tol)
+    report = detect_ep(h)
     if not report.is_full_ep:
         raise PreconditionError(
             f"response strength requires a full-order exceptional point; detected order {report.order} in dimension {report.dim}"
@@ -218,16 +222,16 @@ def splitting_bound(xi: float, eps: float, h1_spectral_norm: float, n: int) -> f
     return float((eps * h1_spectral_norm * xi) ** (1.0 / n))
 
 
-def machine_precision_bound(xi: float, n: int, eps_mp: float = DEFAULT_EPS_MP) -> float:
-    """Rounding-noise floor (2 sqrt(n) * eps_mp * xi)^(1/n) of the splitting.
+def machine_precision_bound(xi: float, n: int) -> float:
+    """Rounding-noise floor (2 sqrt(n) * DEFAULT_EPS_MP * xi)^(1/n) of the splitting.
 
-    Models rounding errors as a random perturbation of strength eps_mp whose
-    spectral norm is estimated by 2 sqrt(n) for unit-variance entries.
+    Models rounding errors as a random perturbation of strength DEFAULT_EPS_MP
+    whose spectral norm is estimated by 2 sqrt(n) for unit-variance entries.
     """
-    for name, value in (("xi", xi), ("n", n), ("eps_mp", eps_mp)):
+    for name, value in (("xi", xi), ("n", n)):
         if value <= 0:
             raise ParameterError(f"{name} must be positive, got {value}")
-    return float((2.0 * np.sqrt(n) * eps_mp * xi) ** (1.0 / n))
+    return float((2.0 * np.sqrt(n) * DEFAULT_EPS_MP * xi) ** (1.0 / n))
 
 
 @dataclass(frozen=True)

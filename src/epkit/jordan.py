@@ -56,13 +56,13 @@ def _chain_residuals(nmat, vectors) -> tuple[float, ...]:
     return tuple(res)
 
 
-def jordan_chain(report: EpReport, tol: float | None = None, rtol: float = cmatrix.DEFAULT_RTOL) -> JordanChain:
+def jordan_chain(report: EpReport) -> JordanChain:
     """Construct the gauge-fixed Jordan chain of a certified full-order point.
 
     j_1 is the phase-fixed unit null vector of N; the remaining vectors come
     from successive minimum-norm solves of N j_l = j_{l-1}, followed by the
     unique chain-preserving shift that makes j_n orthogonal to j_1 ... j_{n-1}.
-    tol bounds the accepted residuals (default 1e-10 * ||N||_2).
+    Chain residuals are accepted up to 1e-10 * ||N||_2.
     """
     if not report.is_full_ep:
         raise PreconditionError(
@@ -70,13 +70,11 @@ def jordan_chain(report: EpReport, tol: float | None = None, rtol: float = cmatr
         )
     nmat = np.asarray(report.nilpotent)
     n = report.dim
-    if tol is None:
-        tol = 1e-10 * report.nilpotent_norm
     try:
         svd = cmatrix._svd(nmat)  # one SVD of N serves the null vector and every solve
-        raw = [cmatrix._kernel_vector(nmat, svd, rtol)] if n > 1 else [np.ones(1, dtype=complex)]
+        raw = [cmatrix._kernel_vector(nmat, svd)] if n > 1 else [np.ones(1, dtype=complex)]
         for _ in range(n - 1):
-            raw.append(cmatrix._min_norm_solve(nmat, svd, raw[-1], rtol))
+            raw.append(cmatrix._min_norm_solve(nmat, svd, raw[-1]))
     except EpkitError as exc:
         raise StructureError(f"chain solve failed; not a single Jordan block numerically ({exc})") from exc
 
@@ -102,7 +100,7 @@ def jordan_chain(report: EpReport, tol: float | None = None, rtol: float = cmatr
     last = vectors[-1]
     ortho_res = tuple(float(abs(np.vdot(last, vectors[l]))) for l in range(n - 1))
 
-    budget = max(tol, 64 * np.finfo(float).eps)
+    budget = max(1e-10 * report.nilpotent_norm, 64 * np.finfo(float).eps)
     ok = chain_res[0] <= budget and all(
         chain_res[l] <= budget * np.linalg.norm(vectors[l - 1]) for l in range(1, n)
     )

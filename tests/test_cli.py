@@ -126,7 +126,7 @@ def test_compose_lapack_call_counts(capsys, monkeypatch, tmp_path, dimer_file, t
         monkeypatch.setattr(np.linalg, name, counting)
     code, _, _ = run(capsys, command_argv("compose", tmp_path, dimer_file, trimer_file))
     assert code == 0
-    assert calls["svd"] <= 23 and calls["matrix_power"] <= 4
+    assert calls["svd"] <= 21 and calls["matrix_power"] <= 4
 
 
 def test_compose_zero_coupling_exits_3(capsys, tmp_path, dimer_file, trimer_file):
@@ -335,6 +335,13 @@ def test_norm_power_overflow_exits_4(capsys, tmp_path, command):
     assert out == "" and "overflows" in err
 
 
+def test_reproduce_fig3_fit_failure_writes_no_file(capsys, tmp_path):
+    out_dir = tmp_path / "fig3"
+    code, out, _ = run(capsys, ["reproduce-fig3", "--points", "5", "--trials", "2", "--out", str(out_dir)])
+    assert code == 3
+    assert out == "" and list(out_dir.iterdir()) == []
+
+
 def test_sweep_fit_failure_writes_no_csv(capsys, tmp_path):
     system_file = write_json(
         tmp_path / "sys.json",
@@ -387,6 +394,8 @@ def test_analyze_malformed_input_exits_2(capsys, tmp_path, payload):
         ("--g-b", "inf"),
         ("--g-a", "-1"),
         ("--k", "nan"),
+        ("--seed", "-1"),
+        ("--seed", "18446744073709551616"),
     ],
 )
 def test_bad_grid_argument_exits_2(capsys, tmp_path, dimer_file, trimer_file, command, option, value):

@@ -116,11 +116,6 @@ def test_rank_identity():
     assert cmatrix.rank(np.eye(4)) == 4
 
 
-def test_rank_rejects_bad_rtol():
-    with pytest.raises(ParameterError):
-        cmatrix.rank(np.eye(2), rtol=0.0)
-
-
 # ---------------------------------------------------------------------------
 # kernel vectors and minimum-norm solves
 
