@@ -158,6 +158,7 @@ def min_norm_solve(a, b) -> np.ndarray:
 def _min_norm_solve(a: np.ndarray, svd, b) -> np.ndarray:
     b = as_vector(b, "b")
     u, s, vh = svd
+    u, vh = u[:, : s.shape[0]], vh[: s.shape[0]]  # the full-matrices SVD of a non-square A has extra columns/rows
     keep = _above_cutoff(a, s)
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"A has {a.shape[0]} rows but b has length {b.shape[0]}")

@@ -21,6 +21,9 @@ from .errors import NumericalError, ParameterError, PoleError, PreconditionError
 #: perturbation scale when modelling rounding errors.
 DEFAULT_EPS_MP = 2.22e-16
 
+_TINY = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
+
 __all__ = [
     "DEFAULT_EPS_MP",
     "EpReport",
@@ -67,12 +70,38 @@ def _nilpotency(nmat: np.ndarray, nil_tol: float) -> tuple[int | None, float]:
     if nil_tol <= 0.0:
         raise ParameterError(f"nil_tol must be positive, got {nil_tol}")
     base = cmatrix.spectral_norm(nmat)
-    power = np.eye(dim, dtype=complex)
+    power = nmat
     for k in range(1, dim + 1):
-        power = power @ nmat
-        if cmatrix.spectral_norm(power) <= nil_tol * _norm_power(base, k):
+        if k > 1:
+            power = power @ nmat
+        try:
+            bound = nil_tol * _norm_power(base, k)
+        except NumericalError:
+            cmatrix.as_matrix(power)  # a non-finite power still raises ParameterError first
+            raise
+        if _norm_at_most(power, bound):
             return k, base
     return None, base
+
+
+def _norm_at_most(power: np.ndarray, bound: float) -> bool:
+    """||P||_2 <= bound for a square P, with an SVD only where its largest entry cannot decide.
+
+    peak = max |p_ij| brackets the norm: peak <= ||P||_2 <= dim * peak.  Where
+    peak is a normal float (so abs, a hypot, is exact to an ulp), a factor-two
+    margin on either side of the bracket outweighs the rounding of the SVD, so
+    the answer is the one spectral_norm(P) <= bound gives.  The band between,
+    subnormal peaks and non-finite entries fall back to that SVD.
+    """
+    peak = float(np.max(np.abs(power)))
+    if peak == 0.0:
+        return 0.0 <= bound
+    if _TINY <= peak <= _HUGE:
+        if power.shape[0] * peak <= 0.5 * bound:
+            return True
+        if peak > 2.0 * bound:
+            return False
+    return cmatrix.spectral_norm(power) <= bound
 
 
 def _norm_power(norm: float, exponent: int) -> float:

@@ -47,13 +47,21 @@ def _splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _seed(seed: int) -> int:
+    """seed as an int in [0, 2**64); ParameterError outside, where masking would alias another seed."""
+    seed = int(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed}")
+    return seed
+
+
 def child_seed(seed: int, trial: int) -> int:
     """Per-trial seed: seed XOR splitmix64(trial)."""
-    return (int(seed) & _MASK64) ^ _splitmix64(int(trial))
+    return _seed(seed) ^ _splitmix64(int(trial))
 
 
 def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    return np.random.Generator(np.random.Philox(key=_seed(seed)))
 
 
 @dataclass(frozen=True)

@@ -33,3 +33,28 @@ def random_distinct_spectrum(rng, dim: int, min_gap: float = 1e-2) -> np.ndarray
             break
     s = np.eye(dim, dtype=complex) + 0.5 * complex_uniform(rng, (dim, dim))
     return s @ np.diag(vals) @ np.linalg.inv(s)
+
+
+def reference_nilpotency_index(nmat: np.ndarray, nil_tol: float):
+    """Smallest k <= dim with ||N^k||_2 <= nil_tol * ||N||_2^k, or None, with one SVD per power."""
+    dim = nmat.shape[0]
+    base = float(np.linalg.svd(nmat, compute_uv=False)[0])
+    power = np.eye(dim, dtype=complex)
+    for k in range(1, dim + 1):
+        power = power @ nmat
+        if float(np.linalg.svd(power, compute_uv=False)[0]) <= nil_tol * base**k:
+            return k
+    return None
+
+
+def count_linalg(monkeypatch, *names: str) -> dict[str, int]:
+    """Wrap the named np.linalg functions for one test; the returned dict counts their calls as they happen."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return counts

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import helpers
 from epkit import cli, cmatrix
 from epkit.models import pt_dimer, pt_trimer, single_entry_coupling
 
@@ -116,17 +117,10 @@ def test_compose_reports_response(capsys, tmp_path, dimer_file, trimer_file):
 
 
 def test_compose_lapack_call_counts(capsys, monkeypatch, tmp_path, dimer_file, trimer_file):
-    calls = {"svd": 0, "matrix_power": 0}
-    for name in calls:
-
-        def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
+    calls = helpers.count_linalg(monkeypatch, "svd", "matrix_power")
     code, _, _ = run(capsys, command_argv("compose", tmp_path, dimer_file, trimer_file))
     assert code == 0
-    assert calls["svd"] <= 21 and calls["matrix_power"] <= 4
+    assert calls["svd"] <= 11 and calls["matrix_power"] <= 4
 
 
 def test_compose_zero_coupling_exits_3(capsys, tmp_path, dimer_file, trimer_file):

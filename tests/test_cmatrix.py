@@ -178,6 +178,16 @@ def test_min_norm_solve_inconsistent():
         cmatrix.min_norm_solve(a, np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("shape", [(5, 3), (3, 5)])
+def test_min_norm_solve_rectangular(shape):
+    rng = helpers.philox(57)
+    a = helpers.complex_uniform(rng, shape)
+    b = a @ helpers.complex_uniform(rng, shape[1])  # in the range of A, also for the tall A
+    x = cmatrix.min_norm_solve(a, b)
+    assert x.shape == (shape[1],)
+    assert np.allclose(x, np.linalg.pinv(a) @ b, rtol=0.0, atol=1e-12)
+
+
 def test_min_norm_solution_orthogonal_to_kernel():
     rng = helpers.philox(55)
     for _ in range(25):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 import helpers
 from epkit import cmatrix, ep_core
@@ -104,6 +107,67 @@ def test_nilpotency_rejects_bad_tol():
         ep_core.nilpotency_index(np.zeros((2, 2)), nil_tol=-1.0)
 
 
+@st.composite
+def power_and_bound(draw):
+    """A square P (dense, sparse or zero; entries near 1, 1e+-150 or subnormal) and a bound.
+
+    Bounds fall within 1% of ||P||_2, on a ratio of ||P||_2, on an absolute scale, or are inf or nan.
+    """
+    dim = draw(st.integers(1, 6))
+    unit = st.floats(-1.0, 1.0)
+    entries = np.array(draw(st.lists(st.builds(complex, unit, unit), min_size=dim * dim, max_size=dim * dim)))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=dim * dim, max_size=dim * dim)))
+    scale = draw(st.sampled_from([0.0, 1.0, 1e150, 1e-150, 1e-310]))
+    p = (scale * np.where(mask, entries, 0.0)).reshape(dim, dim)
+    norm = cmatrix.spectral_norm(p)
+    bound = draw(
+        st.floats(0.99, 1.01).map(lambda f: f * norm)
+        | st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 1.0 / dim, 0.5 / dim, 4.0 * dim]).map(lambda f: f * norm)
+        | st.floats(0.0, 1e300)
+        | st.floats(0.0, 1e-300)
+        | st.sampled_from([np.inf, np.nan])
+    )
+    return p, bound
+
+
+@settings(deadline=None, max_examples=300)
+@given(power_and_bound())
+def test_norm_at_most_matches_spectral_norm(case):
+    p, bound = case
+    assert ep_core._norm_at_most(p, bound) == (cmatrix.spectral_norm(p) <= bound)
+
+
+def _index_family(family):
+    """Traceless parts of seeded test matrices: transformed Jordan blocks, direct sums of two, or random."""
+    rng = helpers.philox(61)
+    if family == "block":
+        hams = [helpers.transformed_jordan_block(rng, dim) for dim in (2, 3, 4, 5, 8, 10, 13, 16, 20, 25, 30, 40)]
+    elif family == "sum":
+        pairs = [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (4, 4), (6, 3), (5, 8), (10, 6), (12, 12)]
+        hams = [
+            block_diag(helpers.transformed_jordan_block(rng, p), helpers.transformed_jordan_block(rng, q))
+            for p, q in pairs
+        ]
+    else:
+        hams = [helpers.complex_uniform(rng, (dim, dim)) for dim in (1, 2, 3, 5, 8, 13, 20)]
+    return [ep_core.traceless_part(h)[1] for h in hams]
+
+
+@pytest.mark.parametrize("nil_tol", [1e-14, None, 1e-6, 1e-2])
+@pytest.mark.parametrize("family", ["block", "sum", "random"])
+def test_nilpotency_index_matches_one_svd_per_power(family, nil_tol):
+    for n in _index_family(family):
+        tol = ep_core.default_nil_tol(n.shape[0]) if nil_tol is None else nil_tol
+        assert ep_core.nilpotency_index(n, nil_tol) == helpers.reference_nilpotency_index(n, tol)
+
+
+def test_nilpotency_overflowing_power_raises_parameter_error():
+    # N^2 overflows, and so does ||N||^2: the non-finite power is the error reported
+    n = 1e200 * helpers.complex_uniform(helpers.philox(5), (3, 3))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ParameterError, match="non-finite"):
+        ep_core.nilpotency_index(n)
+
+
 # ---------------------------------------------------------------------------
 # detection
 
@@ -140,6 +204,16 @@ def test_detect_ep_lower_order_is_partial():
 def test_detect_ep_zero_matrix_not_full_order():
     report = ep_core.detect_ep(np.zeros((2, 2)))
     assert report.order == 1 and report.partial
+
+
+@pytest.mark.parametrize(
+    "h", [pt_dimer(1.0, 1.5), pt_trimer(1.0, 1.3), dimer_trimer_system().h], ids=["dimer", "trimer", "composite"]
+)
+def test_detect_ep_takes_two_svds(monkeypatch, h):
+    # one of N for ||N||_2 and one of the top power for xi; every power test is settled by its largest entry
+    counts = helpers.count_linalg(monkeypatch, "svd")
+    assert ep_core.detect_ep(h).is_full_ep
+    assert counts == {"svd": 2}
 
 
 def test_detect_ep_certifies_nilpotency_bound(report5):

@@ -75,6 +75,24 @@ def test_child_seed_spread():
     assert len(seeds) == 1000
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64 + 42])
+def test_seed_outside_64_bits_rejected(system5, seed):
+    # masking to 64 bits would draw another seed's matrices: -1 as 2**64 - 1, 2**64 + 42 as 42
+    with pytest.raises(ParameterError, match="seed"):
+        perturb.child_seed(seed, 0)
+    with pytest.raises(ParameterError, match="seed"):
+        perturb.random_generic(3, seed)
+    with pytest.raises(ParameterError, match="seed"):
+        perturb.random_preserving(2, 3, seed)
+    with pytest.raises(ParameterError, match="seed"):
+        perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", [1e-8, 1e-4], 2, seed=seed)
+
+
+def test_seed_range_edges_accepted():
+    assert perturb.random_generic(2, 2**64 - 1).seed == 2**64 - 1
+    assert perturb.child_seed(0, 0) == perturb.child_seed(2**64 - 1, 0) ^ (2**64 - 1)
+
+
 # ---------------------------------------------------------------------------
 # splitting measurement
 
