@@ -15,7 +15,6 @@ from .cmatrix import (
     matmul,
     matrix_from_json,
     matrix_to_json,
-    min_norm_solve,
     rank,
     spectral_norm,
 )

@@ -2,8 +2,8 @@
 
 All operations work on plain ``numpy`` arrays of ``complex128``.  Matrices are
 2-d, vectors 1-d; every public entry point validates shapes and rejects
-non-finite entries.  Rank, null vectors and minimum-norm solves share a single
-SVD-based code path so their tolerance semantics agree.
+non-finite entries.  Rank and null vectors share one SVD cutoff so their
+tolerance semantics agree.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DegeneracyError,
-    NoSolutionError,
     ParameterError,
     ParseError,
     ShapeError,
 )
 
-#: Relative tolerance of every rank / kernel / least-squares cutoff.
+#: Relative tolerance of every rank / kernel cutoff.
 DEFAULT_RTOL = 1e-12
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "spectral_norm",
     "rank",
     "kernel_vector",
-    "min_norm_solve",
     "eigenvalues",
     "matrix_to_json",
     "matrix_from_json",
@@ -127,55 +125,21 @@ def kernel_vector(a) -> np.ndarray:
     DegeneracyError when the null space is not exactly one-dimensional.
     """
     a = as_matrix(a)
-    return _kernel_vector(a, _svd(a))
-
-
-def _kernel_vector(a: np.ndarray, svd) -> np.ndarray:
-    _, s, vh = svd
+    _, s, vh = _svd(a)
     null_dim = a.shape[1] - int(np.count_nonzero(_above_cutoff(a, s)))
     if null_dim != 1:
         raise DegeneracyError(f"null space dimension is {null_dim}, expected 1 at rtol={DEFAULT_RTOL:g}")
     v = vh[-1].conj()
     v = v / np.linalg.norm(v)
+    return v * _pivot_phase(v)
+
+
+def _pivot_phase(v: np.ndarray) -> complex:
+    """Unit factor that makes the first component of largest modulus of v real and positive."""
     mods = np.abs(v)
     # tolerate float ties so analytically equal moduli pick the first index
     pivot = int(np.flatnonzero(mods >= (1.0 - 1e-12) * mods.max())[0])
-    v = v * (v[pivot].conjugate() / mods[pivot])
-    return v
-
-
-def min_norm_solve(a, b) -> np.ndarray:
-    """Minimum-2-norm solution of A x = b via the pseudoinverse.
-
-    Singular values at or below DEFAULT_RTOL * max(rows, cols) * sigma_max are
-    treated as zero.  Raises NoSolutionError when b is not in the numerical
-    range of A (residual larger than DEFAULT_RTOL * cond * ||b||).
-    """
-    a = as_matrix(a, "A")
-    return _min_norm_solve(a, _svd(a), b)
-
-
-def _min_norm_solve(a: np.ndarray, svd, b) -> np.ndarray:
-    b = as_vector(b, "b")
-    u, s, vh = svd
-    u, vh = u[:, : s.shape[0]], vh[: s.shape[0]]  # the full-matrices SVD of a non-square A has extra columns/rows
-    keep = _above_cutoff(a, s)
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"A has {a.shape[0]} rows but b has length {b.shape[0]}")
-    if not np.any(keep):
-        x = np.zeros(a.shape[1], dtype=complex)
-    else:
-        coeff = (u[:, keep].conj().T @ b) / s[keep]
-        x = vh[keep].conj().T @ coeff
-    nb = np.linalg.norm(b)
-    if nb > 0.0:
-        cond = s[0] / s[keep][-1] if np.any(keep) else 1.0
-        residual = np.linalg.norm(a @ x - b)
-        if residual > DEFAULT_RTOL * cond * nb:
-            raise NoSolutionError(
-                f"relative residual {residual / nb:.3e} exceeds rtol*cond = {DEFAULT_RTOL * cond:.3e}"
-            )
-    return x
+    return v[pivot].conjugate() / mods[pivot]
 
 
 def eigenvalues(a) -> np.ndarray:

@@ -105,6 +105,8 @@ def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL, shift_b: boo
     onto the eigenvalue of H_a instead of raising; off by default so modelling
     errors surface.
     """
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ParameterError(f"tol must be finite and non-negative, got {tol}")
     h_a = cmatrix.as_square(h_a, "H_a")
     h_b = cmatrix.as_square(h_b, "H_b")
     k = cmatrix.as_matrix(k, "K")

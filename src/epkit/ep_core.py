@@ -37,7 +37,6 @@ __all__ = [
     "splitting_bound",
     "machine_precision_bound",
     "predicted_splitting",
-    "match_eigenvalues",
 ]
 
 
@@ -67,8 +66,8 @@ def nilpotency_index(nmat, nil_tol: float | None = None) -> int | None:
 def _nilpotency(nmat: np.ndarray, nil_tol: float) -> tuple[int | None, float]:
     """(nilpotency_index, ||N||_2) of a validated N."""
     dim = nmat.shape[0]
-    if nil_tol <= 0.0:
-        raise ParameterError(f"nil_tol must be positive, got {nil_tol}")
+    if not (np.isfinite(nil_tol) and nil_tol > 0.0):
+        raise ParameterError(f"nil_tol must be finite and positive, got {nil_tol}")
     base = cmatrix.spectral_norm(nmat)
     power = nmat
     for k in range(1, dim + 1):
@@ -319,18 +318,3 @@ def predicted_splitting(report: EpReport, h1, eps: float) -> SplittingPrediction
         unity = np.exp(2j * np.pi * np.arange(n) / n)
         roots = report.ep_eigenvalue + principal * unity
     return SplittingPrediction(n=n, radicand=radicand, predicted_eigenvalues=roots)
-
-
-def match_eigenvalues(computed, predicted) -> float:
-    """Largest matched distance under a minimum-cost pairing of two spectra."""
-    # Imported here, not at module scope: scipy.optimize dominates the start-up
-    # time of every CLI call, and nothing else in epkit needs scipy.
-    from scipy.optimize import linear_sum_assignment
-
-    a = np.asarray(computed, dtype=complex)
-    b = np.asarray(predicted, dtype=complex)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ShapeError(f"spectra must be 1-d and equally long, got {a.shape} and {b.shape}")
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())

@@ -21,10 +21,6 @@ class DegeneracyError(EpkitError):
     """Numerical null space is not one-dimensional at the given tolerance."""
 
 
-class NoSolutionError(EpkitError):
-    """Right-hand side is not in the numerical range of the matrix."""
-
-
 class NumericalError(EpkitError):
     """A numerical consistency check failed (cross-route disagreement)."""
 

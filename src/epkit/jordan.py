@@ -1,10 +1,13 @@
 """Gauge-fixed Jordan chains of full-order exceptional points.
 
 The chain j_1 ... j_n satisfies N j_1 = 0 and N j_l = j_{l-1}, with the gauge
-fixed by ||j_1|| = 1 and j_n orthogonal to all earlier vectors.  In that gauge
-the response strength is 1 / ||j_n||, and the last Jordan vector of one
-subsystem combines with the degenerate eigenstate of another to give the
-coupling amplitude that factorizes the composite response strength.
+fixed by ||j_1|| = 1 and j_n orthogonal to all earlier vectors.  It is built
+forward from the certified rank-one top power N^(n-1) by matrix-vector
+products, with no SVD and no solve.  In that gauge the response strength is
+1 / ||j_n||, which shares its direction with the top power and so is not an
+independent route.  The last Jordan vector of one subsystem combines with the
+degenerate eigenstate of another to give the coupling amplitude that
+factorizes the composite response strength.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from . import cmatrix
 from .ep_core import EpReport
-from .errors import EpkitError, ParameterError, PreconditionError, ShapeError, StructureError
+from .errors import ParameterError, PreconditionError, ShapeError, StructureError
 
 __all__ = ["JordanChain", "jordan_chain", "response_from_chain", "coupling_amplitude"]
 
@@ -59,10 +62,12 @@ def _chain_residuals(nmat, vectors) -> tuple[float, ...]:
 def jordan_chain(report: EpReport) -> JordanChain:
     """Construct the gauge-fixed Jordan chain of a certified full-order point.
 
-    j_1 is the phase-fixed unit null vector of N; the remaining vectors come
-    from successive minimum-norm solves of N j_l = j_{l-1}, followed by the
-    unique chain-preserving shift that makes j_n orthogonal to j_1 ... j_{n-1}.
-    Chain residuals are accepted up to 1e-10 * ||N||_2.
+    The certified top power N^(n-1) = xi u v^H has rank one, and v spans the
+    orthogonal complement of ker N^(n-1), which holds j_1 ... j_{n-1}.  So j_n
+    points along the conjugate of every nonzero row of N^(n-1), taken from the
+    largest, and j_l = N^(n-l) j_n follows by matrix-vector products.  Dividing every
+    vector by ||j_1|| and fixing the phase of j_1 as kernel_vector does fixes
+    the gauge.  Chain residuals are accepted up to 1e-10 * ||N||_2.
     """
     if not report.is_full_ep:
         raise PreconditionError(
@@ -70,30 +75,16 @@ def jordan_chain(report: EpReport) -> JordanChain:
         )
     nmat = np.asarray(report.nilpotent)
     n = report.dim
-    try:
-        svd = cmatrix._svd(nmat)  # one SVD of N serves the null vector and every solve
-        raw = [cmatrix._kernel_vector(nmat, svd)] if n > 1 else [np.ones(1, dtype=complex)]
-        for _ in range(n - 1):
-            raw.append(cmatrix._min_norm_solve(nmat, svd, raw[-1]))
-    except EpkitError as exc:
-        raise StructureError(f"chain solve failed; not a single Jordan block numerically ({exc})") from exc
-
-    if n > 1:
-        # Orthogonalize j_n against span(j_1..j_{n-1}).  Shifting level l by
-        # the same coefficient that shifts level n at offset m = n-1-q keeps
-        # the chain relations N j_l = j_{l-1} exact.
-        basis = np.column_stack(raw[:-1])
-        coeff, *_ = np.linalg.lstsq(basis, raw[-1], rcond=None)
-        offsets = {(n - 1) - q: -coeff[q] for q in range(n - 1)}  # j_l += offsets[m] * j_{l-m}
-        vectors = []
-        for l in range(n):
-            v = raw[l].copy()
-            for m, a in offsets.items():
-                if l - m >= 0:
-                    v += a * raw[l - m]
-            vectors.append(v)
-    else:
-        vectors = raw
+    power = report.top_power
+    row_norms = np.linalg.norm(power, axis=1)
+    top = int(np.argmax(row_norms))
+    if not row_norms[top] > 0.0:
+        raise StructureError("N^(n-1) is numerically zero; no Jordan chain to build")
+    vectors = [power[top].conj() / row_norms[top]]  # j_n up to scale
+    for _ in range(n - 1):
+        vectors.append(nmat @ vectors[-1])
+    factor = cmatrix._pivot_phase(vectors[-1]) / np.linalg.norm(vectors[-1])  # vectors[-1] is j_1 up to scale
+    vectors = [v * factor for v in reversed(vectors)]
 
     chain_res = _chain_residuals(nmat, vectors)
     norm_res = float(abs(np.vdot(vectors[0], vectors[0]).real - 1.0))

@@ -1,6 +1,7 @@
 """Shared test utilities: seeded generators and structured random matrices."""
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -58,3 +59,14 @@ def count_linalg(monkeypatch, *names: str) -> dict[str, int]:
 
         monkeypatch.setattr(np.linalg, name, counting)
     return counts
+
+
+def match_eigenvalues(computed, predicted) -> float:
+    """Largest matched distance under a minimum-cost pairing of two spectra."""
+    a = np.asarray(computed, dtype=complex)
+    b = np.asarray(predicted, dtype=complex)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError(f"spectra must be 1-d and equally long, got {a.shape} and {b.shape}")
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())

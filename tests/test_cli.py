@@ -117,10 +117,10 @@ def test_compose_reports_response(capsys, tmp_path, dimer_file, trimer_file):
 
 
 def test_compose_lapack_call_counts(capsys, monkeypatch, tmp_path, dimer_file, trimer_file):
-    calls = helpers.count_linalg(monkeypatch, "svd", "matrix_power")
+    calls = helpers.count_linalg(monkeypatch, "svd", "lstsq", "matrix_power")
     code, _, _ = run(capsys, command_argv("compose", tmp_path, dimer_file, trimer_file))
     assert code == 0
-    assert calls["svd"] <= 11 and calls["matrix_power"] <= 4
+    assert calls["svd"] <= 10 and calls["lstsq"] == 0 and calls["matrix_power"] <= 4
 
 
 def test_compose_zero_coupling_exits_3(capsys, tmp_path, dimer_file, trimer_file):

@@ -8,7 +8,6 @@ from epkit import cmatrix
 from epkit.ep_core import traceless_part
 from epkit.errors import (
     DegeneracyError,
-    NoSolutionError,
     ParameterError,
     ParseError,
     ShapeError,
@@ -152,50 +151,6 @@ def test_kernel_vector_degenerate():
         cmatrix.kernel_vector(np.zeros((2, 2)))
     with pytest.raises(DegeneracyError):
         cmatrix.kernel_vector(np.eye(3))
-
-
-def test_min_norm_solve_shift_block():
-    a = np.array([[0, 1], [0, 0]], dtype=complex)
-    x = cmatrix.min_norm_solve(a, np.array([1.0, 0.0]))
-    assert np.allclose(x, [0.0, 1.0], atol=1e-14)
-
-
-def test_min_norm_solve_identity():
-    b = np.array([1.0 + 2j, -0.5])
-    assert np.allclose(cmatrix.min_norm_solve(np.eye(2), b), b, atol=1e-15)
-
-
-def test_min_norm_solve_dimer_chain_step():
-    n = dimer_nilpotent(1.5)
-    b = cmatrix.kernel_vector(n)
-    x = cmatrix.min_norm_solve(n, b)
-    assert np.linalg.norm(n @ x - b) <= 1e-12
-
-
-def test_min_norm_solve_inconsistent():
-    a = np.array([[0, 1], [0, 0]], dtype=complex)
-    with pytest.raises(NoSolutionError):
-        cmatrix.min_norm_solve(a, np.array([0.0, 1.0]))
-
-
-@pytest.mark.parametrize("shape", [(5, 3), (3, 5)])
-def test_min_norm_solve_rectangular(shape):
-    rng = helpers.philox(57)
-    a = helpers.complex_uniform(rng, shape)
-    b = a @ helpers.complex_uniform(rng, shape[1])  # in the range of A, also for the tall A
-    x = cmatrix.min_norm_solve(a, b)
-    assert x.shape == (shape[1],)
-    assert np.allclose(x, np.linalg.pinv(a) @ b, rtol=0.0, atol=1e-12)
-
-
-def test_min_norm_solution_orthogonal_to_kernel():
-    rng = helpers.philox(55)
-    for _ in range(25):
-        a = helpers.random_fixed_rank(rng, 5, 5, 3)
-        _, _, vh = np.linalg.svd(a)
-        null_basis = vh[3:].conj().T
-        x = cmatrix.min_norm_solve(a, a @ helpers.complex_uniform(rng, 5))
-        assert np.max(np.abs(null_basis.conj().T @ x)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,13 @@ def test_eigenvalue_mismatch_raises():
         compose.block_compose(pt_dimer(1.0, 1.5), pt_trimer(2.0, 1.3), np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_block_compose_rejects_bad_tol(tol):
+    # a dimer at omega 1 and a trimer at omega 2 must never compose silently
+    with pytest.raises(ParameterError, match="tol"):
+        compose.block_compose(pt_dimer(1.0, 1.5), pt_trimer(2.0, 1.3), single_entry_coupling(1.0, 3, 2), tol=tol)
+
+
 def test_shift_b_aligns_eigenvalues():
     system = compose.block_compose(
         pt_dimer(1.0, 1.5), pt_trimer(2.0, 1.3), single_entry_coupling(1.0, 3, 2), shift_b=True

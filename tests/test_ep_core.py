@@ -107,6 +107,14 @@ def test_nilpotency_rejects_bad_tol():
         ep_core.nilpotency_index(np.zeros((2, 2)), nil_tol=-1.0)
 
 
+@pytest.mark.parametrize("nil_tol", [np.nan, np.inf])
+@pytest.mark.parametrize("certify", [ep_core.nilpotency_index, ep_core.detect_ep], ids=["index", "detect"])
+def test_non_finite_nil_tol_rejected(certify, nil_tol):
+    for matrix in (np.zeros((3, 3)), jordan_block(3)):
+        with pytest.raises(ParameterError, match="nil_tol"):
+            certify(matrix, nil_tol)
+
+
 @st.composite
 def power_and_bound(draw):
     """A square P (dense, sparse or zero; entries near 1, 1e+-150 or subnormal) and a bound.
@@ -403,7 +411,7 @@ def test_predicted_eigenvalues_match_spectrum(system5, report5):
         h1 = helpers.complex_uniform(rng, (5, 5))
         prediction = ep_core.predicted_splitting(report5, h1, 1e-10)
         vals = cmatrix.eigenvalues(system5.h + 1e-10 * h1)
-        distance = ep_core.match_eigenvalues(vals, prediction.predicted_eigenvalues)
+        distance = helpers.match_eigenvalues(vals, prediction.predicted_eigenvalues)
         assert distance <= 0.05 * abs(prediction.radicand) ** 0.2
 
 
@@ -420,4 +428,4 @@ def test_eigenvalue_bound_random_trials(system5, report5):
 
 def test_match_eigenvalues_permutation_invariant():
     a = np.array([1.0, 2.0, 3.0 + 1j])
-    assert ep_core.match_eigenvalues(a, a[::-1]) == 0.0
+    assert helpers.match_eigenvalues(a, a[::-1]) == 0.0

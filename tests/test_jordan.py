@@ -1,12 +1,15 @@
 """Tests for gauge-fixed Jordan chains and the coupling amplitude."""
 
+import dataclasses
+
+import mpmath
 import numpy as np
 import pytest
 
 import helpers
 from epkit import cmatrix, ep_core, jordan
 from epkit.compose import block_compose, composite_response
-from epkit.errors import ParameterError, PreconditionError, ShapeError
+from epkit.errors import ParameterError, PreconditionError, ShapeError, StructureError
 from epkit.models import dimer_trimer_system, pt_dimer, pt_trimer, single_entry_coupling
 
 
@@ -74,18 +77,73 @@ def test_chain_residuals_recorded():
 @pytest.mark.parametrize(
     "h", [pt_dimer(1.0, 1.5), pt_trimer(1.0, 1.3), dimer_trimer_system().h], ids=["dimer", "trimer", "composite"]
 )
-def test_chain_takes_one_svd(monkeypatch, h):
+def test_chain_takes_no_svd_lstsq_or_matrix_power(monkeypatch, h):
     report = ep_core.detect_ep(h)
-    calls = []
-    svd = np.linalg.svd
-
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    calls = helpers.count_linalg(monkeypatch, "svd", "lstsq", "matrix_power")
     jordan.jordan_chain(report)
-    assert calls == [h.shape]
+    assert calls == {"svd": 0, "lstsq": 0, "matrix_power": 0}
+
+
+# Subsystem strengths two orders of magnitude apart, where a backward solve loses accuracy.
+G_A, G_B, K = 0.10692335088937932, 7.3527161499842775, 0.962 - 1.181j
+
+
+def mp_models(g_a, g_b, k):
+    """Dimer, trimer and their single-entry composite at omega0 = 1, exactly at their points in mpmath."""
+    ga, gb, alpha_b = mpmath.mpf(g_a), mpmath.mpf(g_b), mpmath.sqrt(2) * mpmath.mpf(g_b)
+    dimer = mpmath.matrix([[mpmath.mpc(1, ga), ga], [ga, mpmath.mpc(1, -ga)]])
+    trimer = mpmath.matrix([[mpmath.mpc(1, alpha_b), gb, 0], [gb, 1, gb], [0, gb, mpmath.mpc(1, -alpha_b)]])
+    composite = mpmath.zeros(5)
+    composite[0:2, 0:2], composite[2:5, 2:5], composite[2, 0] = dimer, trimer, mpmath.mpc(k)
+    return {"dimer": dimer, "trimer": trimer, "composite": composite}
+
+
+def mp_reference_chain(h):
+    """Gauge-fixed chain of an exact mpmath H from the column side of P = N^(n-1) = j_1 w^H.
+
+    j_1 is the unit largest column of P with kernel_vector's phase rule, w = P^H j_1,
+    j_n = w / ||w||^2 and j_l = N^(n-l) j_n.
+    """
+    n = h.rows
+    mean = sum(h[i, i] for i in range(n)) / n
+    nmat = h - mean * mpmath.eye(n)
+    power = nmat ** (n - 1)
+    columns = [power.column(c) for c in range(n)]
+    j1 = max(columns, key=mpmath.norm)
+    j1 = j1 / mpmath.norm(j1)
+    mods = [abs(x) for x in j1]
+    pivot = next(i for i, m in enumerate(mods) if m >= (1 - mpmath.mpf("1e-12")) * max(mods))
+    j1 = j1 * (mpmath.conj(j1[pivot]) / mods[pivot])
+    w = power.H * j1
+    chain = [w / mpmath.norm(w) ** 2]
+    for _ in range(n - 1):
+        chain.append(nmat * chain[-1])
+    assert mpmath.norm(chain[-1] - j1) <= mpmath.mpf("1e-40")
+    return [np.array([complex(x) for x in v]) for v in reversed(chain)]
+
+
+@pytest.mark.parametrize(
+    "name, h",
+    [
+        ("dimer", pt_dimer(1.0, G_A)),
+        ("trimer", pt_trimer(1.0, G_B)),
+        ("composite", dimer_trimer_system(1.0, G_A, G_B, K).h),
+    ],
+    ids=["dimer", "trimer", "composite"],
+)
+def test_chain_matches_high_precision_reference(name, h):
+    with mpmath.workdps(60):
+        reference = mp_reference_chain(mp_models(G_A, G_B, K)[name])
+    chain = chain_for(h)
+    for computed, exact in zip(chain.vectors, reference, strict=True):
+        assert np.linalg.norm(computed - exact) <= 1e-11 * np.linalg.norm(exact)
+
+
+def test_zero_top_power_raises_structure_error():
+    report = ep_core.detect_ep(pt_trimer(1.0, 1.3))
+    zeroed = dataclasses.replace(report, top_power=np.zeros((3, 3), dtype=complex))
+    with pytest.raises(StructureError, match="zero"):
+        jordan.jordan_chain(zeroed)
 
 
 def test_chain_requires_full_order():
