@@ -82,8 +82,12 @@ def _load_json(path: str):
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _dump_json(obj, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = _json_text(obj)
     if out is None:
         sys.stdout.write(text)
     else:
@@ -184,8 +188,9 @@ def _cmd_reproduce_fig3(args) -> int:
         },
         "slopes": slopes,
     }
-    _dump_json(payload, str(out_dir / "fig3_slopes.json"))
-    _dump_json(payload, None)
+    text = _json_text(payload)
+    (out_dir / "fig3_slopes.json").write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ perturbations together with the corresponding rigorous bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,16 +71,12 @@ def _nilpotency(nmat: np.ndarray, nil_tol: float) -> tuple[int | None, float]:
         raise ParameterError(f"nil_tol must be finite and positive, got {nil_tol}")
     base = cmatrix.spectral_norm(nmat)
     power = nmat
-    for k in range(1, dim + 1):
-        if k > 1:
-            power = power @ nmat
-        try:
-            bound = nil_tol * _norm_power(base, k)
-        except NumericalError:
-            cmatrix.as_matrix(power)  # a non-finite power still raises ParameterError first
-            raise
-        if _norm_at_most(power, bound):
-            return k, base
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed power raises NumericalError below
+        for k in range(1, dim + 1):
+            if k > 1:
+                power = power @ nmat
+            if _norm_at_most(power, nil_tol * _norm_power(base, k)):
+                return k, base
     return None, base
 
 
@@ -89,13 +86,16 @@ def _norm_at_most(power: np.ndarray, bound: float) -> bool:
     peak = max |p_ij| brackets the norm: peak <= ||P||_2 <= dim * peak.  Where
     peak is a normal float (so abs, a hypot, is exact to an ulp), a factor-two
     margin on either side of the bracket outweighs the rounding of the SVD, so
-    the answer is the one spectral_norm(P) <= bound gives.  The band between,
-    subnormal peaks and non-finite entries fall back to that SVD.
+    the answer is the one spectral_norm(P) <= bound gives.  The band between
+    and subnormal peaks fall back to that SVD.  A non-finite entry raises
+    NumericalError: the power has left the double range.
     """
     peak = float(np.max(np.abs(power)))
+    if not peak <= _HUGE:
+        raise NumericalError("a power of N overflows a double")
     if peak == 0.0:
         return 0.0 <= bound
-    if _TINY <= peak <= _HUGE:
+    if peak >= _TINY:
         if power.shape[0] * peak <= 0.5 * bound:
             return True
         if peak > 2.0 * bound:
@@ -104,11 +104,14 @@ def _norm_at_most(power: np.ndarray, bound: float) -> bool:
 
 
 def _norm_power(norm: float, exponent: int) -> float:
-    """norm**exponent; NumericalError when it exceeds the double range."""
+    """norm**exponent; NumericalError when it (or norm itself) exceeds the double range."""
     try:
-        return norm**exponent
+        value = norm**exponent
     except OverflowError:
-        raise NumericalError(f"||N||_2^{exponent} overflows a double (||N||_2 = {norm:.3e})") from None
+        value = math.inf
+    if not value <= _HUGE:
+        raise NumericalError(f"||N||_2^{exponent} overflows a double (||N||_2 = {norm:.3e})")
+    return value
 
 
 def _top_power(nmat: np.ndarray, nil_tol: float, norm: float) -> tuple[np.ndarray, float]:

@@ -14,6 +14,7 @@ independent of execution order.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,10 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+
+#: Most perturbed-matrix entries one eigenvalue call of a sweep holds (4 MiB of
+#: complex128); a single strength whose trials exceed it still takes one call.
+_CHUNK_ENTRIES = 1 << 18
 
 
 def _splitmix64(x: int) -> int:
@@ -126,21 +131,30 @@ def random_preserving(n_a: int, n_b: int, seed: int) -> Perturbation:
     return Perturbation(matrix=full, mode="preserving", seed=int(seed))
 
 
-def _splittings(h: np.ndarray, ep_eigenvalue: complex, h1: np.ndarray, eps: float) -> np.ndarray:
-    """max_j |E_j - ep_eigenvalue| for H + eps * H1, one value per matrix of an H1 stack.
+def _splittings(h: np.ndarray, ep_eigenvalue: complex, h1: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """max_j |E_j - ep_eigenvalue| for H + eps * H1 at each strength of a column, one row per strength.
 
-    H1 is a (d, d) matrix or a (trials, d, d) stack; numpy runs the same LAPACK
-    eigenvalue routine on every matrix of a stack as on a single matrix, so a
-    stacked call gives the same bits as one call per matrix.
+    eps is a 1-d array of strengths and H1 a (d, d) matrix or a (trials, d, d)
+    stack; the row for eps[s] holds one value per matrix of H1.  All perturbed
+    matrices go to one eigenvalue call.  numpy runs the same LAPACK routine on
+    every matrix of a stack as on a single matrix, so the stacked call gives
+    the same bits as one call per matrix.
     """
-    perturbed = h + eps * h1
-    if not np.all(np.isfinite(perturbed.view(float))):
-        raise ParameterError(f"H + eps * H1 contains non-finite entries at eps={eps:g}")
+    ep = complex(ep_eigenvalue)
+    if not cmath.isfinite(ep):
+        raise ParameterError(f"ep_eigenvalue must be finite, got {ep}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed entry raises ParameterError below
+        perturbed = h + eps.reshape((-1,) + (1,) * h1.ndim) * h1
+    finite = np.isfinite(perturbed.view(float)).reshape(len(eps), -1).all(axis=1)
+    if not finite.all():
+        raise ParameterError(
+            f"H + eps * H1 contains non-finite entries at eps={eps[np.argmin(finite)]:g}"
+        )
     try:
         vals = np.linalg.eigvals(perturbed)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
-    return np.max(np.abs(vals - complex(ep_eigenvalue)), axis=-1)
+    return np.max(np.abs(vals - ep), axis=-1)
 
 
 def max_splitting(h, ep_eigenvalue: complex, h1, eps: float) -> float:
@@ -152,7 +166,7 @@ def max_splitting(h, ep_eigenvalue: complex, h1, eps: float) -> float:
     eps = float(eps)
     if eps < 0.0:
         raise ParameterError(f"eps must be nonnegative, got {eps}")
-    return float(_splittings(h, ep_eigenvalue, h1, eps))
+    return float(_splittings(h, ep_eigenvalue, h1, np.array([eps]))[0])
 
 
 def sweep(h, ep_eigenvalue: complex, mode: str, eps_grid, trials: int, seed: int,
@@ -162,8 +176,10 @@ def sweep(h, ep_eigenvalue: complex, mode: str, eps_grid, trials: int, seed: int
     Trial t draws its matrix once from child_seed(seed, t) and reuses it for
     every strength, so each trial traces a curve over the grid.  Preserving
     mode needs n_a, the upstream block size.  Records are ordered by strength,
-    then trial.  Each strength takes one eigenvalue call on the stack of its
-    `trials` perturbed matrices.
+    then trial.  The whole (strengths, trials, d, d) stack of perturbed
+    matrices takes one eigenvalue call; a grid whose stack would exceed
+    _CHUNK_ENTRIES matrix entries is split into chunks of whole strengths
+    under that bound, with at least one strength per chunk.
     """
     h = cmatrix.as_square(h, "H")
     dim = h.shape[0]
@@ -182,33 +198,48 @@ def sweep(h, ep_eigenvalue: complex, mode: str, eps_grid, trials: int, seed: int
     else:
         raise ParameterError(f"mode must be 'generic' or 'preserving', got {mode!r}")
     h1_stack = np.stack([p.matrix for p in perts])
+    strengths = np.array(grid)
+    step = max(1, _CHUNK_ENTRIES // h1_stack.size)
+    table = np.concatenate([
+        _splittings(h, ep_eigenvalue, h1_stack, strengths[start:start + step])
+        for start in range(0, len(grid), step)
+    ])
     return [
         SweepRecord(eps=eps, max_splitting=value, trial=t)
-        for eps in grid
-        for t, value in enumerate(_splittings(h, ep_eigenvalue, h1_stack, eps).tolist())
+        for eps, row in zip(grid, table.tolist())
+        for t, value in enumerate(row)
     ]
 
 
 def fit_slope(records, window: tuple[float, float]) -> SlopeFit:
     """Fit log10(median splitting) against log10(eps) inside the window.
 
-    The median is taken over trials at each strength.  Requires at least three
-    distinct strengths inside the window.
+    The median is taken over trials at each strength with the bits of
+    np.median: one sort by (strength, value) orders every group, and each
+    median is the mean of its group's middle value or middle two.  Requires at
+    least three distinct strengths inside the window and a finite splitting at
+    every record inside it.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (0.0 < lo < hi):
         raise ParameterError(f"window must satisfy 0 < lo < hi, got ({lo}, {hi})")
-    by_eps: dict[float, list[float]] = {}
-    for rec in records:
-        if lo <= rec.eps <= hi:
-            by_eps.setdefault(rec.eps, []).append(rec.max_splitting)
-    if len(by_eps) < 3:
-        raise FitError(f"need >= 3 distinct strengths inside [{lo:g}, {hi:g}], got {len(by_eps)}")
-    eps_values = sorted(by_eps)
-    medians = [float(np.median(by_eps[e])) for e in eps_values]
-    if any(m <= 0.0 for m in medians):
+    table = np.array([(rec.eps, rec.max_splitting) for rec in records], dtype=float).reshape(-1, 2)
+    eps, values = table[(lo <= table[:, 0]) & (table[:, 0] <= hi)].T
+    order = np.lexsort((values, eps))
+    strengths, starts, counts = np.unique(eps[order], return_index=True, return_counts=True)
+    values = values[order]
+    if len(strengths) < 3:
+        raise FitError(f"need >= 3 distinct strengths inside [{lo:g}, {hi:g}], got {len(strengths)}")
+    if not np.all(np.isfinite(values)):
+        raise FitError(f"a splitting inside [{lo:g}, {hi:g}] is not finite")
+    # np.mean of the middle slice, as np.median takes it: one value over 1 (adding
+    # -0.0, the exact additive identity) for an odd count, two values over 2 for an even one
+    n_middle = 2 - counts % 2
+    second = np.where(n_middle == 2, values[starts + counts // 2], -0.0)
+    medians = (values[starts + (counts - 1) // 2] + second) / n_middle
+    if np.any(medians <= 0.0):
         raise FitError("median splitting must be positive to fit on a log scale")
-    x = np.log10(eps_values)
+    x = np.log10(strengths)
     y = np.log10(medians)
     slope, intercept = np.polyfit(x, y, 1)
     residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))

@@ -3,6 +3,9 @@
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from epkit.errors import FitError, ParameterError
+from epkit.perturb import SlopeFit
+
 
 def philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
@@ -70,3 +73,35 @@ def match_eigenvalues(computed, predicted) -> float:
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
+
+
+def reference_fit_slope(records, window):
+    """fit_slope as one np.median call per strength: the reference for the single-pass median."""
+    lo, hi = float(window[0]), float(window[1])
+    if not (0.0 < lo < hi):
+        raise ParameterError(f"window must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    by_eps: dict[float, list[float]] = {}
+    for rec in records:
+        if lo <= rec.eps <= hi:
+            by_eps.setdefault(rec.eps, []).append(rec.max_splitting)
+    if len(by_eps) < 3:
+        raise FitError(f"need >= 3 distinct strengths inside [{lo:g}, {hi:g}], got {len(by_eps)}")
+    eps_values = sorted(by_eps)
+    medians = [float(np.median(by_eps[e])) for e in eps_values]
+    if any(m <= 0.0 for m in medians):
+        raise FitError("median splitting must be positive to fit on a log scale")
+    x = np.log10(eps_values)
+    y = np.log10(medians)
+    slope, intercept = np.polyfit(x, y, 1)
+    residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    return SlopeFit(slope=float(slope), intercept=float(intercept), window=(lo, hi), residual=residual)
+
+
+def per_matrix_sweep_csv(h, ep_eigenvalue, perturbations, grid) -> bytes:
+    """Sweep CSV bytes from one np.linalg.eigvals call per (strength, trial) matrix."""
+    lines = ["epsilon,trial,max_splitting"]
+    for eps in grid:
+        for t, h1 in enumerate(perturbations):
+            split = float(np.max(np.abs(np.linalg.eigvals(h + eps * h1) - ep_eigenvalue)))
+            lines.append(f"{eps:.17g},{t},{split:.17g}")
+    return ("\n".join(lines) + "\n").encode("utf-8")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import helpers
-from epkit import cli, cmatrix
+from epkit import cli, cmatrix, models, perturb
 from epkit.models import pt_dimer, pt_trimer, single_entry_coupling
 
 
@@ -327,6 +327,41 @@ def test_norm_power_overflow_exits_4(capsys, tmp_path, command):
     code, out, err = run(capsys, argv)
     assert code == 4
     assert out == "" and "overflows" in err
+
+
+def test_overflowing_matrix_powers_exit_4(tmp_path):
+    # finite entries near 1e200: N^2 and ||N||_2^2 leave the double range; no numpy warning on stderr
+    matrix = 1e200 * helpers.complex_uniform(helpers.philox(5), (3, 3))
+    system_file = write_json(tmp_path / "big.json", cmatrix.matrix_to_json(matrix))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from epkit import cli; sys.exit(cli.main(sys.argv[1:]))",
+         "analyze", "--input", system_file],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
+    assert "overflows" in proc.stderr
+
+
+def test_reproduce_fig3_defaults_match_per_matrix_loop(capsys, tmp_path):
+    # the default CSVs, byte for byte, against one np.linalg.eigvals call per matrix
+    out_dir = tmp_path / "fig3"
+    code, out, _ = run(capsys, ["reproduce-fig3", "--out", str(out_dir)])
+    assert code == 0
+    d = cli.FIG3_DEFAULTS
+    system = models.dimer_trimer_system(d["omega0"], d["g_a"], d["g_b"], d["k"])
+    grid = perturb.log_grid(d["eps_min"], d["eps_max"], d["points"])
+    seeds = [perturb.child_seed(d["seed"], t) for t in range(d["trials"])]
+    perturbations = {
+        "generic": [perturb.random_generic(system.dim, s).matrix for s in seeds],
+        "preserving": [perturb.random_preserving(system.n_a, system.dim - system.n_a, s).matrix for s in seeds],
+    }
+    for mode, matrices in perturbations.items():
+        expected = helpers.per_matrix_sweep_csv(np.asarray(system.h), system.ep_eigenvalue, matrices, grid)
+        assert (out_dir / f"fig3_{mode}.csv").read_bytes() == expected
+    assert out == (out_dir / "fig3_slopes.json").read_text(encoding="utf-8")
 
 
 def test_reproduce_fig3_fit_failure_writes_no_file(capsys, tmp_path):

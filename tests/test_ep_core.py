@@ -145,6 +145,15 @@ def test_norm_at_most_matches_spectral_norm(case):
     assert ep_core._norm_at_most(p, bound) == (cmatrix.spectral_norm(p) <= bound)
 
 
+@pytest.mark.parametrize("entry", [np.inf, np.nan, complex(1.0, -np.inf)])
+def test_norm_at_most_non_finite_power_raises_numerical_error(entry):
+    # a power that left the double range is a numerical failure, not invalid input
+    p = np.eye(3, dtype=complex)
+    p[1, 2] = entry
+    with pytest.raises(NumericalError, match="overflows"):
+        ep_core._norm_at_most(p, 1.0)
+
+
 def _index_family(family):
     """Traceless parts of seeded test matrices: transformed Jordan blocks, direct sums of two, or random."""
     rng = helpers.philox(61)
@@ -169,11 +178,21 @@ def test_nilpotency_index_matches_one_svd_per_power(family, nil_tol):
         assert ep_core.nilpotency_index(n, nil_tol) == helpers.reference_nilpotency_index(n, tol)
 
 
-def test_nilpotency_overflowing_power_raises_parameter_error():
-    # N^2 overflows, and so does ||N||^2: the non-finite power is the error reported
+def test_nilpotency_overflowing_power_raises_numerical_error():
+    # N^2 overflows, and so does ||N||^2: a finite input whose powers leave the double range
     n = 1e200 * helpers.complex_uniform(helpers.philox(5), (3, 3))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ParameterError, match="non-finite"):
+    with pytest.raises(NumericalError, match="overflows"):
         ep_core.nilpotency_index(n)
+
+
+def test_nilpotency_overflowing_norm_raises_numerical_error():
+    # every entry is finite but ||N||_2 is not; the bound inf * nil_tol used to certify order 1
+    n = 1e308 * np.array([[1, 1, 1], [1, -1, 1], [1, 1, 0]], dtype=complex)
+    assert not np.isfinite(np.linalg.svd(n, compute_uv=False)[0])
+    with pytest.raises(NumericalError, match="overflows"):
+        ep_core.nilpotency_index(n)
+    with pytest.raises(NumericalError, match="overflows"):
+        ep_core.detect_ep(n)
 
 
 # ---------------------------------------------------------------------------

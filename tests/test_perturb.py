@@ -1,12 +1,16 @@
 """Tests for randomized perturbation experiments and slope fitting."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from epkit import ep_core, perturb
 from epkit.cmatrix import spectral_norm
-from epkit.errors import FitError, ParameterError, ShapeError
+from epkit.errors import ConvergenceError, FitError, ParameterError, ShapeError
 from epkit.models import dimer_trimer_system, pt_dimer, pt_trimer
 
 
@@ -208,7 +212,7 @@ def test_sweep_matches_per_matrix_loop(h, ep, mode, seed, n_a):
 
 
 @pytest.mark.parametrize("trials", [1, 4, 9])
-def test_sweep_one_eigvals_call_per_strength(system5, monkeypatch, trials):
+def test_sweep_one_eigvals_call_per_sweep(system5, monkeypatch, trials):
     calls = []
     eigvals = np.linalg.eigvals
 
@@ -219,7 +223,66 @@ def test_sweep_one_eigvals_call_per_strength(system5, monkeypatch, trials):
     monkeypatch.setattr(np.linalg, "eigvals", counting)
     grid = perturb.log_grid(1e-10, 1e-3, 6)
     perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", grid, trials, seed=5)
-    assert calls == [(trials, 5, 5)] * len(grid)
+    assert calls == [(len(grid), trials, 5, 5)]
+
+
+@pytest.mark.parametrize("bound", [1, 20, 75, 100, 160, 10_000])
+@pytest.mark.parametrize("mode", ["generic", "preserving"])
+def test_sweep_chunks_hold_whole_strengths(system5, monkeypatch, bound, mode):
+    # 3 trials of 5x5: 75 entries per strength; a bound below that still takes one strength per call
+    grid = perturb.log_grid(1e-12, 1e-2, 7)
+    h, ep = system5.h, system5.ep_eigenvalue
+    unchunked = perturb.sweep(h, ep, mode, grid, 3, seed=17, n_a=2)
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def recording(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(perturb, "_CHUNK_ENTRIES", bound)
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    records = perturb.sweep(h, ep, mode, grid, 3, seed=17, n_a=2)
+    assert all(shape[1:] == (3, 5, 5) for shape in calls)
+    assert all(np.prod(shape) <= bound or shape[0] == 1 for shape in calls)
+    assert sum(shape[0] for shape in calls) == len(grid)
+    assert len(calls) == -(-len(grid) // max(1, bound // 75))
+    draw = perturb.random_generic if mode == "generic" else lambda dim, s: perturb.random_preserving(2, 3, s)
+    perts = [draw(5, perturb.child_seed(17, t)).matrix for t in range(3)]
+    expected = [
+        perturb.SweepRecord(eps=eps, max_splitting=perturb.max_splitting(h, ep, m, eps), trial=t)
+        for eps in grid
+        for t, m in enumerate(perts)
+    ]
+    assert records == unchunked == expected
+
+
+@pytest.mark.parametrize("bound", [75, 10_000])
+def test_sweep_names_first_non_finite_strength(monkeypatch, bound):
+    # 1.7e308 + eps * h1 overflows at eps = 1e308 but not at 1e300 or below
+    monkeypatch.setattr(perturb, "_CHUNK_ENTRIES", bound)
+    h = np.full((5, 5), 1.7e308)
+    with pytest.raises(ParameterError, match=r"non-finite entries at eps=1e\+308"):
+        perturb.sweep(h, 0.0, "generic", [1e-8, 1e300, 1e308, 1.5e308], 3, seed=1)
+
+
+def test_eigenvalue_failure_raises_convergence_error(system5, monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", [1e-8, 1e-4], 2, seed=1)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        perturb.max_splitting(system5.h, system5.ep_eigenvalue, np.eye(5), 1e-4)
+
+
+@pytest.mark.parametrize("ep", [float("nan"), float("inf"), complex(1.0, float("nan")), complex(float("-inf"), 0.0)])
+def test_non_finite_ep_eigenvalue_rejected(system5, ep):
+    with pytest.raises(ParameterError, match="ep_eigenvalue"):
+        perturb.sweep(system5.h, ep, "generic", [1e-8, 1e-4], 2, seed=1)
+    with pytest.raises(ParameterError, match="ep_eigenvalue"):
+        perturb.max_splitting(system5.h, ep, np.eye(5), 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +322,49 @@ def test_fit_slope_needs_three_points():
     records = [perturb.SweepRecord(eps=e, max_splitting=e, trial=0) for e in (1e-8, 1e-7)]
     with pytest.raises(FitError):
         perturb.fit_slope(records, (1e-9, 1e-6))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_fit_slope_rejects_non_finite_splitting_in_window(bad):
+    grid = [1e-8, 1e-6, 1e-4, 1e-2]
+    records = [perturb.SweepRecord(eps=e, max_splitting=e**0.5, trial=t) for e in grid for t in range(3)]
+    outside = records + [perturb.SweepRecord(eps=1e-2, max_splitting=bad, trial=3)]
+    assert perturb.fit_slope(outside, (1e-8, 1e-4)) == perturb.fit_slope(records, (1e-8, 1e-4))
+    inside = records + [perturb.SweepRecord(eps=1e-6, max_splitting=bad, trial=3)]
+    with pytest.raises(FitError, match="not finite"):
+        perturb.fit_slope(inside, (1e-8, 1e-4))
+
+
+@st.composite
+def ragged_records(draw):
+    """Records over 1-8 strengths, each with its own count of 1-9 positive splittings, in shuffled order.
+
+    Repeated values make ties; values near the double limit make the mean of two middle values overflow.
+    """
+    strengths = draw(st.lists(st.floats(1e-12, 1.0), min_size=1, max_size=8, unique=True))
+    values = st.floats(1e-300, 1e300) | st.sampled_from([1e-3, 2e-3, 5e-3, 1.5e308, 1.7e308])
+    records = [
+        perturb.SweepRecord(eps=eps, max_splitting=value, trial=t)
+        for eps in strengths
+        for t, value in enumerate(draw(st.lists(values, min_size=1, max_size=9)))
+    ]
+    return draw(st.permutations(records)), draw(st.sampled_from([(1e-12, 1.0), (1e-9, 1e-3), (1e-6, 0.5)]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(ragged_records())
+def test_fit_slope_bit_identical_to_per_strength_median(case):
+    records, window = case
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            expected = helpers.reference_fit_slope(records, window)
+        except (FitError, np.linalg.LinAlgError) as exc:
+            with pytest.raises(type(exc)):
+                perturb.fit_slope(records, window)
+            return
+        fit = perturb.fit_slope(records, window)
+    assert repr(fit) == repr(expected)  # bit for bit, nan included
 
 
 def test_fit_slope_rejects_bad_window():
