@@ -90,7 +90,12 @@ def adjoint(a) -> np.ndarray:
 
 def frobenius_norm(a) -> float:
     """Square root of the sum of squared entry moduli."""
-    return float(np.linalg.norm(as_matrix(a), "fro"))
+    return _frobenius_norm(as_matrix(a))
+
+
+def _frobenius_norm(a: np.ndarray) -> float:
+    """frobenius_norm of an array already known to be a finite 2-d complex matrix."""
+    return float(np.linalg.norm(a, "fro"))
 
 
 def _svd(a: np.ndarray, compute_uv: bool = True):
@@ -108,7 +113,12 @@ def _above_cutoff(a: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def spectral_norm(a) -> float:
     """Largest singular value."""
-    return float(_svd(as_matrix(a), compute_uv=False)[0])
+    return _spectral_norm(as_matrix(a))
+
+
+def _spectral_norm(a: np.ndarray) -> float:
+    """spectral_norm of an array already known to be a finite 2-d complex matrix."""
+    return float(_svd(a, compute_uv=False)[0])
 
 
 def rank(a) -> int:

@@ -12,13 +12,24 @@ carries the composite response strength xi = ||C||.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import cmatrix
-from .ep_core import EpReport, _norm_power, _rank_one_norm, detect_ep, nilpotency_index, traceless_part
+from .ep_core import (
+    _HUGE,
+    _TINY,
+    EpReport,
+    _detect,
+    _norm_power,
+    _rank_one_norm,
+    _traceless_part,
+    detect_ep,
+    nilpotency_index,
+)
 from .errors import (
     DegenerateCouplingError,
     IncompatibleSubsystemsError,
@@ -88,8 +99,8 @@ class CompositeSystem:
         }
 
 
-def _certified(h, label: str) -> EpReport:
-    report = detect_ep(h)
+def _certified(report: EpReport, label: str) -> EpReport:
+    """report itself when it certifies a full-order point; PreconditionError otherwise."""
     if not report.is_full_ep:
         raise PreconditionError(
             f"subsystem {label} is not at a full-order exceptional point (order {report.order}, dim {report.dim})"
@@ -110,8 +121,8 @@ def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL, shift_b: boo
     h_a = cmatrix.as_square(h_a, "H_a")
     h_b = cmatrix.as_square(h_b, "H_b")
     k = cmatrix.as_matrix(k, "K")
-    rep_a = _certified(h_a, "a")
-    rep_b = _certified(h_b, "b")
+    rep_a = _certified(_detect(h_a, None), "a")
+    rep_b = _certified(_detect(h_b, None), "b")
     n_a, n_b = rep_a.dim, rep_b.dim
     if k.shape != (n_b, n_a):
         raise ShapeError(f"K has shape {k.shape}, expected {(n_b, n_a)}")
@@ -123,7 +134,7 @@ def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL, shift_b: boo
                 "shift_b=True shifts H_b onto the eigenvalue of H_a"
             )
         h_b = h_b + (rep_a.ep_eigenvalue - rep_b.ep_eigenvalue) * np.eye(n_b)
-        rep_b = _certified(h_b, "b")
+        rep_b = _certified(detect_ep(h_b), "b")  # detect_ep validates: the shift can overflow
     dim = n_a + n_b
     h = np.zeros((dim, dim), dtype=complex)
     h[:n_a, :n_a] = h_a
@@ -158,33 +169,61 @@ def genericity_product(sys: CompositeSystem) -> np.ndarray:
     """C = N_b^(n_b-1) K N_a^(n_a-1), the only nonzero block of N^(dim-1).
 
     Cross-checked against direct powering of the assembled traceless part; a
-    disagreement beyond 1e-10 relative raises NumericalError.
+    disagreement beyond 1e-10 relative to the coupling scale raises
+    NumericalError.  ||K||_2 enters that scale, but the SVD behind
+    sys.coupling_norm is taken only when the bracket of ||K||_2 from its
+    largest entry cannot decide the check (see _exceeds_coupling_scale).
     """
     c = sys.rep_b.top_power @ np.asarray(sys.k) @ sys.rep_a.top_power
-    _, nmat = traceless_part(sys.h)
+    _, nmat = _traceless_part(sys.h)
     block = np.linalg.matrix_power(nmat, sys.dim - 1)[sys.n_a:, :sys.n_a]
-    if cmatrix.frobenius_norm(c - block) > 1e-10 * max(_coupling_scale(sys, 1.0), np.finfo(float).tiny):
+    gap = c - block
+    diff = cmatrix._frobenius_norm(gap)
+    if not math.isfinite(diff):
+        cmatrix.as_matrix(gap)  # an overflowed entry fails validation with ParameterError
+    if _exceeds_coupling_scale(sys, diff, lambda norm: 1e-10 * max(_coupling_scale(sys, 1.0, norm), _TINY)):
         raise NumericalError("block product and direct matrix power disagree beyond tolerance")
     return c
 
 
-def _coupling_scale(sys: CompositeSystem, rel: float) -> float:
+def _coupling_scale(sys: CompositeSystem, rel: float, coupling_norm: float) -> float:
     """rel * ||K||_2 * ||N_a||_2^(n_a-1) * ||N_b||_2^(n_b-1), the size C has without cancellation."""
     a, b = sys.rep_a, sys.rep_b
     pow_a, pow_b = _norm_power(a.nilpotent_norm, a.dim - 1), _norm_power(b.nilpotent_norm, b.dim - 1)
-    return rel * sys.coupling_norm * pow_a * pow_b
+    return rel * coupling_norm * pow_a * pow_b
+
+
+def _exceeds_coupling_scale(sys: CompositeSystem, value: float, threshold) -> bool:
+    """value > threshold(||K||_2) for a threshold non-decreasing in the norm, with the SVD of K only where needed.
+
+    peak = max |k_ij| brackets the norm: peak <= ||K||_2 <= ||K||_F <= sqrt(size) * peak.
+    Where peak is a normal float, a factor-two margin on either side of the
+    bracket outweighs the rounding of the SVD, so the answer is the one
+    threshold(sys.coupling_norm) gives, as in ep_core._norm_at_most.
+    """
+    peak = float(np.abs(sys.k).max())
+    if _TINY <= peak <= _HUGE:
+        if value > threshold(2.0 * math.sqrt(sys.k.size) * peak):
+            return True
+        if value <= threshold(0.5 * peak):
+            return False
+    return value > threshold(sys.coupling_norm)
 
 
 def composite_response(sys: CompositeSystem) -> float:
     """Composite response strength xi = ||C||_2 = ||C||_F.
 
     Raises DegenerateCouplingError (naming the achieved order) when C is
-    numerically zero, i.e. the coupling is nongeneric.
+    numerically zero against the coupling scale, i.e. the coupling is
+    nongeneric.  That test reads sys.coupling_norm (an SVD of K) only when the
+    bracket of ||K||_2 from its largest entry cannot decide it, and the rank-one
+    norm of C is certified by ep_core._rank_one_norm, without an SVD when C is
+    rank one to well below its 1e-10 check.
     """
     c = genericity_product(sys)
-    frob = cmatrix.frobenius_norm(c)
-    if frob <= _coupling_scale(sys, 1e-8):
-        _, nmat = traceless_part(sys.h)
+    frob = cmatrix._frobenius_norm(c)
+    if not _exceeds_coupling_scale(sys, frob, lambda norm: _coupling_scale(sys, 1e-8, norm)):
+        _, nmat = _traceless_part(sys.h)
         achieved = nilpotency_index(nmat)
         raise DegenerateCouplingError(
             f"coupling is degenerate: composite order {achieved} < {sys.dim}",

@@ -10,6 +10,7 @@ perturbations together with the corresponding rigorous bounds.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,16 @@ DEFAULT_EPS_MP = 2.22e-16
 
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
+
+#: Largest relative gap between ||M||_F and a power-step lower bound on ||M||_2
+#: that _rank_one_norm accepts without an SVD.  Inside it ||M||_F is within
+#: 1e-13 of ||M||_2, so the 1e-10 rank-one check is sure to pass.
+_RANK_ONE_MARGIN = 1e-13
+
+#: _rank_one_norm trusts that bound for ||M||_F in [1/_RANK_ONE_RANGE,
+#: _RANK_ONE_RANGE].  There every square it sums is a normal double or far
+#: below the total, so neither overflow nor gradual underflow can fake agreement.
+_RANK_ONE_RANGE = 1e150
 
 __all__ = [
     "DEFAULT_EPS_MP",
@@ -47,11 +58,22 @@ def default_nil_tol(dim: int) -> float:
 
 
 def traceless_part(h) -> tuple[complex, np.ndarray]:
-    """Split H into (mean eigenvalue, traceless remainder N = H - mean * I)."""
-    h = cmatrix.as_square(h, "H")
+    """Split H into (mean eigenvalue, traceless remainder N = H - mean * I).
+
+    A finite H whose trace or N leaves the double range raises NumericalError.
+    """
+    return _traceless_part(cmatrix.as_square(h, "H"))
+
+
+def _traceless_part(h: np.ndarray) -> tuple[complex, np.ndarray]:
+    """traceless_part of a validated square H."""
     n = h.shape[0]
-    mean = complex(np.trace(h)) / n
-    return mean, h - mean * np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NumericalError below
+        mean = complex(h.trace()) / n
+        nmat = h - mean * np.eye(n)
+    if not (cmath.isfinite(mean) and np.isfinite(nmat).all()):
+        raise NumericalError("the trace or traceless part of H overflows a double")
+    return mean, nmat
 
 
 def nilpotency_index(nmat, nil_tol: float | None = None) -> int | None:
@@ -69,7 +91,7 @@ def _nilpotency(nmat: np.ndarray, nil_tol: float) -> tuple[int | None, float]:
     dim = nmat.shape[0]
     if not (np.isfinite(nil_tol) and nil_tol > 0.0):
         raise ParameterError(f"nil_tol must be finite and positive, got {nil_tol}")
-    base = cmatrix.spectral_norm(nmat)
+    base = cmatrix._spectral_norm(nmat)
     power = nmat
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed power raises NumericalError below
         for k in range(1, dim + 1):
@@ -100,7 +122,7 @@ def _norm_at_most(power: np.ndarray, bound: float) -> bool:
             return True
         if peak > 2.0 * bound:
             return False
-    return cmatrix.spectral_norm(power) <= bound
+    return cmatrix._spectral_norm(power) <= bound
 
 
 def _norm_power(norm: float, exponent: int) -> float:
@@ -134,10 +156,26 @@ def _top_power(nmat: np.ndarray, nil_tol: float, norm: float) -> tuple[np.ndarra
 
 
 def _rank_one_norm(m: np.ndarray, name: str) -> float:
-    """||M||_2 of a rank-one M; NumericalError when ||M||_2 and ||M||_F differ beyond 1e-10 relative."""
-    spec = cmatrix.spectral_norm(m)
-    frob = cmatrix.frobenius_norm(m)
-    if abs(spec - frob) > 1e-10 * max(frob, np.finfo(float).tiny):
+    """||M||_2 of a finite rank-one M; NumericalError when ||M||_2 and ||M||_F differ beyond 1e-10 relative.
+
+    One power step certifies rank one without an SVD.  With r the conjugate of
+    the row holding the largest entry and v = M r, est = ||M^H v|| / ||v|| obeys
+    est <= ||M||_2 <= ||M||_F.  When ||M||_F is within _RANK_ONE_MARGIN of est,
+    ||M||_F is returned: it is then within 1e-13 of ||M||_2, and the 1e-10
+    check passes.  Otherwise, and for ||M||_F outside the _RANK_ONE_RANGE
+    window, one SVD decides.
+    """
+    frob = cmatrix._frobenius_norm(m)
+    if 1.0 / _RANK_ONE_RANGE <= frob <= _RANK_ONE_RANGE:
+        mods = np.abs(m)
+        top, col = divmod(int(mods.argmax()), m.shape[1])
+        v = m @ (m[top].conj() / mods[top, col] ** 2)  # scaled so that 1 <= ||v|| <= m.size
+        w = v.conj() @ m  # the conjugate of M^H v
+        est = math.sqrt(np.vdot(w, w).real / np.vdot(v, v).real)
+        if abs(frob - est) <= _RANK_ONE_MARGIN * frob:
+            return frob
+    spec = cmatrix._spectral_norm(m)
+    if abs(spec - frob) > 1e-10 * max(frob, _TINY):
         raise NumericalError(
             f"spectral ({spec:.15g}) and Frobenius ({frob:.15g}) norms of {name} disagree; "
             "matrix is not numerically rank one"
@@ -196,7 +234,12 @@ def detect_ep(h, nil_tol: float | None = None) -> EpReport:
     inside a larger space (response strength omitted); order None means the
     eigenvalues do not all coalesce.
     """
-    ep_eigenvalue, nmat = traceless_part(h)
+    return _detect(cmatrix.as_square(h, "H"), nil_tol)
+
+
+def _detect(h: np.ndarray, nil_tol: float | None) -> EpReport:
+    """detect_ep of a validated square H."""
+    ep_eigenvalue, nmat = _traceless_part(h)
     dim = nmat.shape[0]
     if nil_tol is None:
         nil_tol = default_nil_tol(dim)

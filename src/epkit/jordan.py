@@ -92,11 +92,10 @@ def jordan_chain(report: EpReport) -> JordanChain:
     ortho_res = tuple(float(abs(np.vdot(last, vectors[l]))) for l in range(n - 1))
 
     budget = max(1e-10 * report.nilpotent_norm, 64 * np.finfo(float).eps)
-    ok = chain_res[0] <= budget and all(
-        chain_res[l] <= budget * np.linalg.norm(vectors[l - 1]) for l in range(1, n)
-    )
+    norms = [np.linalg.norm(v) for v in vectors]
+    ok = chain_res[0] <= budget and all(chain_res[l] <= budget * norms[l - 1] for l in range(1, n))
     ok = ok and norm_res <= 1e-12
-    ok = ok and all(r <= 1e-10 * np.linalg.norm(last) for r in ortho_res)
+    ok = ok and all(r <= 1e-10 * norms[-1] for r in ortho_res)
     if not ok:
         raise StructureError(
             f"chain conditions violated: chain residuals {chain_res}, normalization {norm_res:.3e}, "

@@ -217,8 +217,8 @@ def fit_slope(records, window: tuple[float, float]) -> SlopeFit:
     The median is taken over trials at each strength with the bits of
     np.median: one sort by (strength, value) orders every group, and each
     median is the mean of its group's middle value or middle two.  Requires at
-    least three distinct strengths inside the window and a finite splitting at
-    every record inside it.
+    least three distinct strengths inside the window, a finite splitting at
+    every record inside it and a finite median at every strength.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (0.0 < lo < hi):
@@ -236,7 +236,10 @@ def fit_slope(records, window: tuple[float, float]) -> SlopeFit:
     # -0.0, the exact additive identity) for an odd count, two values over 2 for an even one
     n_middle = 2 - counts % 2
     second = np.where(n_middle == 2, values[starts + counts // 2], -0.0)
-    medians = (values[starts + (counts - 1) // 2] + second) / n_middle
+    with np.errstate(over="ignore"):  # an overflowed sum raises FitError below
+        medians = (values[starts + (counts - 1) // 2] + second) / n_middle
+    if not np.all(np.isfinite(medians)):
+        raise FitError(f"a median splitting inside [{lo:g}, {hi:g}] overflows a double")
     if np.any(medians <= 0.0):
         raise FitError("median splitting must be positive to fit on a log scale")
     x = np.log10(strengths)

@@ -3,7 +3,8 @@
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from epkit.errors import FitError, ParameterError
+from epkit import cmatrix, ep_core
+from epkit.errors import DegenerateCouplingError, FitError, NumericalError, ParameterError
 from epkit.perturb import SlopeFit
 
 
@@ -51,6 +52,30 @@ def reference_nilpotency_index(nmat: np.ndarray, nil_tol: float):
     return None
 
 
+def rank_one_svd_rejects(m: np.ndarray) -> bool:
+    """The rank-one check as one SVD decides it: ||M||_2 and ||M||_F differ beyond 1e-10 relative."""
+    spec = float(np.linalg.svd(m, compute_uv=False)[0])
+    frob = float(np.linalg.norm(m, "fro"))
+    return abs(spec - frob) > 1e-10 * max(frob, np.finfo(float).tiny)
+
+
+def reference_composite_response(system) -> float:
+    """composite_response with both thresholds read from system.coupling_norm and rank one decided by an SVD."""
+    a, b = system.rep_a, system.rep_b
+    c = b.top_power @ system.k @ a.top_power
+    _, nmat = ep_core.traceless_part(system.h)
+    block = np.linalg.matrix_power(nmat, system.dim - 1)[system.n_a:, :system.n_a]
+    pow_a = ep_core._norm_power(a.nilpotent_norm, a.dim - 1)
+    pow_b = ep_core._norm_power(b.nilpotent_norm, b.dim - 1)
+    if cmatrix.frobenius_norm(c - block) > 1e-10 * max(system.coupling_norm * pow_a * pow_b, np.finfo(float).tiny):
+        raise NumericalError("block product and direct matrix power disagree beyond tolerance")
+    if cmatrix.frobenius_norm(c) <= 1e-8 * system.coupling_norm * pow_a * pow_b:
+        raise DegenerateCouplingError("coupling is degenerate")
+    if rank_one_svd_rejects(c):
+        raise NumericalError("the genericity product is not numerically rank one")
+    return float(np.linalg.svd(c, compute_uv=False)[0])
+
+
 def count_linalg(monkeypatch, *names: str) -> dict[str, int]:
     """Wrap the named np.linalg functions for one test; the returned dict counts their calls as they happen."""
     counts = dict.fromkeys(names, 0)
@@ -88,6 +113,8 @@ def reference_fit_slope(records, window):
         raise FitError(f"need >= 3 distinct strengths inside [{lo:g}, {hi:g}], got {len(by_eps)}")
     eps_values = sorted(by_eps)
     medians = [float(np.median(by_eps[e])) for e in eps_values]
+    if not all(np.isfinite(medians)):
+        raise FitError(f"a median splitting inside [{lo:g}, {hi:g}] overflows a double")
     if any(m <= 0.0 for m in medians):
         raise FitError("median splitting must be positive to fit on a log scale")
     x = np.log10(eps_values)

@@ -120,7 +120,7 @@ def test_compose_lapack_call_counts(capsys, monkeypatch, tmp_path, dimer_file, t
     calls = helpers.count_linalg(monkeypatch, "svd", "lstsq", "matrix_power")
     code, _, _ = run(capsys, command_argv("compose", tmp_path, dimer_file, trimer_file))
     assert code == 0
-    assert calls["svd"] <= 10 and calls["lstsq"] == 0 and calls["matrix_power"] <= 4
+    assert calls["svd"] <= 6 and calls["lstsq"] == 0 and calls["matrix_power"] <= 4
 
 
 def test_compose_zero_coupling_exits_3(capsys, tmp_path, dimer_file, trimer_file):
@@ -343,6 +343,25 @@ def test_overflowing_matrix_powers_exit_4(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
     assert "overflows" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [np.full((3, 3), 1e308), np.diag([1.7e308, -1.7e308, -1.7e308])],
+    ids=["trace_overflows", "traceless_part_overflows"],
+)
+def test_overflowing_traceless_part_exits_4(tmp_path, matrix):
+    # a finite input whose trace, or whose N = H - (tr H / n) I, leaves the double range
+    system_file = write_json(tmp_path / "big.json", cmatrix.matrix_to_json(matrix))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from epkit import cli; sys.exit(cli.main(sys.argv[1:]))",
+         "analyze", "--input", system_file],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
 
 
 def test_reproduce_fig3_defaults_match_per_matrix_loop(capsys, tmp_path):

@@ -4,12 +4,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from epkit import cmatrix, compose, ep_core
 from epkit.errors import (
     DegenerateCouplingError,
     IncompatibleSubsystemsError,
+    NumericalError,
     ParameterError,
     PreconditionError,
     ShapeError,
@@ -142,6 +145,52 @@ def test_composite_response_reuses_subsystem_reports(monkeypatch):
     monkeypatch.setattr(compose, "detect_ep", counting)
     assert compose.composite_response(system) == pytest.approx(XI_5, rel=1e-10)
     assert calls == []
+
+
+@st.composite
+def coupled_pairs(draw, kind):
+    """(g_a, g_b, K): a single-entry, dense, rank-one or nearly nongeneric K, scaled by 1e-50 .. 1e50.
+
+    A nearly nongeneric K is a nongeneric one (v_b^H K u_a = 0, so C = 0) plus a generic part of
+    relative size 10**-9.5 .. 10**-5.5, which walks C across the degeneracy threshold (near 10**-7.5).
+    """
+    g_a, g_b = (10.0 ** draw(st.floats(-1.0, 1.0)) for _ in range(2))
+    rng = helpers.philox(draw(st.integers(0, 2**32 - 1)))
+    if kind == "single":
+        k = np.zeros((3, 2), dtype=complex)
+        k[draw(st.integers(0, 2)), draw(st.integers(0, 1))] = np.exp(2j * np.pi * rng.random())
+    elif kind == "dense":
+        k = helpers.complex_uniform(rng, (3, 2))
+    elif kind == "rank_one":
+        k = np.outer(helpers.complex_uniform(rng, 3), helpers.complex_uniform(rng, 2))
+    else:
+        u_a = np.linalg.svd(ep_core.detect_ep(pt_dimer(1.0, g_a)).top_power)[0][:, 0]
+        v_b = np.linalg.svd(ep_core.detect_ep(pt_trimer(1.0, g_b)).top_power)[2][0].conj()
+        k = helpers.complex_uniform(rng, (3, 2))
+        k = k - np.outer(v_b, u_a.conj()) * np.vdot(v_b, k @ u_a)
+        k = k + 10.0 ** draw(st.floats(-9.5, -5.5)) * helpers.complex_uniform(rng, (3, 2))
+    return g_a, g_b, 10.0 ** draw(st.floats(-50.0, 50.0)) * k
+
+
+def _response_outcome(response, system):
+    try:
+        return None, response(system)
+    except (NumericalError, DegenerateCouplingError) as exc:
+        return type(exc), None
+
+
+@pytest.mark.parametrize("kind", ["single", "dense", "rank_one", "nearly_nongeneric"])
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_composite_response_decides_as_the_coupling_norm_does(kind, data):
+    # the bracket of ||K||_2 must return or raise exactly where the SVD of K would
+    g_a, g_b, k = data.draw(coupled_pairs(kind))
+    pair = (pt_dimer(1.0, g_a), pt_trimer(1.0, g_b), k)
+    error, xi = _response_outcome(compose.composite_response, compose.block_compose(*pair))
+    expected_error, expected_xi = _response_outcome(helpers.reference_composite_response, compose.block_compose(*pair))
+    assert error is expected_error
+    if error is None:
+        assert xi == pytest.approx(expected_xi, rel=1e-13)
 
 
 def test_composite_response_linear_in_coupling():

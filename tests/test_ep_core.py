@@ -154,6 +154,38 @@ def test_norm_at_most_non_finite_power_raises_numerical_error(entry):
         ep_core._norm_at_most(p, 1.0)
 
 
+def _unit_complex(rng, shape):
+    return np.exp(2j * np.pi * rng.random(shape)) * (0.1 + rng.random(shape))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(-100, 100), st.integers(0, 2**32 - 1))
+def test_rank_one_norm_matches_svd_without_one(rows, cols, exponent, seed):
+    rng = helpers.philox(seed)
+    m = 10.0**exponent * np.outer(_unit_complex(rng, rows), _unit_complex(rng, cols))
+    expected = float(np.linalg.svd(m, compute_uv=False)[0])
+    with pytest.MonkeyPatch.context() as mp:
+        counts = helpers.count_linalg(mp, "svd")
+        norm = ep_core._rank_one_norm(m, "M")
+    assert counts == {"svd": 0}
+    assert abs(norm - expected) <= 1e-13 * expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(2, 20), st.floats(-7.0, -3.0), st.integers(-100, 100), st.integers(0, 2**32 - 1))
+def test_rank_one_norm_rejects_rank_two_as_the_svd_check_does(dim, log_ratio, exponent, seed):
+    # sigma_2 / sigma_1 in [1e-7, 1e-3] straddles the edge of the 1e-10 check near 1.4e-5
+    rng = helpers.philox(seed)
+    u, _ = np.linalg.qr(helpers.complex_uniform(rng, (dim, 2)))
+    v, _ = np.linalg.qr(helpers.complex_uniform(rng, (dim, 2)))
+    m = 10.0**exponent * (np.outer(u[:, 0], v[:, 0].conj()) + 10.0**log_ratio * np.outer(u[:, 1], v[:, 1].conj()))
+    if helpers.rank_one_svd_rejects(m):
+        with pytest.raises(NumericalError, match="not numerically rank one"):
+            ep_core._rank_one_norm(m, "M")
+    else:
+        ep_core._rank_one_norm(m, "M")
+
+
 def _index_family(family):
     """Traceless parts of seeded test matrices: transformed Jordan blocks, direct sums of two, or random."""
     rng = helpers.philox(61)
@@ -236,11 +268,12 @@ def test_detect_ep_zero_matrix_not_full_order():
 @pytest.mark.parametrize(
     "h", [pt_dimer(1.0, 1.5), pt_trimer(1.0, 1.3), dimer_trimer_system().h], ids=["dimer", "trimer", "composite"]
 )
-def test_detect_ep_takes_two_svds(monkeypatch, h):
-    # one of N for ||N||_2 and one of the top power for xi; every power test is settled by its largest entry
+def test_detect_ep_takes_one_svd(monkeypatch, h):
+    # one of N for ||N||_2; every power test is settled by its largest entry, and the
+    # top power is certified rank one by a power step
     counts = helpers.count_linalg(monkeypatch, "svd")
     assert ep_core.detect_ep(h).is_full_ep
-    assert counts == {"svd": 2}
+    assert counts == {"svd": 1}
 
 
 def test_detect_ep_certifies_nilpotency_bound(report5):

@@ -335,6 +335,15 @@ def test_fit_slope_rejects_non_finite_splitting_in_window(bad):
         perturb.fit_slope(inside, (1e-8, 1e-4))
 
 
+def test_fit_slope_rejects_overflowing_median():
+    # two finite splittings of 1.7e308 per strength: their mean, the median, overflows
+    records = [
+        perturb.SweepRecord(eps=e, max_splitting=1.7e308, trial=t) for e in (1e-8, 1e-6, 1e-4) for t in range(2)
+    ]
+    with pytest.raises(FitError, match="median splitting .* overflows"):
+        perturb.fit_slope(records, (1e-8, 1e-4))
+
+
 @st.composite
 def ragged_records(draw):
     """Records over 1-8 strengths, each with its own count of 1-9 positive splittings, in shuffled order.
