@@ -50,7 +50,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeError(f"{name} must be a 2-d array with positive dimensions, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():  # complex isfinite checks both parts, at any stride
         raise ParameterError(f"{name} contains non-finite entries")
     return m
 
@@ -66,7 +66,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     w = np.asarray(v, dtype=complex)
     if w.ndim != 1 or w.shape[0] < 1:
         raise ShapeError(f"{name} must be a 1-d array with positive length, got shape {w.shape}")
-    if not np.all(np.isfinite(w.view(float))):
+    if not np.isfinite(w).all():
         raise ParameterError(f"{name} contains non-finite entries")
     return w
 

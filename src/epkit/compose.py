@@ -170,17 +170,18 @@ def genericity_product(sys: CompositeSystem) -> np.ndarray:
 
     Cross-checked against direct powering of the assembled traceless part; a
     disagreement beyond 1e-10 relative to the coupling scale raises
-    NumericalError.  ||K||_2 enters that scale, but the SVD behind
-    sys.coupling_norm is taken only when the bracket of ||K||_2 from its
-    largest entry cannot decide the check (see _exceeds_coupling_scale).
+    NumericalError, and so does C, the direct power or the norm of their
+    difference leaving the double range.  ||K||_2 enters that scale, but the
+    SVD behind sys.coupling_norm is taken only when the bracket of ||K||_2
+    from its largest entry cannot decide the check (see _exceeds_coupling_scale).
     """
-    c = sys.rep_b.top_power @ np.asarray(sys.k) @ sys.rep_a.top_power
     _, nmat = _traceless_part(sys.h)
-    block = np.linalg.matrix_power(nmat, sys.dim - 1)[sys.n_a:, :sys.n_a]
-    gap = c - block
-    diff = cmatrix._frobenius_norm(gap)
-    if not math.isfinite(diff):
-        cmatrix.as_matrix(gap)  # an overflowed entry fails validation with ParameterError
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NumericalError below
+        c = sys.rep_b.top_power @ np.asarray(sys.k) @ sys.rep_a.top_power
+        block = np.linalg.matrix_power(nmat, sys.dim - 1)[sys.n_a:, :sys.n_a]
+        diff = cmatrix._frobenius_norm(c - block)
+    if not math.isfinite(diff):  # finite only when every entry of C and of the block is
+        raise NumericalError("the genericity product or its cross-check overflows a double")
     if _exceeds_coupling_scale(sys, diff, lambda norm: 1e-10 * max(_coupling_scale(sys, 1.0, norm), _TINY)):
         raise NumericalError("block product and direct matrix power disagree beyond tolerance")
     return c
@@ -234,6 +235,11 @@ def composite_response(sys: CompositeSystem) -> float:
 
 def response_upper_bound(xi_a: float, xi_b: float, k) -> float:
     """Submultiplicative bound xi_a * xi_b * ||K||_2 on the composite response."""
+    return _upper_bound(xi_a, xi_b, cmatrix.spectral_norm(k))
+
+
+def _upper_bound(xi_a: float, xi_b: float, coupling_norm: float) -> float:
+    """response_upper_bound from a known ||K||_2, such as CompositeSystem.coupling_norm."""
     if xi_a <= 0 or xi_b <= 0:
         raise ParameterError(f"response strengths must be positive, got {xi_a} and {xi_b}")
-    return float(xi_a * xi_b * cmatrix.spectral_norm(k))
+    return float(xi_a * xi_b * coupling_norm)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import helpers
 from epkit import cli, cmatrix, models, perturb
+from epkit.errors import ConvergenceError
 from epkit.models import pt_dimer, pt_trimer, single_entry_coupling
 
 
@@ -120,7 +122,22 @@ def test_compose_lapack_call_counts(capsys, monkeypatch, tmp_path, dimer_file, t
     calls = helpers.count_linalg(monkeypatch, "svd", "lstsq", "matrix_power")
     code, _, _ = run(capsys, command_argv("compose", tmp_path, dimer_file, trimer_file))
     assert code == 0
-    assert calls["svd"] <= 6 and calls["lstsq"] == 0 and calls["matrix_power"] <= 4
+    assert calls["svd"] <= 5 and calls["lstsq"] == 0 and calls["matrix_power"] <= 4
+
+
+def test_compose_overflowing_genericity_product_exits_4(tmp_path, dimer_file, trimer_file):
+    # K = 1e308 is finite, but C = N_b^2 K N_a and N^4 leave the double range; no numpy warning on stderr
+    k_path = write_json(tmp_path / "k.json", cmatrix.matrix_to_json(single_entry_coupling(1e308, 3, 2)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from epkit import cli; sys.exit(cli.main(sys.argv[1:]))",
+         "compose", "--a", dimer_file, "--b", trimer_file, "--k", k_path],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
+    assert "overflows" in proc.stderr
 
 
 def test_compose_zero_coupling_exits_3(capsys, tmp_path, dimer_file, trimer_file):
@@ -381,6 +398,63 @@ def test_reproduce_fig3_defaults_match_per_matrix_loop(capsys, tmp_path):
         expected = helpers.per_matrix_sweep_csv(np.asarray(system.h), system.ep_eigenvalue, matrices, grid)
         assert (out_dir / f"fig3_{mode}.csv").read_bytes() == expected
     assert out == (out_dir / "fig3_slopes.json").read_text(encoding="utf-8")
+
+
+def test_reproduce_fig3_non_default_run_matches_per_matrix_loop(capsys, tmp_path):
+    out_dir = tmp_path / "fig3"
+    code, out, _ = run(
+        capsys, ["reproduce-fig3", "--seed", "7", "--trials", "3", "--points", "9", "--out", str(out_dir)]
+    )
+    assert code == 0
+    d = cli.FIG3_DEFAULTS
+    system = models.dimer_trimer_system(d["omega0"], d["g_a"], d["g_b"], d["k"])
+    grid = perturb.log_grid(d["eps_min"], d["eps_max"], 9)
+    seeds = [perturb.child_seed(7, t) for t in range(3)]
+    perturbations = {
+        "generic": [perturb.random_generic(system.dim, s).matrix for s in seeds],
+        "preserving": [perturb.random_preserving(system.n_a, system.dim - system.n_a, s).matrix for s in seeds],
+    }
+    for mode, matrices in perturbations.items():
+        expected = helpers.per_matrix_sweep_csv(np.asarray(system.h), system.ep_eigenvalue, matrices, grid)
+        assert (out_dir / f"fig3_{mode}.csv").read_bytes() == expected
+    assert out == (out_dir / "fig3_slopes.json").read_text(encoding="utf-8")
+
+
+def failing_sweep(monkeypatch, failing_modes):
+    """Make perturb.sweep raise ConvergenceError in failing_modes; returns {mode: ran on the main thread}."""
+    sweep = perturb.sweep
+    threads = {}
+
+    def patched(h, ep_eigenvalue, mode, *args, **kwargs):
+        threads[mode] = threading.current_thread() is threading.main_thread()
+        if mode in failing_modes:
+            raise ConvergenceError(f"{mode} sweep did not converge")
+        return sweep(h, ep_eigenvalue, mode, *args, **kwargs)
+
+    monkeypatch.setattr(perturb, "sweep", patched)
+    return threads
+
+
+@pytest.mark.parametrize(
+    "failing_modes", [("preserving",), ("generic",), ("generic", "preserving")], ids=["preserving", "generic", "both"]
+)
+def test_reproduce_fig3_sweep_error_reports_generic_first(capsys, monkeypatch, tmp_path, failing_modes):
+    threads = failing_sweep(monkeypatch, failing_modes)
+    out_dir = tmp_path / "fig3"
+    code, out, err = run(capsys, ["reproduce-fig3", "--points", "4", "--trials", "2", "--out", str(out_dir)])
+    assert code == 4
+    assert out == "" and list(out_dir.iterdir()) == []
+    assert err == f"numerical failure: {failing_modes[0]} sweep did not converge\n"
+    assert threads == {"generic": True, "preserving": False}  # both sweeps ran, preserving off the main thread
+
+
+@pytest.mark.parametrize("failing_modes", [(), ("preserving",)], ids=["success", "failure"])
+def test_reproduce_fig3_leaves_no_thread_running(capsys, monkeypatch, tmp_path, failing_modes):
+    failing_sweep(monkeypatch, failing_modes)
+    before = threading.active_count()
+    code, _, _ = run(capsys, ["reproduce-fig3", "--points", "9", "--trials", "2", "--out", str(tmp_path)])
+    assert code == (4 if failing_modes else 0)
+    assert threading.active_count() == before
 
 
 def test_reproduce_fig3_fit_failure_writes_no_file(capsys, tmp_path):

@@ -53,6 +53,25 @@ def test_matmul_rejects_non_finite():
         cmatrix.matmul(bad, np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf)], ids=["real_part", "imaginary_part"])
+def test_strided_non_finite_vector_rejected(bad):
+    # every other entry of a 1-d array: the last axis is not contiguous
+    data = np.ones(6, dtype=complex)
+    data[2] = bad
+    with pytest.raises(ParameterError):
+        cmatrix.as_vector(data[::2])
+    np.testing.assert_array_equal(cmatrix.as_vector(data[1::2]), np.ones(3))
+
+
+def test_transposed_views_accepted():
+    a = helpers.complex_uniform(helpers.philox(3), (2, 3))
+    assert cmatrix.frobenius_norm(a.T) == cmatrix.frobenius_norm(np.ascontiguousarray(a.T))
+    bad = a.copy()
+    bad[1, 2] = np.inf
+    with pytest.raises(ParameterError):
+        cmatrix.as_matrix(bad.T)
+
+
 def test_adjoint_scalar():
     assert np.array_equal(cmatrix.adjoint([[1j]]), np.array([[-1j]]))
 

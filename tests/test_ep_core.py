@@ -276,6 +276,18 @@ def test_detect_ep_takes_one_svd(monkeypatch, h):
     assert counts == {"svd": 1}
 
 
+@pytest.mark.parametrize(
+    "h",
+    [dimer_trimer_system().h, helpers.transformed_jordan_block(helpers.philox(11), 7, 0.5 - 0.25j),
+     np.ones((3, 3), dtype=complex)],
+    ids=["composite", "jordan7", "distinct"],
+)
+def test_detect_ep_on_transposed_view_matches_contiguous_copy(h):
+    view = np.asarray(h).T  # last axis not contiguous
+    assert not view.flags.c_contiguous
+    assert repr(ep_core.detect_ep(view)) == repr(ep_core.detect_ep(np.ascontiguousarray(view)))
+
+
 def test_detect_ep_certifies_nilpotency_bound(report5):
     n = np.asarray(report5.nilpotent)
     base = cmatrix.spectral_norm(n)
