@@ -8,11 +8,9 @@ experiments.
 
 from . import cli, cmatrix, compose, ep_core, jordan, models, perturb
 from .cmatrix import (
-    adjoint,
     eigenvalues,
     frobenius_norm,
     kernel_vector,
-    matmul,
     matrix_from_json,
     matrix_to_json,
     rank,

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cmatrix, compose, ep_core, jordan, models, perturb
-from .errors import EpkitError, NumericalError, ParseError, PreconditionError
+from .errors import EpkitError, NumericalError, ParseError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -118,16 +118,16 @@ def _cmd_compose(args) -> int:
     k = cmatrix.matrix_from_json(_load_json(args.k))
     tol = args.tol if args.tol is not None else compose.DEFAULT_EIGENVALUE_TOL
     system = compose.block_compose(h_a, h_b, k, tol=tol)
+    report = system.report
     xi_a, xi_b = system.rep_a.response_strength, system.rep_b.response_strength
-    xi = compose.composite_response(system)
     chain_b = jordan.jordan_chain(system.rep_b)
     psi_a = cmatrix.kernel_vector(system.rep_a.nilpotent)
     amplitude = jordan.coupling_amplitude(chain_b, psi_a, k)
     payload = {
         "dim": system.dim,
-        "order": ep_core.detect_ep(system.h).order,
+        "order": report.order,
         "ep_eigenvalue": [system.ep_eigenvalue.real, system.ep_eigenvalue.imag],
-        "xi": xi,
+        "xi": report.response_strength,
         "xi_a": xi_a,
         "xi_b": xi_b,
         "coupling_spectral_norm": system.coupling_norm,
@@ -145,10 +145,10 @@ def _fit_window(eps_min: float, eps_max: float) -> tuple[float, float]:
 
 def _cmd_sweep(args) -> int:
     system = models.load_system(_load_json(args.input))
-    report = ep_core.detect_ep(system.h, nil_tol=args.tol)
+    ep_eigenvalue, _ = ep_core.traceless_part(system.h)
     grid = perturb.log_grid(args.eps_min, args.eps_max, args.points)
     records = perturb.sweep(
-        system.h, report.ep_eigenvalue, args.mode, grid, args.trials, args.seed, n_a=system.n_a
+        system.h, ep_eigenvalue, args.mode, grid, args.trials, args.seed, n_a=system.n_a
     )
     fit = perturb.fit_slope(records, _fit_window(args.eps_min, args.eps_max))
     Path(args.out).write_text(perturb.records_to_csv(records), encoding="utf-8")
@@ -188,11 +188,7 @@ def _sweep_both_modes(system, grid, trials: int, seed: int) -> dict:
 def _cmd_reproduce_fig3(args) -> int:
     d = FIG3_DEFAULTS
     system = models.dimer_trimer_system(d["omega0"], args.g_a, args.g_b, args.k)
-    report = ep_core.detect_ep(system.h)
-    if not report.is_full_ep:
-        raise PreconditionError(
-            f"composite is not a full-order exceptional point: order {report.order}, dim {system.dim}"
-        )
+    system.report  # certifies order 5 before any sweep runs
     grid = perturb.log_grid(args.eps_min, args.eps_max, args.points)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -256,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_int_in(2), default=FIG3_DEFAULTS["points"])
     p.add_argument("--trials", type=_int_in(1), default=FIG3_DEFAULTS["trials"])
     p.add_argument("--seed", type=_int_in(0, 2**64), default=FIG3_DEFAULTS["seed"])
-    p.add_argument("--tol", type=_float_above(0.0), default=None, help="nilpotency tolerance override")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sweep)
 

@@ -28,8 +28,6 @@ __all__ = [
     "as_matrix",
     "as_square",
     "as_vector",
-    "matmul",
-    "adjoint",
     "frobenius_norm",
     "spectral_norm",
     "rank",
@@ -73,20 +71,6 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # elementary operations
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product A @ B with shape checking."""
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
-
 
 def frobenius_norm(a) -> float:
     """Square root of the sum of squared entry moduli."""

@@ -20,13 +20,14 @@ import numpy as np
 
 from . import cmatrix
 from .ep_core import (
-    _HUGE,
     _TINY,
     EpReport,
+    _by_norm_bracket,
     _detect,
     _norm_power,
     _rank_one_norm,
     _traceless_part,
+    default_nil_tol,
     detect_ep,
     nilpotency_index,
 )
@@ -88,6 +89,23 @@ class CompositeSystem:
     def coupling_norm(self) -> float:
         """||K||_2, computed on first use and kept."""
         return cmatrix.spectral_norm(self.k)
+
+    @cached_property
+    def report(self) -> EpReport:
+        """Certificate from the block theorem, computed on first use and kept: N^(dim-1) = [[0, 0], [C, 0]].
+
+        So the order is dim exactly when C is generic, and response_strength is
+        ||C||; composite_response's errors are raised, and no power of the
+        assembled N is tested.  One SVD of N gives nilpotent_norm.
+        """
+        c, xi = _block_response(self)
+        _, nmat = _traceless_part(self.h)
+        top = np.zeros_like(nmat)
+        top[self.n_a:, :self.n_a] = c
+        top.setflags(write=False)
+        return EpReport(dim=self.dim, order=self.dim, ep_eigenvalue=self.ep_eigenvalue, nilpotent=nmat,
+                        response_strength=xi, nil_tol=default_nil_tol(self.dim),
+                        nilpotent_norm=cmatrix._spectral_norm(nmat), top_power=top)
 
     def to_json(self) -> dict:
         return {
@@ -171,9 +189,9 @@ def genericity_product(sys: CompositeSystem) -> np.ndarray:
     Cross-checked against direct powering of the assembled traceless part; a
     disagreement beyond 1e-10 relative to the coupling scale raises
     NumericalError, and so does C, the direct power or the norm of their
-    difference leaving the double range.  ||K||_2 enters that scale, but the
-    SVD behind sys.coupling_norm is taken only when the bracket of ||K||_2
-    from its largest entry cannot decide the check (see _exceeds_coupling_scale).
+    difference leaving the double range.  ||K||_2 enters that scale, but an
+    SVD of K is taken only when the bracket of ||K||_2 from its largest entry
+    cannot decide the check (see ep_core._by_norm_bracket).
     """
     _, nmat = _traceless_part(sys.h)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NumericalError below
@@ -195,20 +213,8 @@ def _coupling_scale(sys: CompositeSystem, rel: float, coupling_norm: float) -> f
 
 
 def _exceeds_coupling_scale(sys: CompositeSystem, value: float, threshold) -> bool:
-    """value > threshold(||K||_2) for a threshold non-decreasing in the norm, with the SVD of K only where needed.
-
-    peak = max |k_ij| brackets the norm: peak <= ||K||_2 <= ||K||_F <= sqrt(size) * peak.
-    Where peak is a normal float, a factor-two margin on either side of the
-    bracket outweighs the rounding of the SVD, so the answer is the one
-    threshold(sys.coupling_norm) gives, as in ep_core._norm_at_most.
-    """
-    peak = float(np.abs(sys.k).max())
-    if _TINY <= peak <= _HUGE:
-        if value > threshold(2.0 * math.sqrt(sys.k.size) * peak):
-            return True
-        if value <= threshold(0.5 * peak):
-            return False
-    return value > threshold(sys.coupling_norm)
+    """value > threshold(||K||_2) for a threshold non-decreasing in the norm, decided by ep_core._by_norm_bracket."""
+    return _by_norm_bracket(sys.k, lambda norm: value > threshold(norm))
 
 
 def composite_response(sys: CompositeSystem) -> float:
@@ -216,13 +222,20 @@ def composite_response(sys: CompositeSystem) -> float:
 
     Raises DegenerateCouplingError (naming the achieved order) when C is
     numerically zero against the coupling scale, i.e. the coupling is
-    nongeneric.  That test reads sys.coupling_norm (an SVD of K) only when the
-    bracket of ||K||_2 from its largest entry cannot decide it, and the rank-one
-    norm of C is certified by ep_core._rank_one_norm, without an SVD when C is
-    rank one to well below its 1e-10 check.
+    nongeneric, and NumericalError when ||C||_F leaves the double range.  The
+    rank-one norm of C is certified by ep_core._rank_one_norm, without an SVD
+    when C is rank one to well below its 1e-10 check.
     """
+    return _block_response(sys)[1]
+
+
+def _block_response(sys: CompositeSystem) -> tuple[np.ndarray, float]:
+    """(C, xi): the genericity product and composite_response, for it and CompositeSystem.report."""
     c = genericity_product(sys)
-    frob = cmatrix._frobenius_norm(c)
+    with np.errstate(over="ignore"):  # an overflow raises NumericalError below
+        frob = cmatrix._frobenius_norm(c)
+    if not math.isfinite(frob):
+        raise NumericalError("||C||_F of the genericity product overflows a double")
     if not _exceeds_coupling_scale(sys, frob, lambda norm: _coupling_scale(sys, 1e-8, norm)):
         _, nmat = _traceless_part(sys.h)
         achieved = nilpotency_index(nmat)
@@ -230,7 +243,7 @@ def composite_response(sys: CompositeSystem) -> float:
             f"coupling is degenerate: composite order {achieved} < {sys.dim}",
             achieved_order=achieved,
         )
-    return _rank_one_norm(c, "the genericity product")
+    return c, _rank_one_norm(c, "the genericity product")
 
 
 def response_upper_bound(xi_a: float, xi_b: float, k) -> float:

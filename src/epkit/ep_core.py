@@ -103,26 +103,32 @@ def _nilpotency(nmat: np.ndarray, nil_tol: float) -> tuple[int | None, float]:
 
 
 def _norm_at_most(power: np.ndarray, bound: float) -> bool:
-    """||P||_2 <= bound for a square P, with an SVD only where its largest entry cannot decide.
+    """||P||_2 <= bound for a square P, decided by _by_norm_bracket."""
+    return _by_norm_bracket(power, lambda norm: norm <= bound)
 
-    peak = max |p_ij| brackets the norm: peak <= ||P||_2 <= dim * peak.  Where
-    peak is a normal float (so abs, a hypot, is exact to an ulp), a factor-two
-    margin on either side of the bracket outweighs the rounding of the SVD, so
-    the answer is the one spectral_norm(P) <= bound gives.  The band between
-    and subnormal peaks fall back to that SVD.  A non-finite entry raises
-    NumericalError: the power has left the double range.
+
+def _by_norm_bracket(m: np.ndarray, decide) -> bool:
+    """decide(||M||_2) for a predicate monotone in the norm, with an SVD only where max |m_ij| cannot decide.
+
+    peak = max |m_ij| brackets the norm: peak <= ||M||_2 <= ||M||_F <= sqrt(size) * peak.
+    Where peak is a normal float (so abs, a hypot, is exact to an ulp) and
+    decide agrees at 0.5 * peak and at 2 * sqrt(size) * peak, that factor-two
+    margin on either side outweighs the rounding of the SVD, so the answer is
+    the one decide(spectral_norm(M)) gives.  A zero M has norm 0 exactly; a
+    decide that differs at the two ends, or a subnormal peak, falls back to the
+    SVD.  Validated inputs are finite, so a non-finite entry is an overflowed
+    power of N and raises NumericalError.
     """
-    peak = float(np.max(np.abs(power)))
+    peak = float(np.max(np.abs(m)))
     if not peak <= _HUGE:
         raise NumericalError("a power of N overflows a double")
     if peak == 0.0:
-        return 0.0 <= bound
+        return decide(0.0)
     if peak >= _TINY:
-        if power.shape[0] * peak <= 0.5 * bound:
-            return True
-        if peak > 2.0 * bound:
-            return False
-    return cmatrix._spectral_norm(power) <= bound
+        low = decide(0.5 * peak)
+        if low == decide(2.0 * math.sqrt(m.size) * peak):
+            return low
+    return decide(cmatrix._spectral_norm(m))
 
 
 def _norm_power(norm: float, exponent: int) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import helpers
-from epkit import cli, cmatrix, models, perturb
+from epkit import cli, cmatrix, ep_core, models, perturb
 from epkit.errors import ConvergenceError
 from epkit.models import pt_dimer, pt_trimer, single_entry_coupling
 
@@ -138,6 +138,33 @@ def test_compose_overflowing_genericity_product_exits_4(tmp_path, dimer_file, tr
     assert proc.stdout == ""
     assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
     assert "overflows" in proc.stderr
+
+
+def test_compose_overflowing_response_norm_exits_4(tmp_path, dimer_file, trimer_file):
+    # K = 1e160: C and its cross-check stay finite, but the sum of squares behind ||C||_F overflows
+    k_path = write_json(tmp_path / "k.json", cmatrix.matrix_to_json(single_entry_coupling(1e160, 3, 2)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from epkit import cli; sys.exit(cli.main(sys.argv[1:]))",
+         "compose", "--a", dimer_file, "--b", trimer_file, "--k", k_path],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
+    assert "overflows" in proc.stderr
+
+
+@pytest.mark.parametrize("kind", ["single_entry", "dense"])
+def test_compose_prints_order_five_at_every_coupling_scale(capsys, tmp_path, dimer_file, trimer_file, kind):
+    # the order was read from powering the assembled H, which printed 4, 3 and 2 from k = 1e4 on
+    dense = helpers.complex_uniform(helpers.philox(113), (3, 2))
+    for exponent in range(-4, 151):
+        k = 10.0**exponent
+        coupling = single_entry_coupling(k, 3, 2) if kind == "single_entry" else k * dense
+        k_path = write_json(tmp_path / "k.json", cmatrix.matrix_to_json(coupling))
+        code, out, _ = run(capsys, ["compose", "--a", dimer_file, "--b", trimer_file, "--k", k_path])
+        assert code == 0 and json.loads(out)["order"] == 5
 
 
 def test_compose_zero_coupling_exits_3(capsys, tmp_path, dimer_file, trimer_file):
@@ -302,6 +329,27 @@ def command_argv(command, tmp_path, dimer_file, trimer_file):
     if command == "reproduce-fig3":
         return ["reproduce-fig3", "--points", "4", "--trials", "1"]
     return [command, "--input", trimer_file]
+
+
+@pytest.mark.parametrize("command, certifications", [("compose", 2), ("reproduce-fig3", 2), ("sweep", 0)])
+def test_power_test_certifications_per_command(capsys, monkeypatch, tmp_path, dimer_file, trimer_file,
+                                               command, certifications):
+    # one power test per subsystem; the composite is certified by its block structure, and sweep needs none
+    calls = []
+    nilpotency = ep_core._nilpotency
+
+    def counting(*args):
+        calls.append(args)
+        return nilpotency(*args)
+
+    monkeypatch.setattr(ep_core, "_nilpotency", counting)
+    if command == "reproduce-fig3":
+        argv = ["reproduce-fig3", "--points", "11", "--trials", "1"]  # 6 strengths inside the fit window
+    else:
+        argv = command_argv(command, tmp_path, dimer_file, trimer_file)
+    code, _, _ = run(capsys, argv + ["--out", str(tmp_path / "out")])
+    assert code == 0
+    assert len(calls) == certifications
 
 
 @pytest.mark.parametrize("command", ["analyze", "jordan", "sweep", "compose"])

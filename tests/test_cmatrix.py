@@ -24,34 +24,7 @@ def trimer_nilpotent(g):
 
 
 # ---------------------------------------------------------------------------
-# matmul / adjoint
-
-def test_matmul_identity():
-    eye = np.eye(2, dtype=complex)
-    assert np.array_equal(cmatrix.matmul(eye, eye), eye)
-
-
-def test_matmul_dimer_nilpotent_squares_to_zero():
-    n = dimer_nilpotent(1.5)
-    assert cmatrix.frobenius_norm(cmatrix.matmul(n, n)) <= 1e-14
-
-
-def test_matmul_shift_matrices():
-    up = np.array([[0, 1], [0, 0]], dtype=complex)
-    down = np.array([[0, 0], [1, 0]], dtype=complex)
-    assert np.array_equal(cmatrix.matmul(up, down), np.array([[1, 0], [0, 0]], dtype=complex))
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        cmatrix.matmul(np.eye(2), np.eye(3))
-
-
-def test_matmul_rejects_non_finite():
-    bad = np.array([[np.nan, 0], [0, 1]])
-    with pytest.raises(ParameterError):
-        cmatrix.matmul(bad, np.eye(2))
-
+# validation
 
 @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf)], ids=["real_part", "imaginary_part"])
 def test_strided_non_finite_vector_rejected(bad):
@@ -70,22 +43,6 @@ def test_transposed_views_accepted():
     bad[1, 2] = np.inf
     with pytest.raises(ParameterError):
         cmatrix.as_matrix(bad.T)
-
-
-def test_adjoint_scalar():
-    assert np.array_equal(cmatrix.adjoint([[1j]]), np.array([[-1j]]))
-
-
-def test_adjoint_real_symmetric_fixed_point():
-    m = np.array([[1.0, 2.0], [2.0, 5.0]], dtype=complex)
-    assert np.array_equal(cmatrix.adjoint(m), m)
-
-
-def test_adjoint_dimer_swaps_gain_loss():
-    h = pt_dimer(1.0, 1.5)
-    expected = h.copy()
-    expected[0, 0], expected[1, 1] = h[1, 1], h[0, 0]
-    assert np.allclose(cmatrix.adjoint(h), expected, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +166,6 @@ def test_eigenvalue_sum_matches_trace():
     for _ in range(30):
         a = helpers.complex_uniform(rng, (5, 5))
         assert abs(cmatrix.eigenvalues(a).sum() - np.trace(a)) <= 1e-10 * max(abs(np.trace(a)), 1.0)
-
-
-def test_adjoint_eigenvalues_conjugate():
-    rng = helpers.philox(13)
-    a = helpers.complex_uniform(rng, (5, 5))
-    direct = np.sort_complex(cmatrix.eigenvalues(a))
-    conjugated = np.sort_complex(np.conj(cmatrix.eigenvalues(cmatrix.adjoint(a))))
-    assert np.allclose(direct, conjugated, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

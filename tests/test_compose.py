@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from epkit import cmatrix, compose, ep_core
+from epkit import cmatrix, compose, ep_core, jordan
 from epkit.errors import (
     DegenerateCouplingError,
     IncompatibleSubsystemsError,
@@ -213,6 +213,35 @@ def test_degenerate_coupling_raises_with_achieved_order():
     with pytest.raises(DegenerateCouplingError) as info:
         compose.composite_response(system)
     assert info.value.achieved_order == 3
+
+
+@pytest.mark.parametrize("kind", ["single_entry", "dense"])
+def test_report_certifies_order_five_at_every_coupling_scale(kind):
+    # powering the assembled H gave orders 4, 3 and 2 from k = 1e4 on; the block theorem gives 5
+    dense = helpers.complex_uniform(helpers.philox(113), (3, 2))
+    for exponent in range(-4, 151):
+        k = 10.0**exponent
+        coupling = single_entry_coupling(k, 3, 2) if kind == "single_entry" else k * dense
+        report = compose.block_compose(pt_dimer(1.0, 1.5), pt_trimer(1.0, 1.3), coupling).report
+        assert report.order == 5 and report.is_full_ep
+        xi = report.response_strength
+        if kind == "single_entry":
+            assert xi == pytest.approx(XI_5 * k, rel=1e-12)
+        assert jordan.response_from_chain(jordan.jordan_chain(report)) == pytest.approx(xi, rel=1e-8)
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_report_raises_where_composite_response_does(data):
+    g_a, g_b, k = data.draw(coupled_pairs("nearly_nongeneric"))
+    system = compose.block_compose(pt_dimer(1.0, g_a), pt_trimer(1.0, g_b), k)
+    error, xi = _response_outcome(lambda s: s.report.response_strength, system)
+    assert (error, xi) == _response_outcome(compose.composite_response, system)
+    if error is None:
+        expected_top = np.zeros((5, 5), dtype=complex)
+        expected_top[2:, :2] = compose.genericity_product(system)
+        assert np.array_equal(system.report.top_power, expected_top)
+        assert system.report.nilpotent_norm == cmatrix.spectral_norm(ep_core.traceless_part(system.h)[1])
 
 
 # ---------------------------------------------------------------------------
