@@ -8,12 +8,10 @@ experiments.
 
 from . import cli, cmatrix, compose, ep_core, jordan, models, perturb
 from .cmatrix import (
-    eigenvalues,
     frobenius_norm,
     kernel_vector,
     matrix_from_json,
     matrix_to_json,
-    rank,
     spectral_norm,
 )
 from .compose import (

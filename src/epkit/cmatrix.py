@@ -2,8 +2,7 @@
 
 All operations work on plain ``numpy`` arrays of ``complex128``.  Matrices are
 2-d, vectors 1-d; every public entry point validates shapes and rejects
-non-finite entries.  Rank and null vectors share one SVD cutoff so their
-tolerance semantics agree.
+non-finite entries.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from .errors import (
     ShapeError,
 )
 
-#: Relative tolerance of every rank / kernel cutoff.
+#: Relative tolerance of the kernel cutoff.
 DEFAULT_RTOL = 1e-12
 
 __all__ = [
@@ -30,9 +29,7 @@ __all__ = [
     "as_vector",
     "frobenius_norm",
     "spectral_norm",
-    "rank",
     "kernel_vector",
-    "eigenvalues",
     "matrix_to_json",
     "matrix_from_json",
     "vector_to_json",
@@ -90,11 +87,6 @@ def _svd(a: np.ndarray, compute_uv: bool = True):
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
 
 
-def _above_cutoff(a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Mask of the singular values s of A above DEFAULT_RTOL * max(rows, cols) * sigma_max."""
-    return s > DEFAULT_RTOL * max(a.shape) * s[0]
-
-
 def spectral_norm(a) -> float:
     """Largest singular value."""
     return _spectral_norm(as_matrix(a))
@@ -105,22 +97,17 @@ def _spectral_norm(a: np.ndarray) -> float:
     return float(_svd(a, compute_uv=False)[0])
 
 
-def rank(a) -> int:
-    """Number of singular values above DEFAULT_RTOL * max(rows, cols) * sigma_max."""
-    a = as_matrix(a)
-    return int(np.count_nonzero(_above_cutoff(a, _svd(a, compute_uv=False))))
-
-
 def kernel_vector(a) -> np.ndarray:
     """Unit-norm vector spanning the one-dimensional numerical null space.
 
-    The phase is fixed so that the first component of largest modulus is real
-    and positive, which makes the result deterministic.  Raises
-    DegeneracyError when the null space is not exactly one-dimensional.
+    Singular values above DEFAULT_RTOL * max(rows, cols) * sigma_max count as
+    nonzero.  The phase is fixed so that the first component of largest
+    modulus is real and positive, which makes the result deterministic.
+    Raises DegeneracyError when the null space is not exactly one-dimensional.
     """
     a = as_matrix(a)
     _, s, vh = _svd(a)
-    null_dim = a.shape[1] - int(np.count_nonzero(_above_cutoff(a, s)))
+    null_dim = a.shape[1] - int(np.count_nonzero(s > DEFAULT_RTOL * max(a.shape) * s[0]))
     if null_dim != 1:
         raise DegeneracyError(f"null space dimension is {null_dim}, expected 1 at rtol={DEFAULT_RTOL:g}")
     v = vh[-1].conj()
@@ -134,17 +121,6 @@ def _pivot_phase(v: np.ndarray) -> complex:
     # tolerate float ties so analytically equal moduli pick the first index
     pivot = int(np.flatnonzero(mods >= (1.0 - 1e-12) * mods.max())[0])
     return v[pivot].conjugate() / mods[pivot]
-
-
-def eigenvalues(a) -> np.ndarray:
-    """All eigenvalues with multiplicity, sorted by real part then imaginary part."""
-    a = as_square(a)
-    try:
-        vals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
 
 
 # ---------------------------------------------------------------------------

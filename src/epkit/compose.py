@@ -7,7 +7,11 @@ are stacked into the block lower-triangular Hamiltonian
 
 For generic coupling K the composite hosts a single exceptional point of order
 n_a + n_b; the product C = N_b^(n_b-1) K N_a^(n_a-1) decides genericity and
-carries the composite response strength xi = ||C||.
+carries the composite response strength xi = ||C||.  The coupling is called
+degenerate when ||C||_F <= 1e-8 * xi_a * xi_b * ||K||_2, a fraction of the
+bound xi <= xi_a * xi_b * ||K||_2 whatever the subsystem scale.  compose_many
+folds over these block-theorem certificates: it certifies only the subsystems
+it is given, never an assembled composite.
 """
 
 from __future__ import annotations
@@ -24,12 +28,12 @@ from .ep_core import (
     EpReport,
     _by_norm_bracket,
     _detect,
+    _nilpotency,
     _norm_power,
     _rank_one_norm,
     _traceless_part,
     default_nil_tol,
     detect_ep,
-    nilpotency_index,
 )
 from .errors import (
     DegenerateCouplingError,
@@ -58,7 +62,8 @@ class CompositeSystem:
     """Assembled unidirectionally coupled pair with its shared eigenvalue.
 
     rep_a and rep_b are the full-order certificates of h_a and h_b as stored,
-    so of the shifted H_b when block_compose shifted it.
+    so of the shifted H_b when block_compose shifted it; in compose_many,
+    rep_a is the previous level's block-theorem report.
     """
 
     h_a: np.ndarray
@@ -98,8 +103,7 @@ class CompositeSystem:
         ||C||; composite_response's errors are raised, and no power of the
         assembled N is tested.  One SVD of N gives nilpotent_norm.
         """
-        c, xi = _block_response(self)
-        _, nmat = _traceless_part(self.h)
+        nmat, c, xi = _block_response(self)
         top = np.zeros_like(nmat)
         top[self.n_a:, :self.n_a] = c
         top.setflags(write=False)
@@ -139,7 +143,12 @@ def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL, shift_b: boo
     h_a = cmatrix.as_square(h_a, "H_a")
     h_b = cmatrix.as_square(h_b, "H_b")
     k = cmatrix.as_matrix(k, "K")
-    rep_a = _certified(_detect(h_a, None), "a")
+    return _assemble(h_a, _certified(_detect(h_a, None), "a"), h_b, k, tol, shift_b)
+
+
+def _assemble(h_a: np.ndarray, rep_a: EpReport, h_b: np.ndarray, k: np.ndarray, tol: float,
+              shift_b: bool) -> CompositeSystem:
+    """block_compose of validated H_a, H_b and K, with rep_a the full-order certificate of H_a."""
     rep_b = _certified(_detect(h_b, None), "b")
     n_a, n_b = rep_a.dim, rep_b.dim
     if k.shape != (n_b, n_a):
@@ -167,9 +176,11 @@ def compose_many(hams, couplings) -> CompositeSystem:
     """Left fold of block_compose over several subsystems.
 
     couplings[i] maps the composite of hams[:i+1] into hams[i+1], so it must
-    have shape (dim of hams[i+1]) x (sum of dims of hams[:i+1]).  Every
-    intermediate composite must itself be a certified full-order point, which
-    holds for generic couplings.
+    have shape (dim of hams[i+1]) x (sum of dims of hams[:i+1]).  Only the
+    given subsystems are certified by a power test; each intermediate
+    composite enters the next level through its block-theorem report, so a
+    nongeneric intermediate coupling (||C||_F <= 1e-8 * xi_a * xi_b * ||K||_2)
+    raises DegenerateCouplingError naming the achieved order.
     """
     hams = list(hams)
     couplings = list(couplings)
@@ -179,7 +190,8 @@ def compose_many(hams, couplings) -> CompositeSystem:
         )
     system = block_compose(hams[0], hams[1], couplings[0])
     for h_next, k_next in zip(hams[2:], couplings[1:]):
-        system = block_compose(system.h, h_next, k_next)
+        h_next, k_next = cmatrix.as_square(h_next, "H_b"), cmatrix.as_matrix(k_next, "K")
+        system = _assemble(system.h, system.report, h_next, k_next, DEFAULT_EIGENVALUE_TOL, False)
     return system
 
 
@@ -187,29 +199,29 @@ def genericity_product(sys: CompositeSystem) -> np.ndarray:
     """C = N_b^(n_b-1) K N_a^(n_a-1), the only nonzero block of N^(dim-1).
 
     Cross-checked against direct powering of the assembled traceless part; a
-    disagreement beyond 1e-10 relative to the coupling scale raises
-    NumericalError, and so does C, the direct power or the norm of their
-    difference leaving the double range.  ||K||_2 enters that scale, but an
-    SVD of K is taken only when the bracket of ||K||_2 from its largest entry
-    cannot decide the check (see ep_core._by_norm_bracket).
+    disagreement beyond 1e-10 relative to the coupling scale
+    ||K||_2 * ||N_a||_2^(n_a-1) * ||N_b||_2^(n_b-1), the size C has without
+    cancellation, raises NumericalError, and so does C, the direct power or
+    the norm of their difference leaving the double range.  An SVD of K is
+    taken only when the bracket of ||K||_2 from its largest entry cannot
+    decide the check (see ep_core._by_norm_bracket).
     """
-    _, nmat = _traceless_part(sys.h)
+    return _genericity_product(sys, _traceless_part(sys.h)[1])
+
+
+def _genericity_product(sys: CompositeSystem, nmat: np.ndarray) -> np.ndarray:
+    """genericity_product with nmat the traceless part of sys.h."""
+    a, b = sys.rep_a, sys.rep_b
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NumericalError below
-        c = sys.rep_b.top_power @ np.asarray(sys.k) @ sys.rep_a.top_power
+        c = b.top_power @ np.asarray(sys.k) @ a.top_power
         block = np.linalg.matrix_power(nmat, sys.dim - 1)[sys.n_a:, :sys.n_a]
         diff = cmatrix._frobenius_norm(c - block)
     if not math.isfinite(diff):  # finite only when every entry of C and of the block is
         raise NumericalError("the genericity product or its cross-check overflows a double")
-    if _exceeds_coupling_scale(sys, diff, lambda norm: 1e-10 * max(_coupling_scale(sys, 1.0, norm), _TINY)):
+    pow_a, pow_b = _norm_power(a.nilpotent_norm, a.dim - 1), _norm_power(b.nilpotent_norm, b.dim - 1)
+    if _exceeds_coupling_scale(sys, diff, lambda norm: 1e-10 * max(norm * pow_a * pow_b, _TINY)):
         raise NumericalError("block product and direct matrix power disagree beyond tolerance")
     return c
-
-
-def _coupling_scale(sys: CompositeSystem, rel: float, coupling_norm: float) -> float:
-    """rel * ||K||_2 * ||N_a||_2^(n_a-1) * ||N_b||_2^(n_b-1), the size C has without cancellation."""
-    a, b = sys.rep_a, sys.rep_b
-    pow_a, pow_b = _norm_power(a.nilpotent_norm, a.dim - 1), _norm_power(b.nilpotent_norm, b.dim - 1)
-    return rel * coupling_norm * pow_a * pow_b
 
 
 def _exceeds_coupling_scale(sys: CompositeSystem, value: float, threshold) -> bool:
@@ -220,30 +232,32 @@ def _exceeds_coupling_scale(sys: CompositeSystem, value: float, threshold) -> bo
 def composite_response(sys: CompositeSystem) -> float:
     """Composite response strength xi = ||C||_2 = ||C||_F.
 
-    Raises DegenerateCouplingError (naming the achieved order) when C is
-    numerically zero against the coupling scale, i.e. the coupling is
-    nongeneric, and NumericalError when ||C||_F leaves the double range.  The
-    rank-one norm of C is certified by ep_core._rank_one_norm, without an SVD
-    when C is rank one to well below its 1e-10 check.
+    Raises DegenerateCouplingError (naming the achieved order) when the
+    coupling is nongeneric, ||C||_F <= 1e-8 * xi_a * xi_b * ||K||_2, and
+    NumericalError when ||C||_F leaves the double range.  The rank-one norm of
+    C is certified by ep_core._rank_one_norm, without an SVD when C is rank
+    one to well below its 1e-10 check.
     """
-    return _block_response(sys)[1]
+    return _block_response(sys)[2]
 
 
-def _block_response(sys: CompositeSystem) -> tuple[np.ndarray, float]:
-    """(C, xi): the genericity product and composite_response, for it and CompositeSystem.report."""
-    c = genericity_product(sys)
+def _block_response(sys: CompositeSystem) -> tuple[np.ndarray, np.ndarray, float]:
+    """(N, C, xi): the traceless part of sys.h, the genericity product and composite_response."""
+    _, nmat = _traceless_part(sys.h)
+    c = _genericity_product(sys, nmat)
     with np.errstate(over="ignore"):  # an overflow raises NumericalError below
         frob = cmatrix._frobenius_norm(c)
     if not math.isfinite(frob):
         raise NumericalError("||C||_F of the genericity product overflows a double")
-    if not _exceeds_coupling_scale(sys, frob, lambda norm: _coupling_scale(sys, 1e-8, norm)):
-        _, nmat = _traceless_part(sys.h)
-        achieved = nilpotency_index(nmat)
+    xi_a, xi_b = sys.rep_a.response_strength, sys.rep_b.response_strength
+    # a subsystem whose top power was flushed to zero has xi = 0, which _upper_bound rejects, and C = 0
+    if frob == 0.0 or not _exceeds_coupling_scale(sys, frob, lambda norm: 1e-8 * _upper_bound(xi_a, xi_b, norm)):
+        achieved = _nilpotency(nmat, default_nil_tol(sys.dim))[0]
         raise DegenerateCouplingError(
             f"coupling is degenerate: composite order {achieved} < {sys.dim}",
             achieved_order=achieved,
         )
-    return c, _rank_one_norm(c, "the genericity product")
+    return nmat, c, _rank_one_norm(c, "the genericity product")
 
 
 def response_upper_bound(xi_a: float, xi_b: float, k) -> float:
@@ -253,6 +267,6 @@ def response_upper_bound(xi_a: float, xi_b: float, k) -> float:
 
 def _upper_bound(xi_a: float, xi_b: float, coupling_norm: float) -> float:
     """response_upper_bound from a known ||K||_2, such as CompositeSystem.coupling_norm."""
-    if xi_a <= 0 or xi_b <= 0:
-        raise ParameterError(f"response strengths must be positive, got {xi_a} and {xi_b}")
+    if not (0.0 < xi_a < math.inf and 0.0 < xi_b < math.inf):
+        raise ParameterError(f"response strengths must be positive and finite, got {xi_a} and {xi_b}")
     return float(xi_a * xi_b * coupling_norm)

@@ -40,6 +40,19 @@ def random_distinct_spectrum(rng, dim: int, min_gap: float = 1e-2) -> np.ndarray
     return s @ np.diag(vals) @ np.linalg.inv(s)
 
 
+def rank(a) -> int:
+    """Number of singular values above cmatrix.DEFAULT_RTOL * max(rows, cols) * sigma_max."""
+    a = np.asarray(a, dtype=complex)
+    s = np.linalg.svd(a, compute_uv=False)
+    return int(np.count_nonzero(s > cmatrix.DEFAULT_RTOL * max(a.shape) * s[0]))
+
+
+def eigenvalues(a) -> np.ndarray:
+    """All eigenvalues with multiplicity, sorted by real part then imaginary part."""
+    vals = np.linalg.eigvals(np.asarray(a, dtype=complex))
+    return vals[np.lexsort((vals.imag, vals.real))]
+
+
 def reference_nilpotency_index(nmat: np.ndarray, nil_tol: float):
     """Smallest k <= dim with ||N^k||_2 <= nil_tol * ||N||_2^k, or None, with one SVD per power."""
     dim = nmat.shape[0]
@@ -69,7 +82,7 @@ def reference_composite_response(system) -> float:
     pow_b = ep_core._norm_power(b.nilpotent_norm, b.dim - 1)
     if cmatrix.frobenius_norm(c - block) > 1e-10 * max(system.coupling_norm * pow_a * pow_b, np.finfo(float).tiny):
         raise NumericalError("block product and direct matrix power disagree beyond tolerance")
-    if cmatrix.frobenius_norm(c) <= 1e-8 * system.coupling_norm * pow_a * pow_b:
+    if cmatrix.frobenius_norm(c) <= 1e-8 * (a.response_strength * b.response_strength * system.coupling_norm):
         raise DegenerateCouplingError("coupling is degenerate")
     if rank_one_svd_rejects(c):
         raise NumericalError("the genericity product is not numerically rank one")

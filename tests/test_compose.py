@@ -215,6 +215,16 @@ def test_degenerate_coupling_raises_with_achieved_order():
     assert info.value.achieved_order == 3
 
 
+def test_subsystem_with_a_flushed_top_power_gives_a_degenerate_coupling():
+    # detect_ep certifies this non-normal block at full order but flushes its whole top power
+    # (ROADMAP item 1), so xi_a = 0 and C = 0: degenerate, not a ParameterError from the bound
+    h_a = helpers.transformed_jordan_block(helpers.philox(1), 15)
+    system = compose.block_compose(h_a, pt_dimer(0.0, 1.0), np.ones((2, 15)))
+    assert system.rep_a.response_strength == 0.0
+    with pytest.raises(DegenerateCouplingError):
+        compose.composite_response(system)
+
+
 @pytest.mark.parametrize("kind", ["single_entry", "dense"])
 def test_report_certifies_order_five_at_every_coupling_scale(kind):
     # powering the assembled H gave orders 4, 3 and 2 from k = 1e4 on; the block theorem gives 5
@@ -260,6 +270,12 @@ def test_upper_bound_zero_coupling():
 def test_upper_bound_rejects_nonpositive_strengths():
     with pytest.raises(ParameterError):
         compose.response_upper_bound(0.0, 1.0, np.eye(2))
+
+
+@pytest.mark.parametrize("xi_a, xi_b", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
+def test_upper_bound_rejects_non_finite_strengths(xi_a, xi_b):
+    with pytest.raises(ParameterError, match="finite"):
+        compose.response_upper_bound(xi_a, xi_b, np.eye(2))
 
 
 def test_bound_holds_on_random_couplings():
@@ -345,6 +361,74 @@ def test_compose_many_three_subsystems():
     assert compose.composite_response(system) == pytest.approx(
         ep_core.response_strength(system.h), rel=1e-8
     )
+
+
+def dimer_chain(rng, depth):
+    """(hams, couplings, gs) of a compose_many chain of depth dimers at one shared eigenvalue."""
+    omega0 = rng.uniform(0.5, 1.5)
+    gs = [10.0 ** rng.uniform(np.log10(0.5), np.log10(2.0)) for _ in range(depth)]
+    ks = [helpers.complex_uniform(rng, (2, 2 * (j + 1))) for j in range(depth - 1)]
+    return [pt_dimer(omega0, g) for g in gs], ks, gs
+
+
+def chain_top_power(gs, ks):
+    """N^(dim-1) of a dimer chain by the block recursion: the lower-left block of each level is N_b K top_a."""
+    top = gs[0] * np.array([[1j, 1.0], [1.0, -1j]])
+    for g, k in zip(gs[1:], ks):
+        m = top.shape[0]
+        nxt = np.zeros((m + 2, m + 2), dtype=complex)
+        nxt[m:, :m] = g * np.array([[1j, 1.0], [1.0, -1j]]) @ k @ top
+        top = nxt
+    return top
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_compose_many_certifies_dimer_chains_at_full_order(seed):
+    # powering each intermediate composite rejected some of these chains, and the degeneracy
+    # threshold on ||N_a||^(n_a-1) * ||N_b||^(n_b-1) called others degenerate
+    rng = helpers.philox(seed)
+    for depth in range(2, 9):
+        hams, ks, gs = dimer_chain(rng, depth)
+        report = compose.compose_many(hams, ks).report
+        assert report.order == 2 * depth and report.is_full_ep
+        xi = np.linalg.norm(chain_top_power(gs, ks))
+        assert report.response_strength == pytest.approx(xi, rel=1e-12)
+        assert jordan.response_from_chain(jordan.jordan_chain(report)) == pytest.approx(xi, rel=1e-8)
+
+
+def test_block_compose_onto_a_non_normal_chain_is_generic():
+    # strong chain couplings make ||N_a||_2^7 of the 8x8 upstream far exceed xi_a: a threshold
+    # of 1e-8 * ||K||_2 * ||N_a||_2^7 * ||N_b||_2 called this dense K degenerate
+    hams, ks, _ = dimer_chain(helpers.philox(3), 4)
+    upstream = compose.compose_many(hams, [30.0 * k for k in ks])
+    k = helpers.complex_uniform(helpers.philox(1003), (2, 8))
+    system = compose.block_compose(upstream.h, pt_dimer(upstream.ep_eigenvalue.real, 1.0), k)
+    xi = compose.composite_response(system)
+    assert xi == pytest.approx(helpers.reference_composite_response(system), rel=1e-13)
+    assert 0.0 < xi <= compose.response_upper_bound(system.rep_a.response_strength, 2.0, k) * (1 + 1e-12)
+
+
+def test_compose_many_runs_one_power_test_per_subsystem(monkeypatch):
+    calls = []
+    nilpotency = ep_core._nilpotency
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return nilpotency(*args, **kwargs)
+
+    monkeypatch.setattr(ep_core, "_nilpotency", counting)
+    hams, ks, _ = dimer_chain(helpers.philox(67), 5)
+    compose.compose_many(hams, ks)
+    assert calls == [2] * 5
+
+
+def test_compose_many_nongeneric_intermediate_names_the_achieved_order():
+    rng = helpers.philox(71)
+    hams = [pt_dimer(1.0, 1.5), pt_dimer(1.0, 0.7), pt_dimer(1.0, 1.1)]
+    n_1 = ep_core.traceless_part(hams[0])[1]
+    with pytest.raises(DegenerateCouplingError) as info:
+        compose.compose_many(hams, [n_1, helpers.complex_uniform(rng, (2, 4))])
+    assert info.value.achieved_order == 2
 
 
 def test_compose_many_argument_validation():

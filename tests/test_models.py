@@ -15,7 +15,7 @@ def test_dimer_matrix_entries():
 
 
 def test_dimer_eigenvalues_coalesce_at_omega0():
-    vals = cmatrix.eigenvalues(models.pt_dimer(2.0, 0.8))
+    vals = helpers.eigenvalues(models.pt_dimer(2.0, 0.8))
     assert np.max(np.abs(vals - 2.0)) < 1e-6
 
 
@@ -81,7 +81,7 @@ def test_single_entry_coupling_layout():
 def test_single_entry_spectral_norm_any_placement(row, col):
     k = models.single_entry_coupling(0.7 + 0.2j, 3, 2, row, col)
     assert cmatrix.spectral_norm(k) == pytest.approx(abs(0.7 + 0.2j), rel=1e-12)
-    assert cmatrix.rank(k) == 1
+    assert helpers.rank(k) == 1
 
 
 def test_single_entry_coupling_rejects_bad_position():
