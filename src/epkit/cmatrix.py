@@ -75,8 +75,14 @@ def frobenius_norm(a) -> float:
 
 
 def _frobenius_norm(a: np.ndarray) -> float:
-    """frobenius_norm of an array already known to be a finite 2-d complex matrix."""
-    return float(np.linalg.norm(a, "fro"))
+    """frobenius_norm of a complex array without validation; a 1-d array gets its Euclidean norm.
+
+    It sums as the fast path of np.linalg.norm does, in the same order, so the
+    bits agree, but skips that function's Python-level dispatch.  Squares that
+    overflow give inf.
+    """
+    x = a.ravel(order="K")
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def _svd(a: np.ndarray, compute_uv: bool = True):
@@ -111,7 +117,7 @@ def kernel_vector(a) -> np.ndarray:
     if null_dim != 1:
         raise DegeneracyError(f"null space dimension is {null_dim}, expected 1 at rtol={DEFAULT_RTOL:g}")
     v = vh[-1].conj()
-    v = v / np.linalg.norm(v)
+    v = v / _frobenius_norm(v)
     return v * _pivot_phase(v)
 
 

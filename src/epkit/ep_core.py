@@ -52,6 +52,14 @@ __all__ = [
 ]
 
 
+def _check_positive(name: str, value: float) -> float:
+    """value as a float; ParameterError unless it is positive and finite (NaN included)."""
+    value = float(value)
+    if not math.isfinite(value) or value <= 0.0:
+        raise ParameterError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 def default_nil_tol(dim: int) -> float:
     """Scale-invariant nilpotency threshold; grows mildly with dimension."""
     return 1e-10 * dim
@@ -89,7 +97,7 @@ def nilpotency_index(nmat, nil_tol: float | None = None) -> int | None:
 def _nilpotency(nmat: np.ndarray, nil_tol: float) -> tuple[int | None, float]:
     """(nilpotency_index, ||N||_2) of a validated N."""
     dim = nmat.shape[0]
-    if not (np.isfinite(nil_tol) and nil_tol > 0.0):
+    if not (math.isfinite(nil_tol) and nil_tol > 0.0):
         raise ParameterError(f"nil_tol must be finite and positive, got {nil_tol}")
     base = cmatrix._spectral_norm(nmat)
     power = nmat
@@ -119,7 +127,7 @@ def _by_norm_bracket(m: np.ndarray, decide) -> bool:
     SVD.  Validated inputs are finite, so a non-finite entry is an overflowed
     power of N and raises NumericalError.
     """
-    peak = float(np.max(np.abs(m)))
+    peak = float(np.abs(m).max())
     if not peak <= _HUGE:
         raise NumericalError("a power of N overflows a double")
     if peak == 0.0:
@@ -282,6 +290,8 @@ def greens_function(report: EpReport, energy: complex) -> np.ndarray:
     if report.order is None:
         raise PreconditionError("Green's function expansion requires a nilpotent traceless part")
     energy = complex(energy)
+    if not cmath.isfinite(energy):
+        raise ParameterError(f"energy must be finite, got {energy}")
     delta = energy - report.ep_eigenvalue
     if delta == 0:
         raise PoleError("energy coincides with the degenerate eigenvalue")
@@ -297,8 +307,7 @@ def greens_function(report: EpReport, energy: complex) -> np.ndarray:
 def splitting_bound(xi: float, eps: float, h1_spectral_norm: float, n: int) -> float:
     """Upper bound (eps * ||H1||_2 * xi)^(1/n) on |E_j - ep_eigenvalue|."""
     for name, value in (("xi", xi), ("eps", eps), ("h1_spectral_norm", h1_spectral_norm), ("n", n)):
-        if value <= 0:
-            raise ParameterError(f"{name} must be positive, got {value}")
+        _check_positive(name, value)
     return float((eps * h1_spectral_norm * xi) ** (1.0 / n))
 
 
@@ -308,9 +317,8 @@ def machine_precision_bound(xi: float, n: int) -> float:
     Models rounding errors as a random perturbation of strength DEFAULT_EPS_MP
     whose spectral norm is estimated by 2 sqrt(n) for unit-variance entries.
     """
-    for name, value in (("xi", xi), ("n", n)):
-        if value <= 0:
-            raise ParameterError(f"{name} must be positive, got {value}")
+    _check_positive("xi", xi)
+    _check_positive("n", n)
     return float((2.0 * np.sqrt(n) * DEFAULT_EPS_MP * xi) ** (1.0 / n))
 
 
@@ -354,10 +362,7 @@ def predicted_splitting(report: EpReport, h1, eps: float) -> SplittingPrediction
     else:
         psi = cmatrix.kernel_vector(report.nilpotent)
         sandwich_form = complex(np.vdot(psi, product @ psi))
-    scale = max(
-        cmatrix.frobenius_norm(power) * cmatrix.frobenius_norm(h1),
-        np.finfo(float).tiny,
-    )
+    scale = max(cmatrix.frobenius_norm(power) * cmatrix.frobenius_norm(h1), _TINY)
     if abs(trace_form - sandwich_form) > 1e-10 * scale:
         raise NumericalError(
             f"trace ({trace_form:.6e}) and eigenstate ({sandwich_form:.6e}) forms of the radicand disagree"

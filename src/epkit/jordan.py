@@ -22,6 +22,9 @@ from .errors import ParameterError, PreconditionError, ShapeError, StructureErro
 
 __all__ = ["JordanChain", "jordan_chain", "response_from_chain", "coupling_amplitude"]
 
+#: Absolute floor of the chain-residual budget, for an N of tiny norm.
+_BUDGET_FLOOR = 64 * float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class JordanChain:
@@ -53,10 +56,15 @@ class JordanChain:
 
 
 def _chain_residuals(nmat, vectors) -> tuple[float, ...]:
-    res = [float(np.linalg.norm(nmat @ vectors[0]))]
+    res = [cmatrix._frobenius_norm(nmat @ vectors[0])]
     for l in range(1, len(vectors)):
-        res.append(float(np.linalg.norm(nmat @ vectors[l] - vectors[l - 1])))
+        res.append(cmatrix._frobenius_norm(nmat @ vectors[l] - vectors[l - 1]))
     return tuple(res)
+
+
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of m, as np.linalg.norm(m, axis=1) sums them, without its dispatch."""
+    return np.sqrt(np.add.reduce((m.conj() * m).real, axis=1))
 
 
 def jordan_chain(report: EpReport) -> JordanChain:
@@ -76,14 +84,14 @@ def jordan_chain(report: EpReport) -> JordanChain:
     nmat = np.asarray(report.nilpotent)
     n = report.dim
     power = report.top_power
-    row_norms = np.linalg.norm(power, axis=1)
+    row_norms = _row_norms(power)
     top = int(np.argmax(row_norms))
     if not row_norms[top] > 0.0:
         raise StructureError("N^(n-1) is numerically zero; no Jordan chain to build")
     vectors = [power[top].conj() / row_norms[top]]  # j_n up to scale
     for _ in range(n - 1):
         vectors.append(nmat @ vectors[-1])
-    factor = cmatrix._pivot_phase(vectors[-1]) / np.linalg.norm(vectors[-1])  # vectors[-1] is j_1 up to scale
+    factor = cmatrix._pivot_phase(vectors[-1]) / cmatrix._frobenius_norm(vectors[-1])  # vectors[-1] is j_1 up to scale
     vectors = [v * factor for v in reversed(vectors)]
 
     chain_res = _chain_residuals(nmat, vectors)
@@ -91,8 +99,8 @@ def jordan_chain(report: EpReport) -> JordanChain:
     last = vectors[-1]
     ortho_res = tuple(float(abs(np.vdot(last, vectors[l]))) for l in range(n - 1))
 
-    budget = max(1e-10 * report.nilpotent_norm, 64 * np.finfo(float).eps)
-    norms = [np.linalg.norm(v) for v in vectors]
+    budget = max(1e-10 * report.nilpotent_norm, _BUDGET_FLOOR)
+    norms = [cmatrix._frobenius_norm(v) for v in vectors]
     ok = chain_res[0] <= budget and all(chain_res[l] <= budget * norms[l - 1] for l in range(1, n))
     ok = ok and norm_res <= 1e-12
     ok = ok and all(r <= 1e-10 * norms[-1] for r in ortho_res)
@@ -111,7 +119,7 @@ def jordan_chain(report: EpReport) -> JordanChain:
 
 def response_from_chain(chain: JordanChain) -> float:
     """Response strength recovered from the chain: 1 / ||j_n||."""
-    return float(1.0 / np.linalg.norm(chain.vectors[-1]))
+    return 1.0 / cmatrix._frobenius_norm(chain.vectors[-1])
 
 
 def coupling_amplitude(chain_b: JordanChain, psi_ep_a, k) -> complex:
@@ -123,10 +131,10 @@ def coupling_amplitude(chain_b: JordanChain, psi_ep_a, k) -> complex:
     """
     psi = cmatrix.as_vector(psi_ep_a, "psi_ep_a")
     k = cmatrix.as_matrix(k, "K")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
+    if abs(cmatrix._frobenius_norm(psi) - 1.0) > 1e-12:
         raise ParameterError("psi_ep_a must be normalized to unit length")
     last = chain_b.vectors[-1]
     if k.shape != (last.shape[0], psi.shape[0]):
         raise ShapeError(f"K has shape {k.shape}, expected {(last.shape[0], psi.shape[0])}")
-    j_tilde = last / np.linalg.norm(last)
+    j_tilde = last / cmatrix._frobenius_norm(last)
     return complex(np.vdot(j_tilde, k @ psi))

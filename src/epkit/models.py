@@ -16,6 +16,7 @@ import numpy as np
 
 from . import cmatrix
 from .compose import CompositeSystem, block_compose
+from .ep_core import _check_positive
 from .errors import ParameterError, ParseError
 
 __all__ = [
@@ -28,13 +29,6 @@ __all__ = [
     "LoadedSystem",
     "load_system",
 ]
-
-
-def _check_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ParameterError(f"{name} must be positive and finite, got {value}")
-    return value
 
 
 def pt_dimer_detuned(omega0: float, g_a: float, alpha_a: float) -> np.ndarray:

@@ -1,10 +1,14 @@
 """Tests for the dense complex linear algebra kernel."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from epkit import cmatrix
+from epkit import cmatrix, jordan
 from epkit.ep_core import traceless_part
 from epkit.errors import (
     DegeneracyError,
@@ -57,6 +61,44 @@ def test_frobenius_dimer_nilpotent():
 
 def test_frobenius_unit_entries():
     assert cmatrix.frobenius_norm([[1.0, 1j], [0.0, 0.0]]) == pytest.approx(np.sqrt(2), rel=1e-14)
+
+
+@st.composite
+def norm_inputs(draw, ndims=(1, 2)):
+    """A 1-d or 2-d complex array at scale 10**-300 ... 10**300, as a C-ordered, transposed or strided view.
+
+    Entries are zero or of modulus up to sqrt(2) times the scale, so at large
+    scales the sum of squares overflows.
+    """
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(draw(st.sampled_from(ndims))))
+    size = int(np.prod(shape))
+    step = draw(st.sampled_from([1, 2, -1, -3]))
+    unit = st.floats(-1.0, 1.0)
+    entries = draw(st.lists(st.builds(complex, unit, unit), min_size=3 * size, max_size=3 * size))
+    flat = (10.0 ** draw(st.integers(-300, 300)) * np.array(entries))[::step][:size]
+    if draw(st.booleans()):
+        return flat.reshape(shape[::-1]).T
+    return flat.reshape(shape)
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", float(x))
+
+
+@settings(deadline=None, max_examples=400)
+@given(norm_inputs())
+def test_frobenius_kernel_matches_numpy_norm_bit_for_bit(a):
+    with np.errstate(over="ignore"):
+        assert _bits(cmatrix._frobenius_norm(a)) == _bits(np.linalg.norm(a))
+
+
+@settings(deadline=None, max_examples=300)
+@given(norm_inputs(ndims=(2,)))
+def test_row_norms_match_numpy_norm_bit_for_bit(a):
+    with np.errstate(over="ignore"):
+        got, want = jordan._row_norms(a), np.linalg.norm(a, axis=1)
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 def test_spectral_identity():

@@ -1,5 +1,7 @@
 """Tests for exceptional point detection and spectral response."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -393,6 +395,16 @@ def test_greens_function_needs_nilpotent():
         ep_core.greens_function(report, 5.0)
 
 
+@pytest.mark.parametrize("energy", [np.nan, np.inf, complex(1.0, np.nan), complex(-np.inf, 0.0)],
+                         ids=["nan", "inf", "nan_imaginary", "minus_inf_real"])
+def test_greens_function_rejects_non_finite_energy(report5, energy):
+    # the expansion would give an all-NaN matrix under RuntimeWarnings for NaN, and zeros for inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="energy must be finite"):
+            ep_core.greens_function(report5, energy)
+
+
 # ---------------------------------------------------------------------------
 # splitting bounds
 
@@ -414,6 +426,21 @@ def test_splitting_bound_eps_doubling():
 def test_splitting_bound_rejects_nonpositive():
     with pytest.raises(ParameterError):
         ep_core.splitting_bound(0.0, 1.0, 1.0, 2)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("argument", ["xi", "eps", "h1_spectral_norm"])
+def test_splitting_bound_rejects_non_finite(argument, value):
+    # NaN compares False with 0 and inf is positive, so a value <= 0 check lets both through
+    args = {"xi": 1.0, "eps": 1e-3, "h1_spectral_norm": 1.0, "n": 5, argument: value}
+    with pytest.raises(ParameterError, match=f"{argument} must be positive and finite"):
+        ep_core.splitting_bound(**args)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_machine_precision_bound_rejects_non_finite(value):
+    with pytest.raises(ParameterError, match="xi must be positive and finite"):
+        ep_core.machine_precision_bound(value, 5)
 
 
 def test_machine_precision_bound_example():

@@ -257,6 +257,23 @@ def test_coupling_amplitude_shape_error():
         jordan.coupling_amplitude(chain_b, psi_a, np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("kind", ["single_entry", "dense"])
+def test_certification_routes_call_no_numpy_norm(monkeypatch, kind):
+    # on 2x2 ... 5x5 inputs np.linalg.norm's Python dispatch costs more than the sum it computes
+    h_a, h_b = pt_dimer(1.0, 1.5), pt_trimer(1.0, 1.3)
+    k = helpers.complex_uniform(helpers.philox(5), (3, 2)) if kind == "dense" else single_entry_coupling(0.7, 3, 2)
+    calls = helpers.count_linalg(monkeypatch, "norm")
+    system = block_compose(h_a, h_b, k)
+    report = ep_core.detect_ep(system.h)
+    via_chain = jordan.response_from_chain(jordan.jordan_chain(report))
+    via_product = composite_response(system)
+    rep_a, rep_b = ep_core.detect_ep(h_a), ep_core.detect_ep(h_b)
+    amplitude = jordan.coupling_amplitude(jordan.jordan_chain(rep_b), cmatrix.kernel_vector(rep_a.nilpotent), k)
+    assert calls["norm"] == 0
+    assert via_chain == pytest.approx(report.response_strength, rel=1e-8)
+    assert via_product == pytest.approx(3.0 * 6.76 * abs(amplitude), rel=1e-8)
+
+
 def test_chain_json_layout():
     chain = chain_for(pt_dimer(1.0, 1.5))
     payload = chain.to_json()

@@ -412,6 +412,19 @@ def test_records_to_csv_roundtrip():
     assert int(trial_text) == 0
 
 
+@pytest.mark.parametrize(
+    "eps_min, eps_max",
+    [(1e-12, np.inf), (1e-12, np.nan), (np.nan, 1e-2), (-np.inf, 1e-2)],
+    ids=["inf_max", "nan_max", "nan_min", "minus_inf_min"],
+)
+def test_log_grid_rejects_non_finite_endpoints(eps_min, eps_max):
+    # np.logspace warns on an infinite endpoint and returns nan and inf strengths
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="finite"):
+            perturb.log_grid(eps_min, eps_max, 4)
+
+
 def test_log_grid_endpoints():
     grid = perturb.log_grid(1e-12, 1e-2, 41)
     assert len(grid) == 41
