@@ -47,7 +47,6 @@ from .models import (
 from .perturb import (
     Perturbation,
     SlopeFit,
-    SweepRecord,
     fit_slope,
     max_splitting,
     random_generic,

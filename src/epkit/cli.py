@@ -147,11 +147,9 @@ def _cmd_sweep(args) -> int:
     system = models.load_system(_load_json(args.input))
     ep_eigenvalue, _ = ep_core.traceless_part(system.h)
     grid = perturb.log_grid(args.eps_min, args.eps_max, args.points)
-    records = perturb.sweep(
-        system.h, ep_eigenvalue, args.mode, grid, args.trials, args.seed, n_a=system.n_a
-    )
-    fit = perturb.fit_slope(records, _fit_window(args.eps_min, args.eps_max))
-    Path(args.out).write_text(perturb.records_to_csv(records), encoding="utf-8")
+    table = perturb.sweep(system.h, ep_eigenvalue, args.mode, grid, args.trials, args.seed, n_a=system.n_a)
+    fit = perturb.fit_slope(grid, table, _fit_window(args.eps_min, args.eps_max))
+    Path(args.out).write_text(perturb.records_to_csv(grid, table), encoding="utf-8")
     _dump_json(fit.to_json(), None)
     return EXIT_OK
 
@@ -162,14 +160,14 @@ def _sweep_both_modes(system, grid, trials: int, seed: int) -> dict:
     The preserving sweep runs on a second thread while this one runs the
     generic sweep: their stacked eigenvalue calls release the interpreter lock
     and overlap on two cores.  Each sweep is the call it would be alone, so
-    the records are bit-identical.  Both sweeps finish before an error is
+    the tables are bit-identical.  Both sweeps finish before an error is
     raised, the generic one's first.
     """
-    records, errors = {}, {}
+    tables, errors = {}, {}
 
     def run(mode: str) -> None:
         try:
-            records[mode] = perturb.sweep(system.h, system.ep_eigenvalue, mode, grid, trials, seed, n_a=system.n_a)
+            tables[mode] = perturb.sweep(system.h, system.ep_eigenvalue, mode, grid, trials, seed, n_a=system.n_a)
         except Exception as exc:  # raised on the calling thread once both sweeps are done
             errors[mode] = exc
 
@@ -182,7 +180,7 @@ def _sweep_both_modes(system, grid, trials: int, seed: int) -> dict:
     for mode in ("generic", "preserving"):
         if mode in errors:
             raise errors[mode]
-    return {mode: records[mode] for mode in ("generic", "preserving")}
+    return {mode: tables[mode] for mode in ("generic", "preserving")}
 
 
 def _cmd_reproduce_fig3(args) -> int:
@@ -193,10 +191,10 @@ def _cmd_reproduce_fig3(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     window = _fit_window(args.eps_min, args.eps_max)
-    records = _sweep_both_modes(system, grid, args.trials, args.seed)
-    slopes = {mode: perturb.fit_slope(recs, window).to_json() for mode, recs in records.items()}
-    for mode, recs in records.items():  # written only after both fits succeed: a failed fit leaves no file
-        (out_dir / f"fig3_{mode}.csv").write_text(perturb.records_to_csv(recs), encoding="utf-8")
+    tables = _sweep_both_modes(system, grid, args.trials, args.seed)
+    slopes = {mode: perturb.fit_slope(grid, table, window).to_json() for mode, table in tables.items()}
+    for mode, table in tables.items():  # written only after both fits succeed: a failed fit leaves no file
+        (out_dir / f"fig3_{mode}.csv").write_text(perturb.records_to_csv(grid, table), encoding="utf-8")
     payload = {
         "parameters": {
             "omega0": d["omega0"],
@@ -217,6 +215,15 @@ def _cmd_reproduce_fig3(args) -> int:
     return EXIT_OK
 
 
+def _add_sweep_options(p: argparse.ArgumentParser) -> None:
+    """The strength grid, trial count and seed options shared by sweep and reproduce-fig3."""
+    p.add_argument("--eps-min", type=_float_above(0.0), default=FIG3_DEFAULTS["eps_min"])
+    p.add_argument("--eps-max", type=_float_above(0.0), default=FIG3_DEFAULTS["eps_max"])
+    p.add_argument("--points", type=_int_in(2), default=FIG3_DEFAULTS["points"])
+    p.add_argument("--trials", type=_int_in(1), default=FIG3_DEFAULTS["trials"])
+    p.add_argument("--seed", type=_int_in(0, 2**64), default=FIG3_DEFAULTS["seed"])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epkit",
@@ -224,17 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="detect an exceptional point in a matrix or named model")
-    p.add_argument("--input", required=True, help="matrix JSON or named-model JSON file")
-    p.add_argument("--tol", type=_float_above(0.0), default=None, help="nilpotency tolerance override")
-    p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("jordan", help="emit the gauge-fixed Jordan chain")
-    p.add_argument("--input", required=True, help="matrix JSON or named-model JSON file")
-    p.add_argument("--tol", type=_float_above(0.0), default=None, help="nilpotency tolerance override")
-    p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
-    p.set_defaults(func=_cmd_jordan)
+    for name, help_text, func in (
+        ("analyze", "detect an exceptional point in a matrix or named model", _cmd_analyze),
+        ("jordan", "emit the gauge-fixed Jordan chain", _cmd_jordan),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--input", required=True, help="matrix JSON or named-model JSON file")
+        p.add_argument("--tol", type=_float_above(0.0), default=None, help="nilpotency tolerance override")
+        p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("compose", help="assemble H = [[H_a, 0], [K, H_b]] and report its response")
     p.add_argument("--a", required=True, help="upstream subsystem file")
@@ -247,11 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="randomized perturbation sweep; CSV to --out, slope fit to stdout")
     p.add_argument("--input", required=True, help="matrix JSON or named-model JSON file")
     p.add_argument("--mode", choices=("generic", "preserving"), default="generic")
-    p.add_argument("--eps-min", type=_float_above(0.0), default=FIG3_DEFAULTS["eps_min"])
-    p.add_argument("--eps-max", type=_float_above(0.0), default=FIG3_DEFAULTS["eps_max"])
-    p.add_argument("--points", type=_int_in(2), default=FIG3_DEFAULTS["points"])
-    p.add_argument("--trials", type=_int_in(1), default=FIG3_DEFAULTS["trials"])
-    p.add_argument("--seed", type=_int_in(0, 2**64), default=FIG3_DEFAULTS["seed"])
+    _add_sweep_options(p)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sweep)
 
@@ -265,11 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-a", type=_float_above(0.0), default=FIG3_DEFAULTS["g_a"], dest="g_a")
     p.add_argument("--g-b", type=_float_above(0.0), default=FIG3_DEFAULTS["g_b"], dest="g_b")
     p.add_argument("--k", type=_float_above(-math.inf), default=FIG3_DEFAULTS["k"])
-    p.add_argument("--eps-min", type=_float_above(0.0), default=FIG3_DEFAULTS["eps_min"])
-    p.add_argument("--eps-max", type=_float_above(0.0), default=FIG3_DEFAULTS["eps_max"])
-    p.add_argument("--points", type=_int_in(2), default=FIG3_DEFAULTS["points"])
-    p.add_argument("--trials", type=_int_in(1), default=FIG3_DEFAULTS["trials"])
-    p.add_argument("--seed", type=_int_in(0, 2**64), default=FIG3_DEFAULTS["seed"])
+    _add_sweep_options(p)
     p.add_argument("--out", default=".", help="output directory for the two CSVs and slope JSON")
     p.set_defaults(func=_cmd_reproduce_fig3)
 

@@ -297,18 +297,29 @@ def greens_function(report: EpReport, energy: complex) -> np.ndarray:
         raise PoleError("energy coincides with the degenerate eigenvalue")
     dim = report.dim
     g = np.zeros((dim, dim), dtype=complex)
-    term = np.eye(dim, dtype=complex) / delta
-    for _ in range(report.order):
-        g += term
-        term = term @ report.nilpotent / delta
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry raises NumericalError below
+        term = np.eye(dim, dtype=complex) / delta
+        for _ in range(report.order):
+            g += term
+            term = term @ report.nilpotent / delta
+    if not np.isfinite(g).all():
+        raise NumericalError(f"the resolvent expansion overflows a double at energy {energy}")
     return g
+
+
+def _root_of_product(factors, n) -> float:
+    """(f_1 * f_2 * ...)^(1/n) of positive finite factors, rooted one by one where the product under- or overflows."""
+    product = math.prod(float(f) for f in factors)
+    if 0.0 < product < math.inf:
+        return float(product ** (1.0 / n))
+    return float(math.prod(float(f) ** (1.0 / n) for f in factors))
 
 
 def splitting_bound(xi: float, eps: float, h1_spectral_norm: float, n: int) -> float:
     """Upper bound (eps * ||H1||_2 * xi)^(1/n) on |E_j - ep_eigenvalue|."""
     for name, value in (("xi", xi), ("eps", eps), ("h1_spectral_norm", h1_spectral_norm), ("n", n)):
         _check_positive(name, value)
-    return float((eps * h1_spectral_norm * xi) ** (1.0 / n))
+    return _root_of_product((eps, h1_spectral_norm, xi), n)
 
 
 def machine_precision_bound(xi: float, n: int) -> float:
@@ -319,7 +330,7 @@ def machine_precision_bound(xi: float, n: int) -> float:
     """
     _check_positive("xi", xi)
     _check_positive("n", n)
-    return float((2.0 * np.sqrt(n) * DEFAULT_EPS_MP * xi) ** (1.0 / n))
+    return _root_of_product((2.0 * math.sqrt(n), DEFAULT_EPS_MP, xi), n)
 
 
 @dataclass(frozen=True)

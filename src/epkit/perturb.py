@@ -25,7 +25,6 @@ from .errors import ConvergenceError, FitError, ParameterError, ShapeError
 
 __all__ = [
     "Perturbation",
-    "SweepRecord",
     "SlopeFit",
     "child_seed",
     "random_generic",
@@ -79,15 +78,6 @@ class Perturbation:
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One (strength, trial) measurement of the maximal eigenvalue excursion."""
-
-    eps: float
-    max_splitting: float
-    trial: int
 
 
 @dataclass(frozen=True)
@@ -169,24 +159,38 @@ def max_splitting(h, ep_eigenvalue: complex, h1, eps: float) -> float:
     return float(_splittings(h, ep_eigenvalue, h1, np.array([eps]))[0])
 
 
+def _strengths(eps_grid) -> np.ndarray:
+    """eps_grid as a float array; ParameterError unless it is strictly ascending, positive and finite."""
+    strengths = np.array([float(e) for e in eps_grid], dtype=float)
+    if not (len(strengths) and np.isfinite(strengths).all() and strengths[0] > 0 and (np.diff(strengths) > 0).all()):
+        raise ParameterError("eps_grid must be strictly ascending, positive and finite")
+    return strengths
+
+
+def _table(eps_grid, splittings) -> tuple[np.ndarray, np.ndarray]:
+    """(strengths, splittings) as float arrays; ShapeError unless splittings has one row per strength."""
+    strengths, table = _strengths(eps_grid), np.asarray(splittings, dtype=float)
+    if table.ndim != 2 or table.shape[0] != len(strengths) or table.size == 0:
+        raise ShapeError(f"splittings must have one row per strength and >= 1 trial, got shape {table.shape}")
+    return strengths, table
+
+
 def sweep(h, ep_eigenvalue: complex, mode: str, eps_grid, trials: int, seed: int,
-          n_a: int | None = None) -> list[SweepRecord]:
+          n_a: int | None = None) -> np.ndarray:
     """Measure splittings over a strength grid with `trials` perturbation draws.
 
     Trial t draws its matrix once from child_seed(seed, t) and reuses it for
     every strength, so each trial traces a curve over the grid.  Preserving
-    mode needs n_a, the upstream block size.  Records are ordered by strength,
-    then trial.  The whole (strengths, trials, d, d) stack of perturbed
-    matrices takes one eigenvalue call; a grid whose stack would exceed
-    _CHUNK_ENTRIES matrix entries is split into chunks of whole strengths
-    under that bound, with at least one strength per chunk.
+    mode needs n_a, the upstream block size.  Returns a read-only
+    (len(eps_grid), trials) table: row s holds the splittings at eps_grid[s],
+    column t those of trial t.  The whole (strengths, trials, d, d) stack of
+    perturbed matrices takes one eigenvalue call; a grid whose stack would
+    exceed _CHUNK_ENTRIES matrix entries is split into chunks of whole
+    strengths under that bound, with at least one strength per chunk.
     """
     h = cmatrix.as_square(h, "H")
     dim = h.shape[0]
-    grid = [float(e) for e in eps_grid]
-    if (not grid or not all(math.isfinite(e) and e > 0.0 for e in grid)
-            or any(a >= b for a, b in zip(grid, grid[1:]))):
-        raise ParameterError("eps_grid must be strictly ascending, positive and finite")
+    strengths = _strengths(eps_grid)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if mode == "generic":
@@ -198,62 +202,50 @@ def sweep(h, ep_eigenvalue: complex, mode: str, eps_grid, trials: int, seed: int
     else:
         raise ParameterError(f"mode must be 'generic' or 'preserving', got {mode!r}")
     h1_stack = np.stack([p.matrix for p in perts])
-    strengths = np.array(grid)
     step = max(1, _CHUNK_ENTRIES // h1_stack.size)
     table = np.concatenate([
         _splittings(h, ep_eigenvalue, h1_stack, strengths[start:start + step])
-        for start in range(0, len(grid), step)
+        for start in range(0, len(strengths), step)
     ])
-    return [
-        SweepRecord(eps=eps, max_splitting=value, trial=t)
-        for eps, row in zip(grid, table.tolist())
-        for t, value in enumerate(row)
-    ]
+    table.setflags(write=False)
+    return table
 
 
-def fit_slope(records, window: tuple[float, float]) -> SlopeFit:
+def fit_slope(eps_grid, splittings, window: tuple[float, float]) -> SlopeFit:
     """Fit log10(median splitting) against log10(eps) inside the window.
 
-    The median is taken over trials at each strength with the bits of
-    np.median: one sort by (strength, value) orders every group, and each
-    median is the mean of its group's middle value or middle two.  Requires at
-    least three distinct strengths inside the window, a finite splitting at
-    every record inside it and a finite median at every strength.
+    Each row of the sweep table `splittings`, one per strength of eps_grid,
+    enters as its median over trials.  Requires at least three strengths inside
+    the window, every splitting in their rows finite and every median finite.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (0.0 < lo < hi):
         raise ParameterError(f"window must satisfy 0 < lo < hi, got ({lo}, {hi})")
-    table = np.array([(rec.eps, rec.max_splitting) for rec in records], dtype=float).reshape(-1, 2)
-    eps, values = table[(lo <= table[:, 0]) & (table[:, 0] <= hi)].T
-    order = np.lexsort((values, eps))
-    strengths, starts, counts = np.unique(eps[order], return_index=True, return_counts=True)
-    values = values[order]
+    strengths, table = _table(eps_grid, splittings)
+    inside = (lo <= strengths) & (strengths <= hi)
+    strengths, values = strengths[inside], table[inside]
     if len(strengths) < 3:
         raise FitError(f"need >= 3 distinct strengths inside [{lo:g}, {hi:g}], got {len(strengths)}")
     if not np.all(np.isfinite(values)):
         raise FitError(f"a splitting inside [{lo:g}, {hi:g}] is not finite")
-    # np.mean of the middle slice, as np.median takes it: one value over 1 (adding
-    # -0.0, the exact additive identity) for an odd count, two values over 2 for an even one
-    n_middle = 2 - counts % 2
-    second = np.where(n_middle == 2, values[starts + counts // 2], -0.0)
-    with np.errstate(over="ignore"):  # an overflowed sum raises FitError below
-        medians = (values[starts + (counts - 1) // 2] + second) / n_middle
+    with np.errstate(over="ignore"):  # an overflowed mean of two middle values raises FitError below
+        medians = np.median(values, axis=1)
     if not np.all(np.isfinite(medians)):
         raise FitError(f"a median splitting inside [{lo:g}, {hi:g}] overflows a double")
     if np.any(medians <= 0.0):
         raise FitError("median splitting must be positive to fit on a log scale")
-    x = np.log10(strengths)
-    y = np.log10(medians)
+    x, y = np.log10(strengths), np.log10(medians)
     slope, intercept = np.polyfit(x, y, 1)
     residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return SlopeFit(slope=float(slope), intercept=float(intercept), window=(lo, hi), residual=residual)
 
 
-def records_to_csv(records) -> str:
-    """CSV with header epsilon,trial,max_splitting and 17 significant digits."""
+def records_to_csv(eps_grid, splittings) -> str:
+    """CSV of a sweep table with header epsilon,trial,max_splitting, one line per entry, 17 significant digits."""
+    strengths, table = _table(eps_grid, splittings)
     lines = ["epsilon,trial,max_splitting"]
-    for rec in records:
-        lines.append(f"{rec.eps:.17g},{rec.trial},{rec.max_splitting:.17g}")
+    for eps, row in zip(strengths.tolist(), table.tolist()):
+        lines += [f"{eps:.17g},{t},{value:.17g}" for t, value in enumerate(row)]
     return "\n".join(lines) + "\n"
 
 

@@ -113,19 +113,16 @@ def match_eigenvalues(computed, predicted) -> float:
     return float(cost[rows, cols].max())
 
 
-def reference_fit_slope(records, window):
-    """fit_slope as one np.median call per strength: the reference for the single-pass median."""
+def reference_fit_slope(eps_grid, splittings, window):
+    """fit_slope as one np.median call per strength: the reference for the whole-table median."""
     lo, hi = float(window[0]), float(window[1])
     if not (0.0 < lo < hi):
         raise ParameterError(f"window must satisfy 0 < lo < hi, got ({lo}, {hi})")
-    by_eps: dict[float, list[float]] = {}
-    for rec in records:
-        if lo <= rec.eps <= hi:
-            by_eps.setdefault(rec.eps, []).append(rec.max_splitting)
-    if len(by_eps) < 3:
-        raise FitError(f"need >= 3 distinct strengths inside [{lo:g}, {hi:g}], got {len(by_eps)}")
-    eps_values = sorted(by_eps)
-    medians = [float(np.median(by_eps[e])) for e in eps_values]
+    rows = [(eps, row) for eps, row in zip(eps_grid, splittings) if lo <= eps <= hi]
+    if len(rows) < 3:
+        raise FitError(f"need >= 3 distinct strengths inside [{lo:g}, {hi:g}], got {len(rows)}")
+    eps_values = [eps for eps, _ in rows]
+    medians = [float(np.median(row)) for _, row in rows]
     if not all(np.isfinite(medians)):
         raise FitError(f"a median splitting inside [{lo:g}, {hi:g}] overflows a double")
     if any(m <= 0.0 for m in medians):

@@ -405,6 +405,14 @@ def test_greens_function_rejects_non_finite_energy(report5, energy):
             ep_core.greens_function(report5, energy)
 
 
+def test_greens_function_overflow_near_pole_raises(report5):
+    # 1e-70 from the pole the series' last term, N^4 / delta^5, is ~1e350: overflow, then inf * 0 = nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="overflows a double"):
+            ep_core.greens_function(report5, report5.ep_eigenvalue + 1e-70j)
+
+
 # ---------------------------------------------------------------------------
 # splitting bounds
 
@@ -421,6 +429,23 @@ def test_splitting_bound_eps_doubling():
     base = ep_core.splitting_bound(2.0, 1e-8, 3.0, 5)
     doubled = ep_core.splitting_bound(2.0, 2e-8, 3.0, 5)
     assert doubled == pytest.approx(base * 2 ** 0.2, rel=1e-12)
+
+
+@pytest.mark.parametrize("factor, expected", [(1e300, 1e180), (1e-300, 1e-180)], ids=["overflow", "underflow"])
+def test_splitting_bound_outside_the_double_range_of_its_product(factor, expected):
+    # the product under the root, 1e900 or 1e-900, is no double, but its fifth root is
+    assert ep_core.splitting_bound(factor, factor, factor, 5) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_splitting_bounds_in_range_keep_the_direct_formula():
+    assert ep_core.splitting_bound(2.0, 1e-8, 3.0, 5) == (1e-8 * 3.0 * 2.0) ** 0.2
+    assert ep_core.machine_precision_bound(XI_5, 5) == float((2.0 * np.sqrt(5) * ep_core.DEFAULT_EPS_MP * XI_5) ** 0.2)
+
+
+def test_machine_precision_bound_subnormal_xi():
+    # 2 sqrt(5) * 2.22e-16 * 1e-320 underflows to 0; the subnormal 1e-320 carries about 5 digits
+    expected = (2.0 * np.sqrt(5) * ep_core.DEFAULT_EPS_MP) ** 0.2 * 1e-64
+    assert ep_core.machine_precision_bound(1e-320, 5) == pytest.approx(expected, rel=1e-4, abs=0.0)
 
 
 def test_splitting_bound_rejects_nonpositive():

@@ -132,26 +132,33 @@ def test_max_splitting_validation(system5):
 
 def test_sweep_record_layout(system5):
     grid = perturb.log_grid(1e-8, 1e-4, 5)
-    records = perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", grid, 3, seed=42)
-    assert len(records) == 15
-    assert [r.eps for r in records[:3]] == [grid[0]] * 3
-    assert [r.trial for r in records[:3]] == [0, 1, 2]
-    assert all(r.max_splitting >= 0 for r in records)
+    table = perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", grid, 3, seed=42)
+    assert table.shape == (5, 3) and table.dtype == np.float64
+    first_trial = perturb.random_generic(5, perturb.child_seed(42, 0)).matrix
+    assert table[0, 0] == perturb.max_splitting(system5.h, system5.ep_eigenvalue, first_trial, grid[0])
+    assert np.all(table >= 0)
+
+
+def test_sweep_table_is_read_only(system5):
+    table = perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", [1e-8, 1e-4], 2, seed=1)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
 
 
 def test_sweep_bit_reproducible(system5):
     grid = perturb.log_grid(1e-10, 1e-4, 4)
     first = perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", grid, 2, seed=1)
     second = perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", grid, 2, seed=1)
-    assert first == second
+    assert first.tobytes() == second.tobytes()
 
 
 def test_sweep_preserving_needs_split(system5):
     grid = perturb.log_grid(1e-8, 1e-4, 3)
     with pytest.raises(ParameterError):
         perturb.sweep(system5.h, system5.ep_eigenvalue, "preserving", grid, 1, seed=1)
-    records = perturb.sweep(system5.h, system5.ep_eigenvalue, "preserving", grid, 1, seed=1, n_a=2)
-    assert len(records) == 3
+    table = perturb.sweep(system5.h, system5.ep_eigenvalue, "preserving", grid, 1, seed=1, n_a=2)
+    assert table.shape == (3, 1)
 
 
 def test_sweep_validates_grid_and_mode(system5):
@@ -168,11 +175,12 @@ def test_sweep_validates_grid_and_mode(system5):
 def test_sweep_records_respect_bound(system5):
     xi = ep_core.response_strength(system5.h)
     grid = perturb.log_grid(1e-10, 1e-4, 7)
-    records = perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", grid, 4, seed=3)
+    table = perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", grid, 4, seed=3)
     perts = [perturb.random_generic(5, perturb.child_seed(3, t)) for t in range(4)]
     norms = [spectral_norm(p.matrix) for p in perts]
-    for record in records:
-        assert record.max_splitting**5 <= (record.eps * norms[record.trial] * xi) * (1 + 1e-6) + 1e-12
+    for s, eps in enumerate(grid):
+        for t, norm in enumerate(norms):
+            assert table[s, t] ** 5 <= (eps * norm * xi) * (1 + 1e-6) + 1e-12
 
 
 @pytest.mark.parametrize("grid", [[1e-8, float("nan"), 1e-6], [1e-8, float("inf")]])
@@ -198,17 +206,13 @@ def _sweep_cases():
 def test_sweep_matches_per_matrix_loop(h, ep, mode, seed, n_a):
     grid = perturb.log_grid(1e-12, 1e-2, 9)
     trials = 3
-    records = perturb.sweep(h, ep, mode, grid, trials, seed, n_a=n_a)
+    table = perturb.sweep(h, ep, mode, grid, trials, seed, n_a=n_a)
     if mode == "generic":
         perts = [perturb.random_generic(h.shape[0], perturb.child_seed(seed, t)) for t in range(trials)]
     else:
         perts = [perturb.random_preserving(n_a, h.shape[0] - n_a, perturb.child_seed(seed, t)) for t in range(trials)]
-    expected = [
-        perturb.SweepRecord(eps=eps, max_splitting=perturb.max_splitting(h, ep, p.matrix, eps), trial=t)
-        for eps in grid
-        for t, p in enumerate(perts)
-    ]
-    assert records == expected
+    expected = [[perturb.max_splitting(h, ep, p.matrix, eps) for p in perts] for eps in grid]
+    assert table.tolist() == expected
 
 
 @pytest.mark.parametrize("trials", [1, 4, 9])
@@ -242,19 +246,15 @@ def test_sweep_chunks_hold_whole_strengths(system5, monkeypatch, bound, mode):
 
     monkeypatch.setattr(perturb, "_CHUNK_ENTRIES", bound)
     monkeypatch.setattr(np.linalg, "eigvals", recording)
-    records = perturb.sweep(h, ep, mode, grid, 3, seed=17, n_a=2)
+    table = perturb.sweep(h, ep, mode, grid, 3, seed=17, n_a=2)
     assert all(shape[1:] == (3, 5, 5) for shape in calls)
     assert all(np.prod(shape) <= bound or shape[0] == 1 for shape in calls)
     assert sum(shape[0] for shape in calls) == len(grid)
     assert len(calls) == -(-len(grid) // max(1, bound // 75))
     draw = perturb.random_generic if mode == "generic" else lambda dim, s: perturb.random_preserving(2, 3, s)
     perts = [draw(5, perturb.child_seed(17, t)).matrix for t in range(3)]
-    expected = [
-        perturb.SweepRecord(eps=eps, max_splitting=perturb.max_splitting(h, ep, m, eps), trial=t)
-        for eps in grid
-        for t, m in enumerate(perts)
-    ]
-    assert records == unchunked == expected
+    expected = [[perturb.max_splitting(h, ep, m, eps) for m in perts] for eps in grid]
+    assert table.tolist() == unchunked.tolist() == expected
 
 
 @pytest.mark.parametrize("bound", [75, 10_000])
@@ -290,108 +290,127 @@ def test_non_finite_ep_eigenvalue_rejected(system5, ep):
 
 def test_fit_slope_exact_power_law():
     grid = perturb.log_grid(1e-10, 1e-2, 9)
-    records = [perturb.SweepRecord(eps=e, max_splitting=e**0.2, trial=0) for e in grid]
-    fit = perturb.fit_slope(records, (1e-10, 1e-2))
+    table = [[e**0.2] for e in grid]
+    fit = perturb.fit_slope(grid, table, (1e-10, 1e-2))
     assert fit.slope == pytest.approx(0.2, rel=1e-12)
     assert fit.residual <= 1e-12
 
 
 def test_fit_slope_uses_median_over_trials():
     grid = [1e-8, 1e-6, 1e-4]
-    records = []
-    for e in grid:
-        # two clean draws and one outlier; the median ignores the outlier
-        records += [
-            perturb.SweepRecord(eps=e, max_splitting=e**0.5, trial=0),
-            perturb.SweepRecord(eps=e, max_splitting=e**0.5, trial=1),
-            perturb.SweepRecord(eps=e, max_splitting=1e3, trial=2),
-        ]
-    fit = perturb.fit_slope(records, (1e-8, 1e-4))
+    # two clean draws and one outlier per strength; the median ignores the outlier
+    table = [[e**0.5, e**0.5, 1e3] for e in grid]
+    fit = perturb.fit_slope(grid, table, (1e-8, 1e-4))
     assert fit.slope == pytest.approx(0.5, rel=1e-12)
 
 
 def test_fit_slope_window_filters(system5):
     grid = perturb.log_grid(1e-12, 1e-2, 11)
-    records = [perturb.SweepRecord(eps=e, max_splitting=e**0.25, trial=0) for e in grid]
-    fit = perturb.fit_slope(records, (1e-8, 1e-3))
+    table = [[e**0.25] for e in grid]
+    fit = perturb.fit_slope(grid, table, (1e-8, 1e-3))
     assert fit.window == (1e-8, 1e-3)
     assert fit.slope == pytest.approx(0.25, rel=1e-10)
 
 
 def test_fit_slope_needs_three_points():
-    records = [perturb.SweepRecord(eps=e, max_splitting=e, trial=0) for e in (1e-8, 1e-7)]
+    grid = [1e-8, 1e-7]
     with pytest.raises(FitError):
-        perturb.fit_slope(records, (1e-9, 1e-6))
+        perturb.fit_slope(grid, [[e] for e in grid], (1e-9, 1e-6))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_fit_slope_rejects_non_finite_splitting_in_window(bad):
     grid = [1e-8, 1e-6, 1e-4, 1e-2]
-    records = [perturb.SweepRecord(eps=e, max_splitting=e**0.5, trial=t) for e in grid for t in range(3)]
-    outside = records + [perturb.SweepRecord(eps=1e-2, max_splitting=bad, trial=3)]
-    assert perturb.fit_slope(outside, (1e-8, 1e-4)) == perturb.fit_slope(records, (1e-8, 1e-4))
-    inside = records + [perturb.SweepRecord(eps=1e-6, max_splitting=bad, trial=3)]
+    table = np.array([[e**0.5] * 4 for e in grid])
+    outside = table.copy()
+    outside[3, 3] = bad  # the row of 1e-2, outside the window
+    assert perturb.fit_slope(grid, outside, (1e-8, 1e-4)) == perturb.fit_slope(grid, table, (1e-8, 1e-4))
+    inside = table.copy()
+    inside[1, 3] = bad  # the row of 1e-6, inside the window
     with pytest.raises(FitError, match="not finite"):
-        perturb.fit_slope(inside, (1e-8, 1e-4))
+        perturb.fit_slope(grid, inside, (1e-8, 1e-4))
 
 
 def test_fit_slope_rejects_overflowing_median():
     # two finite splittings of 1.7e308 per strength: their mean, the median, overflows
-    records = [
-        perturb.SweepRecord(eps=e, max_splitting=1.7e308, trial=t) for e in (1e-8, 1e-6, 1e-4) for t in range(2)
-    ]
+    grid = [1e-8, 1e-6, 1e-4]
     with pytest.raises(FitError, match="median splitting .* overflows"):
-        perturb.fit_slope(records, (1e-8, 1e-4))
+        perturb.fit_slope(grid, np.full((3, 2), 1.7e308), (1e-8, 1e-4))
 
 
 @st.composite
-def ragged_records(draw):
-    """Records over 1-8 strengths, each with its own count of 1-9 positive splittings, in shuffled order.
+def full_tables(draw):
+    """A table of 1-8 ascending strengths by 1-9 trials of positive splittings, and a fit window.
 
     Repeated values make ties; values near the double limit make the mean of two middle values overflow.
     """
-    strengths = draw(st.lists(st.floats(1e-12, 1.0), min_size=1, max_size=8, unique=True))
+    strengths = sorted(draw(st.lists(st.floats(1e-12, 1.0), min_size=1, max_size=8, unique=True)))
+    trials = draw(st.integers(1, 9))
     values = st.floats(1e-300, 1e300) | st.sampled_from([1e-3, 2e-3, 5e-3, 1.5e308, 1.7e308])
-    records = [
-        perturb.SweepRecord(eps=eps, max_splitting=value, trial=t)
-        for eps in strengths
-        for t, value in enumerate(draw(st.lists(values, min_size=1, max_size=9)))
-    ]
-    return draw(st.permutations(records)), draw(st.sampled_from([(1e-12, 1.0), (1e-9, 1e-3), (1e-6, 0.5)]))
+    entries = draw(st.lists(values, min_size=len(strengths) * trials, max_size=len(strengths) * trials))
+    table = np.array(entries).reshape(len(strengths), trials)
+    return strengths, table, draw(st.sampled_from([(1e-12, 1.0), (1e-9, 1e-3), (1e-6, 0.5)]))
 
 
 @settings(deadline=None, max_examples=200)
-@given(ragged_records())
+@given(full_tables())
 def test_fit_slope_bit_identical_to_per_strength_median(case):
-    records, window = case
+    grid, table, window = case
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            expected = helpers.reference_fit_slope(records, window)
+            expected = helpers.reference_fit_slope(grid, table, window)
         except (FitError, np.linalg.LinAlgError) as exc:
             with pytest.raises(type(exc)):
-                perturb.fit_slope(records, window)
+                perturb.fit_slope(grid, table, window)
             return
-        fit = perturb.fit_slope(records, window)
+        fit = perturb.fit_slope(grid, table, window)
     assert repr(fit) == repr(expected)  # bit for bit, nan included
 
 
 def test_fit_slope_rejects_bad_window():
+    grid = [1e-8, 1e-6, 1e-4]
     with pytest.raises(ParameterError):
-        perturb.fit_slope([], (1e-3, 1e-8))
+        perturb.fit_slope(grid, [[e] for e in grid], (1e-3, 1e-8))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [[[1e-4], [1e-3]], [[1e-4], [1e-3], [1e-2], [1e-1]], [1e-4, 1e-3, 1e-2], np.zeros((3, 0))],
+    ids=["too_few_rows", "too_many_rows", "one_dimensional", "no_trials"],
+)
+def test_fit_slope_and_csv_reject_a_table_not_one_row_per_strength(table):
+    grid = [1e-8, 1e-6, 1e-4]
+    with pytest.raises(ShapeError, match="one row per strength"):
+        perturb.fit_slope(grid, table, (1e-8, 1e-4))
+    with pytest.raises(ShapeError):
+        perturb.records_to_csv(grid, table)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[1e-4, 1e-6, 1e-8], [1e-8, float("nan"), 1e-4], [0.0, 1e-6, 1e-4], [-1e-8, 1e-6, 1e-4], [1e-8, 1e-8, 1e-4]],
+    ids=["descending", "nan", "zero", "negative", "repeated"],
+)
+def test_fit_slope_and_csv_reject_a_bad_grid(grid):
+    table = np.full((3, 2), 1e-3)
+    with pytest.raises(ParameterError, match="strictly ascending, positive and finite"):
+        perturb.fit_slope(grid, table, (1e-9, 1.0))
+    with pytest.raises(ParameterError, match="strictly ascending, positive and finite"):
+        perturb.records_to_csv(grid, table)
 
 
 def test_generic_sweep_slope(system5):
     grid = perturb.log_grid(1e-8, 1e-3, 11)
-    records = perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", grid, 4, seed=42)
-    fit = perturb.fit_slope(records, (1e-8, 1e-3))
+    table = perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", grid, 4, seed=42)
+    fit = perturb.fit_slope(grid, table, (1e-8, 1e-3))
     assert fit.slope == pytest.approx(0.2, abs=0.02)
 
 
 def test_preserving_sweep_slope(system5):
     grid = perturb.log_grid(1e-8, 1e-3, 11)
-    records = perturb.sweep(system5.h, system5.ep_eigenvalue, "preserving", grid, 4, seed=42, n_a=2)
-    fit = perturb.fit_slope(records, (1e-8, 1e-3))
+    table = perturb.sweep(system5.h, system5.ep_eigenvalue, "preserving", grid, 4, seed=42, n_a=2)
+    fit = perturb.fit_slope(grid, table, (1e-8, 1e-3))
     assert fit.slope == pytest.approx(1.0 / 3.0, abs=0.02)
 
 
@@ -399,17 +418,15 @@ def test_preserving_sweep_slope(system5):
 # CSV output
 
 def test_records_to_csv_roundtrip():
-    records = [
-        perturb.SweepRecord(eps=1.2345678901234567e-7, max_splitting=0.0123456789012345678, trial=0),
-        perturb.SweepRecord(eps=2e-7, max_splitting=0.5, trial=1),
-    ]
-    text = perturb.records_to_csv(records)
+    grid = [1.2345678901234567e-7, 2e-7]
+    table = [[0.0123456789012345678, 0.25], [0.75, 0.5]]
+    text = perturb.records_to_csv(grid, table)
     lines = text.strip().split("\n")
     assert lines[0] == "epsilon,trial,max_splitting"
-    eps_text, trial_text, split_text = lines[1].split(",")
-    assert float(eps_text) == records[0].eps
-    assert float(split_text) == records[0].max_splitting
-    assert int(trial_text) == 0
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(float(e), int(t), float(v)) for e, t, v in rows] == [
+        (grid[s], t, table[s][t]) for s in range(2) for t in range(2)
+    ]
 
 
 @pytest.mark.parametrize(
