@@ -203,8 +203,9 @@ def genericity_product(sys: CompositeSystem) -> np.ndarray:
     ||K||_2 * ||N_a||_2^(n_a-1) * ||N_b||_2^(n_b-1), the size C has without
     cancellation, raises NumericalError, and so does C, the direct power or
     the norm of their difference leaving the double range.  An SVD of K is
-    taken only when the bracket of ||K||_2 from its largest entry cannot
-    decide the check (see ep_core._by_norm_bracket).
+    taken only when neither the bracket of ||K||_2 from its largest entry nor
+    the power-step bracket [est, ||K||_F] can decide the check (see
+    ep_core._by_norm_bracket).
     """
     return _genericity_product(sys, _traceless_part(sys.h)[1])
 

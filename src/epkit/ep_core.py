@@ -31,10 +31,19 @@ _HUGE = float(np.finfo(float).max)
 #: 1e-13 of ||M||_2, so the 1e-10 rank-one check is sure to pass.
 _RANK_ONE_MARGIN = 1e-13
 
-#: _rank_one_norm trusts that bound for ||M||_F in [1/_RANK_ONE_RANGE,
+#: _power_step trusts its bracket for ||M||_F in [1/_RANK_ONE_RANGE,
 #: _RANK_ONE_RANGE].  There every square it sums is a normal double or far
 #: below the total, so neither overflow nor gradual underflow can fake agreement.
 _RANK_ONE_RANGE = 1e150
+
+#: Relative widening of the power-step bracket [est, ||M||_F] before
+#: _by_norm_bracket lets it decide.  The computed est (a lower bound for any
+#: computed v, so only the last products round), the computed ||M||_F and
+#: LAPACK's sigma_1 each differ from their exact values by O(size * eps)
+#: relative to ||M||_2: 1.4e-12 at dim 80 and 2.2e-10 at dim 1000.  The
+#: widened bracket therefore holds the sigma_1 the SVD returns with margin to
+#: spare, and a verdict decided on it is the SVD's.
+_BRACKET_SLACK = 1e-8
 
 __all__ = [
     "DEFAULT_EPS_MP",
@@ -116,18 +125,24 @@ def _norm_at_most(power: np.ndarray, bound: float) -> bool:
 
 
 def _by_norm_bracket(m: np.ndarray, decide) -> bool:
-    """decide(||M||_2) for a predicate monotone in the norm, with an SVD only where max |m_ij| cannot decide.
+    """decide(||M||_2) for a predicate monotone in the norm, with an SVD only where two brackets cannot decide.
 
-    peak = max |m_ij| brackets the norm: peak <= ||M||_2 <= ||M||_F <= sqrt(size) * peak.
-    Where peak is a normal float (so abs, a hypot, is exact to an ulp) and
-    decide agrees at 0.5 * peak and at 2 * sqrt(size) * peak, that factor-two
-    margin on either side outweighs the rounding of the SVD, so the answer is
-    the one decide(spectral_norm(M)) gives.  A zero M has norm 0 exactly; a
-    decide that differs at the two ends, or a subnormal peak, falls back to the
-    SVD.  Validated inputs are finite, so a non-finite entry is an overflowed
-    power of N and raises NumericalError.
+    The first bracket is peak <= ||M||_2 <= sqrt(size) * peak, with
+    peak = max |m_ij|.  Where peak is a normal float (so abs, a hypot, is
+    exact to an ulp) and decide agrees at 0.5 * peak and at
+    2 * sqrt(size) * peak, that factor-two margin on either side outweighs the
+    rounding of the SVD.  The second, est <= ||M||_2 <= ||M||_F from
+    _power_step, is narrow wherever one singular value dominates; it decides
+    where decide agrees at (1 - _BRACKET_SLACK) * est and at
+    (1 + _BRACKET_SLACK) * ||M||_F.  Either way the answer is the one
+    decide(spectral_norm(M)) gives.  A zero M has norm 0 exactly; a decide
+    that differs at the ends of both brackets, a subnormal peak, or an
+    ||M||_F outside the _RANK_ONE_RANGE window falls back to the SVD.
+    Validated inputs are finite, so a non-finite entry is an overflowed power
+    of N and raises NumericalError.
     """
-    peak = float(np.abs(m).max())
+    mods = np.abs(m)
+    peak = float(mods.max())
     if not peak <= _HUGE:
         raise NumericalError("a power of N overflows a double")
     if peak == 0.0:
@@ -136,6 +151,11 @@ def _by_norm_bracket(m: np.ndarray, decide) -> bool:
         low = decide(0.5 * peak)
         if low == decide(2.0 * math.sqrt(m.size) * peak):
             return low
+        est, frob = _power_step(m, mods)
+        if est is not None:
+            low = decide((1.0 - _BRACKET_SLACK) * est)
+            if low == decide((1.0 + _BRACKET_SLACK) * frob):
+                return low
     return decide(cmatrix._spectral_norm(m))
 
 
@@ -169,25 +189,35 @@ def _top_power(nmat: np.ndarray, nil_tol: float, norm: float) -> tuple[np.ndarra
     return power, _rank_one_norm(power, "N^(n-1)")
 
 
+def _power_step(m: np.ndarray, mods: np.ndarray) -> tuple[float | None, float]:
+    """(est, ||M||_F) of a finite M with mods = |M|, where est <= ||M||_2 <= ||M||_F.
+
+    est = ||M^H v|| / ||v|| after one power step v = M r from r, the conjugate
+    of the row holding the largest entry; any nonzero v gives a lower bound,
+    and this one is close to ||M||_2 when one singular value dominates.  est
+    is None for ||M||_F outside [1/_RANK_ONE_RANGE, _RANK_ONE_RANGE].
+    """
+    with np.errstate(over="ignore"):  # squares that overflow give inf, outside the window
+        frob = cmatrix._frobenius_norm(m)
+    if not 1.0 / _RANK_ONE_RANGE <= frob <= _RANK_ONE_RANGE:
+        return None, frob
+    top, col = divmod(int(mods.argmax()), m.shape[1])
+    v = m @ (m[top].conj() / mods[top, col] ** 2)  # scaled so that 1 <= ||v|| <= m.size
+    w = v.conj() @ m  # the conjugate of M^H v
+    return math.sqrt(np.vdot(w, w).real / np.vdot(v, v).real), frob
+
+
 def _rank_one_norm(m: np.ndarray, name: str) -> float:
     """||M||_2 of a finite rank-one M; NumericalError when ||M||_2 and ||M||_F differ beyond 1e-10 relative.
 
-    One power step certifies rank one without an SVD.  With r the conjugate of
-    the row holding the largest entry and v = M r, est = ||M^H v|| / ||v|| obeys
-    est <= ||M||_2 <= ||M||_F.  When ||M||_F is within _RANK_ONE_MARGIN of est,
-    ||M||_F is returned: it is then within 1e-13 of ||M||_2, and the 1e-10
-    check passes.  Otherwise, and for ||M||_F outside the _RANK_ONE_RANGE
-    window, one SVD decides.
+    The power step of _power_step certifies rank one without an SVD: when
+    ||M||_F is within _RANK_ONE_MARGIN of est, ||M||_F is returned, as it is
+    then within 1e-13 of ||M||_2 and the 1e-10 check passes.  Otherwise, and
+    for ||M||_F outside the _RANK_ONE_RANGE window, one SVD decides.
     """
-    frob = cmatrix._frobenius_norm(m)
-    if 1.0 / _RANK_ONE_RANGE <= frob <= _RANK_ONE_RANGE:
-        mods = np.abs(m)
-        top, col = divmod(int(mods.argmax()), m.shape[1])
-        v = m @ (m[top].conj() / mods[top, col] ** 2)  # scaled so that 1 <= ||v|| <= m.size
-        w = v.conj() @ m  # the conjugate of M^H v
-        est = math.sqrt(np.vdot(w, w).real / np.vdot(v, v).real)
-        if abs(frob - est) <= _RANK_ONE_MARGIN * frob:
-            return frob
+    est, frob = _power_step(m, np.abs(m))
+    if est is not None and abs(frob - est) <= _RANK_ONE_MARGIN * frob:
+        return frob
     spec = cmatrix._spectral_norm(m)
     if abs(spec - frob) > 1e-10 * max(frob, _TINY):
         raise NumericalError(
@@ -315,10 +345,17 @@ def _root_of_product(factors, n) -> float:
     return float(math.prod(float(f) ** (1.0 / n) for f in factors))
 
 
+def _check_order(n: float) -> None:
+    """ParameterError unless n is a finite order of at least 1 (NaN included)."""
+    if _check_positive("n", n) < 1.0:
+        raise ParameterError(f"n must be an order of at least 1, got {float(n)}")
+
+
 def splitting_bound(xi: float, eps: float, h1_spectral_norm: float, n: int) -> float:
-    """Upper bound (eps * ||H1||_2 * xi)^(1/n) on |E_j - ep_eigenvalue|."""
-    for name, value in (("xi", xi), ("eps", eps), ("h1_spectral_norm", h1_spectral_norm), ("n", n)):
+    """Upper bound (eps * ||H1||_2 * xi)^(1/n) on |E_j - ep_eigenvalue|; the order n must be at least 1."""
+    for name, value in (("xi", xi), ("eps", eps), ("h1_spectral_norm", h1_spectral_norm)):
         _check_positive(name, value)
+    _check_order(n)
     return _root_of_product((eps, h1_spectral_norm, xi), n)
 
 
@@ -327,9 +364,10 @@ def machine_precision_bound(xi: float, n: int) -> float:
 
     Models rounding errors as a random perturbation of strength DEFAULT_EPS_MP
     whose spectral norm is estimated by 2 sqrt(n) for unit-variance entries.
+    The order n must be at least 1.
     """
     _check_positive("xi", xi)
-    _check_positive("n", n)
+    _check_order(n)
     return _root_of_product((2.0 * math.sqrt(n), DEFAULT_EPS_MP, xi), n)
 
 

@@ -228,8 +228,11 @@ def fit_slope(eps_grid, splittings, window: tuple[float, float]) -> SlopeFit:
         raise FitError(f"need >= 3 distinct strengths inside [{lo:g}, {hi:g}], got {len(strengths)}")
     if not np.all(np.isfinite(values)):
         raise FitError(f"a splitting inside [{lo:g}, {hi:g}] is not finite")
+    ordered = np.sort(values, axis=1)
+    mid = ordered.shape[1] // 2
     with np.errstate(over="ignore"):  # an overflowed mean of two middle values raises FitError below
-        medians = np.median(values, axis=1)
+        # np.median's arithmetic, without the numpy.ma import its first call makes
+        medians = ordered[:, mid] if ordered.shape[1] % 2 else (ordered[:, mid - 1] + ordered[:, mid]) / 2
     if not np.all(np.isfinite(medians)):
         raise FitError(f"a median splitting inside [{lo:g}, {hi:g}] overflows a double")
     if np.any(medians <= 0.0):

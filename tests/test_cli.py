@@ -140,6 +140,18 @@ def test_compose_overflowing_genericity_product_exits_4(tmp_path, dimer_file, tr
     assert "overflows" in proc.stderr
 
 
+def test_reproduce_fig3_leaves_numpy_ma_unimported(tmp_path):
+    # np.median imports numpy.ma on its first call, about 1.2 MB that epkit never uses
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = ("import sys; from epkit import cli; code = cli.main(sys.argv[1:]); "
+              "sys.exit(code or int('numpy.ma' in sys.modules) * 99)")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "reproduce-fig3", "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_compose_overflowing_response_norm_exits_4(tmp_path, dimer_file, trimer_file):
     # K = 1e160: C and its cross-check stay finite, but the sum of squares behind ||C||_F overflows
     k_path = write_json(tmp_path / "k.json", cmatrix.matrix_to_json(single_entry_coupling(1e160, 3, 2)))

@@ -188,6 +188,100 @@ def test_rank_one_norm_rejects_rank_two_as_the_svd_check_does(dim, log_ratio, ex
         ep_core._rank_one_norm(m, "M")
 
 
+def _dominated(rng, rows, cols, tail):
+    """A rank-one rows x cols matrix plus a uniform tail of relative size `tail`.
+
+    The smaller the tail, the narrower the power-step bracket [est, ||M||_F].
+    """
+    rank_one = np.outer(_unit_complex(rng, rows), _unit_complex(rng, cols))
+    return rank_one + tail * helpers.complex_uniform(rng, (rows, cols))
+
+
+_TAILS = [0.0, 1e-12, 1e-8, 1e-4, 0.1, 1.0]
+#: 1e+-140 sit inside the power-step window, 1e+-149 and 1e+-151 straddle its edges, 1e+-155 lie outside
+_SCALES = [1.0, 1e140, 1e-140, 1e149, 1e-149, 1e151, 1e-151, 1e155, 1e-155]
+_NEAR = [1.0 - 1e-6, 1.0 + 1e-6, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-12, 1.0 + 1e-12, 1.0]
+
+
+def _anchor(m, which):
+    """||M||_2, the power-step lower bound est (||M||_2 outside its window) or ||M||_F."""
+    est, frob = ep_core._power_step(m, np.abs(m))
+    if which == "frobenius":
+        return frob
+    return est if which == "est" and est is not None else cmatrix.spectral_norm(m)
+
+
+@st.composite
+def power_near_bracket_edges(draw):
+    """A square P of dim 1-40 and a bound within 1e-6 relative of ||P||_2, of est or of ||P||_F.
+
+    P is a dominated matrix (see _dominated) or a power of a transformed Jordan block, scaled into,
+    across the edges of, or out of the power-step window.
+    """
+    dim = draw(st.integers(1, 40))
+    rng = helpers.philox(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        p = _dominated(rng, dim, dim, draw(st.sampled_from(_TAILS)))
+    else:
+        _, nmat = ep_core.traceless_part(helpers.transformed_jordan_block(rng, dim))
+        p = np.linalg.matrix_power(nmat, draw(st.integers(1, dim)))
+    p = draw(st.sampled_from(_SCALES)) * p
+    return p, draw(st.sampled_from(_NEAR)) * _anchor(p, draw(st.sampled_from(["spectral", "est", "frobenius"])))
+
+
+@settings(deadline=None, max_examples=300)
+@given(power_near_bracket_edges())
+def test_norm_at_most_near_the_power_step_bracket_matches_spectral_norm(case):
+    p, bound = case
+    assert ep_core._norm_at_most(p, bound) == (cmatrix.spectral_norm(p) <= bound)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 40), st.integers(1, 40), st.sampled_from(_TAILS), st.sampled_from(_SCALES),
+       st.sampled_from(["spectral", "est", "frobenius"]), st.sampled_from(_NEAR), st.integers(0, 2**32 - 1))
+def test_by_norm_bracket_on_couplings_matches_spectral_norm(rows, cols, tail, scale, which, near, seed):
+    # the shape of compose's coupling checks: a value against a threshold non-decreasing in ||K||_2
+    k = scale * _dominated(helpers.philox(seed), rows, cols, tail)
+    value = near * _anchor(k, which)
+    assert ep_core._by_norm_bracket(k, lambda norm: value > norm) == (value > cmatrix.spectral_norm(k))
+
+
+def test_norm_at_most_settles_a_dominant_singular_value_without_an_svd(monkeypatch):
+    # a bound 1e-6 off ||P||_2 lies inside the peak bracket [peak, 30 * peak] but outside [est, ||P||_F]
+    p = _dominated(helpers.philox(29), 30, 30, 1e-9)
+    norm = cmatrix.spectral_norm(p)
+    counts = helpers.count_linalg(monkeypatch, "svd")
+    assert ep_core._norm_at_most(p, (1.0 + 1e-6) * norm)
+    assert not ep_core._norm_at_most(p, (1.0 - 1e-6) * norm)
+    assert counts == {"svd": 0}
+
+
+def _svd_order(h):
+    """detect_ep's order with every power test decided by an SVD of the power."""
+    _, nmat = ep_core.traceless_part(h)
+    dim = nmat.shape[0]
+    bound, base = ep_core.default_nil_tol(dim), cmatrix.spectral_norm(nmat)
+    power = nmat
+    for k in range(1, dim + 1):
+        if k > 1:
+            power = power @ nmat
+        if cmatrix.spectral_norm(power) <= bound * base**k:
+            return k
+    return None
+
+
+@pytest.mark.parametrize("dim", [30, 40, 60, 80])
+def test_detect_ep_on_large_jordan_blocks_takes_about_one_svd(monkeypatch, dim):
+    # the SVD of N for ||N||_2; the power-step bracket settles almost every power test the
+    # peak bracket leaves open, and the orders stay those of an SVD per power
+    rng = helpers.philox(dim)
+    hams = [helpers.transformed_jordan_block(rng, dim) for _ in range(20)]
+    expected = [_svd_order(h) for h in hams]
+    counts = helpers.count_linalg(monkeypatch, "svd")
+    assert [ep_core.detect_ep(h).order for h in hams] == expected
+    assert counts["svd"] <= 1.1 * len(hams)
+
+
 def _index_family(family):
     """Traceless parts of seeded test matrices: transformed Jordan blocks, direct sums of two, or random."""
     rng = helpers.philox(61)
@@ -446,6 +540,17 @@ def test_machine_precision_bound_subnormal_xi():
     # 2 sqrt(5) * 2.22e-16 * 1e-320 underflows to 0; the subnormal 1e-320 carries about 5 digits
     expected = (2.0 * np.sqrt(5) * ep_core.DEFAULT_EPS_MP) ** 0.2 * 1e-64
     assert ep_core.machine_precision_bound(1e-320, 5) == pytest.approx(expected, rel=1e-4, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [0.5, 0.01, 0.999])
+def test_splitting_bounds_reject_an_order_below_one(n):
+    # an order below 1 raised the power of a large product into a bare OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="n must be an order of at least 1"):
+            ep_core.splitting_bound(1e300, 1.0, 1.0, n)
+        with pytest.raises(ParameterError, match="n must be an order of at least 1"):
+            ep_core.machine_precision_bound(1e300, n)
 
 
 def test_splitting_bound_rejects_nonpositive():
