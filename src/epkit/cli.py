@@ -47,13 +47,15 @@ FIG3_DEFAULTS = {
 FIT_WINDOW = (1e-8, 1e-3)
 
 
-def _float_above(lowest: float):
-    """argparse type for a finite float option above `lowest` (0 for --tol, --eps-*, --g-*; -inf for --k)."""
+def _float_above(lowest: float, below: float = math.inf):
+    """argparse type for a finite float option above `lowest` (0 for --tol, --eps-*, --g-*; -inf for --k)
+    and, where given, below `below` (1 for the nilpotency --tol)."""
 
     def parse(text: str) -> float:
         value = float(text)
-        if not (math.isfinite(value) and value > lowest):
-            raise argparse.ArgumentTypeError(f"must be finite and > {lowest:g}, got {text}")
+        if not (math.isfinite(value) and lowest < value < below):
+            upper = f" and < {below:g}" if below < math.inf else ""
+            raise argparse.ArgumentTypeError(f"must be finite and > {lowest:g}{upper}, got {text}")
         return value
 
     parse.__name__ = "float"  # argparse names the type in its "invalid float value" message
@@ -237,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="matrix JSON or named-model JSON file")
-        p.add_argument("--tol", type=_float_above(0.0), default=None, help="nilpotency tolerance override")
+        p.add_argument("--tol", type=_float_above(0.0, below=1.0), default=None, help="nilpotency tolerance override")
         p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
         p.set_defaults(func=func)
 

@@ -26,11 +26,12 @@ from . import cmatrix
 from .ep_core import (
     _TINY,
     EpReport,
-    _by_norm_bracket,
     _detect,
     _nilpotency,
     _norm_power,
+    _NormBracket,
     _rank_one_norm,
+    _settle,
     _traceless_part,
     default_nil_tol,
     detect_ep,
@@ -90,10 +91,15 @@ class CompositeSystem:
     def dim(self) -> int:
         return self.n_a + self.n_b
 
-    @cached_property
+    @property
     def coupling_norm(self) -> float:
         """||K||_2, computed on first use and kept."""
-        return cmatrix.spectral_norm(self.k)
+        return self._coupling.exact()
+
+    @cached_property
+    def _coupling(self) -> _NormBracket:
+        """The staged bracket of ||K||_2 that the thresholds scaled by it are settled on."""
+        return _NormBracket(self.k)
 
     @cached_property
     def report(self) -> EpReport:
@@ -101,15 +107,15 @@ class CompositeSystem:
 
         So the order is dim exactly when C is generic, and response_strength is
         ||C||; composite_response's errors are raised, and no power of the
-        assembled N is tested.  One SVD of N gives nilpotent_norm.
+        assembled N is tested.  nilpotent_norm is read on demand, as for any
+        report.
         """
         nmat, c, xi = _block_response(self)
         top = np.zeros_like(nmat)
         top[self.n_a:, :self.n_a] = c
         top.setflags(write=False)
         return EpReport(dim=self.dim, order=self.dim, ep_eigenvalue=self.ep_eigenvalue, nilpotent=nmat,
-                        response_strength=xi, nil_tol=default_nil_tol(self.dim),
-                        nilpotent_norm=cmatrix._spectral_norm(nmat), top_power=top)
+                        response_strength=xi, nil_tol=default_nil_tol(self.dim), top_power=top)
 
     def to_json(self) -> dict:
         return {
@@ -202,10 +208,10 @@ def genericity_product(sys: CompositeSystem) -> np.ndarray:
     disagreement beyond 1e-10 relative to the coupling scale
     ||K||_2 * ||N_a||_2^(n_a-1) * ||N_b||_2^(n_b-1), the size C has without
     cancellation, raises NumericalError, and so does C, the direct power or
-    the norm of their difference leaving the double range.  An SVD of K is
-    taken only when neither the bracket of ||K||_2 from its largest entry nor
-    the power-step bracket [est, ||K||_F] can decide the check (see
-    ep_core._by_norm_bracket).
+    the norm of their difference leaving the double range.  The check is
+    settled on the staged brackets of the three norms (see
+    ep_core._NormBracket), so an SVD of K, N_a or N_b is taken only where
+    the cheaper brackets cannot decide it.
     """
     return _genericity_product(sys, _traceless_part(sys.h)[1])
 
@@ -219,15 +225,11 @@ def _genericity_product(sys: CompositeSystem, nmat: np.ndarray) -> np.ndarray:
         diff = cmatrix._frobenius_norm(c - block)
     if not math.isfinite(diff):  # finite only when every entry of C and of the block is
         raise NumericalError("the genericity product or its cross-check overflows a double")
-    pow_a, pow_b = _norm_power(a.nilpotent_norm, a.dim - 1), _norm_power(b.nilpotent_norm, b.dim - 1)
-    if _exceeds_coupling_scale(sys, diff, lambda norm: 1e-10 * max(norm * pow_a * pow_b, _TINY)):
+    if _settle(lambda norm_a, norm_b, norm_k: diff > 1e-10 * max(
+            norm_k * _norm_power(norm_a, a.dim - 1) * _norm_power(norm_b, b.dim - 1), _TINY),
+            (a._norm, a.dim - 1), (b._norm, b.dim - 1), (sys._coupling, 1)):
         raise NumericalError("block product and direct matrix power disagree beyond tolerance")
     return c
-
-
-def _exceeds_coupling_scale(sys: CompositeSystem, value: float, threshold) -> bool:
-    """value > threshold(||K||_2) for a threshold non-decreasing in the norm, decided by ep_core._by_norm_bracket."""
-    return _by_norm_bracket(sys.k, lambda norm: value > threshold(norm))
 
 
 def composite_response(sys: CompositeSystem) -> float:
@@ -252,7 +254,7 @@ def _block_response(sys: CompositeSystem) -> tuple[np.ndarray, np.ndarray, float
         raise NumericalError("||C||_F of the genericity product overflows a double")
     xi_a, xi_b = sys.rep_a.response_strength, sys.rep_b.response_strength
     # a subsystem whose top power was flushed to zero has xi = 0, which _upper_bound rejects, and C = 0
-    if frob == 0.0 or not _exceeds_coupling_scale(sys, frob, lambda norm: 1e-8 * _upper_bound(xi_a, xi_b, norm)):
+    if frob == 0.0 or not _settle(lambda norm: frob > 1e-8 * _upper_bound(xi_a, xi_b, norm), (sys._coupling, 1)):
         achieved = _nilpotency(nmat, default_nil_tol(sys.dim))[0]
         raise DegenerateCouplingError(
             f"coupling is degenerate: composite order {achieved} < {sys.dim}",

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,13 +37,13 @@ _RANK_ONE_MARGIN = 1e-13
 #: below the total, so neither overflow nor gradual underflow can fake agreement.
 _RANK_ONE_RANGE = 1e150
 
-#: Relative widening of the power-step bracket [est, ||M||_F] before
-#: _by_norm_bracket lets it decide.  The computed est (a lower bound for any
-#: computed v, so only the last products round), the computed ||M||_F and
-#: LAPACK's sigma_1 each differ from their exact values by O(size * eps)
-#: relative to ||M||_2: 1.4e-12 at dim 80 and 2.2e-10 at dim 1000.  The
-#: widened bracket therefore holds the sigma_1 the SVD returns with margin to
-#: spare, and a verdict decided on it is the SVD's.
+#: Relative widening of each bound of a _NormBracket stage before _settle
+#: lets it decide.  The computed peak (exact to an ulp), sqrt(size) * peak,
+#: est (a lower bound for any computed v, so only the last products round)
+#: and ||M||_F, and LAPACK's sigma_1, each differ from their exact values by
+#: O(size * eps) relative to ||M||_2: 1.4e-12 at dim 80 and 2.2e-10 at dim
+#: 1000.  The widened bracket therefore holds the sigma_1 the SVD returns with
+#: margin to spare, and a verdict decided on it is the SVD's.
 _BRACKET_SLACK = 1e-8
 
 __all__ = [
@@ -103,18 +104,30 @@ def nilpotency_index(nmat, nil_tol: float | None = None) -> int | None:
     return _nilpotency(nmat, default_nil_tol(nmat.shape[0]) if nil_tol is None else nil_tol)[0]
 
 
-def _nilpotency(nmat: np.ndarray, nil_tol: float) -> tuple[int | None, float]:
-    """(nilpotency_index, ||N||_2) of a validated N."""
+def _nilpotency(nmat: np.ndarray, nil_tol: float) -> tuple[int | None, _NormBracket]:
+    """(nilpotency_index, the staged bracket of ||N||_2) of a validated N.
+
+    Each power test ||N^k||_2 <= nil_tol * ||N||_2^k is settled by _settle
+    over the brackets of N and of N^k, so ||N||_2 is taken by an SVD only when
+    no cheaper bracket decides a test.  A non-finite power raises
+    NumericalError, after the overflow of ||N||_2^k when that overflows too.
+    """
     dim = nmat.shape[0]
-    if not (math.isfinite(nil_tol) and nil_tol > 0.0):
-        raise ParameterError(f"nil_tol must be finite and positive, got {nil_tol}")
-    base = cmatrix._spectral_norm(nmat)
+    if not 0.0 < nil_tol < 1.0:  # at 1 or above every N passes the k = 1 test
+        raise ParameterError(f"nil_tol must lie in (0, 1), got {nil_tol}")
+    base = _NormBracket(nmat)
     power = nmat
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed power raises NumericalError below
         for k in range(1, dim + 1):
+            norm = base
             if k > 1:
                 power = power @ nmat
-            if _norm_at_most(power, nil_tol * _norm_power(base, k)):
+                try:
+                    norm = _NormBracket(power)
+                except NumericalError:  # a non-finite power, raised after ||N||_2^k overflowing
+                    _norm_power(base.exact(), k)
+                    raise
+            if _settle(lambda b, p, k=k: p <= nil_tol * _norm_power(b, k), (base, k), (norm, -1)):
                 return k, base
     return None, base
 
@@ -125,38 +138,91 @@ def _norm_at_most(power: np.ndarray, bound: float) -> bool:
 
 
 def _by_norm_bracket(m: np.ndarray, decide) -> bool:
-    """decide(||M||_2) for a predicate monotone in the norm, with an SVD only where two brackets cannot decide.
+    """decide(||M||_2) for a predicate monotone in the norm, settled on a fresh staged bracket of M."""
+    return _settle(decide, (_NormBracket(m), 1))
 
-    The first bracket is peak <= ||M||_2 <= sqrt(size) * peak, with
-    peak = max |m_ij|.  Where peak is a normal float (so abs, a hypot, is
-    exact to an ulp) and decide agrees at 0.5 * peak and at
-    2 * sqrt(size) * peak, that factor-two margin on either side outweighs the
-    rounding of the SVD.  The second, est <= ||M||_2 <= ||M||_F from
-    _power_step, is narrow wherever one singular value dominates; it decides
-    where decide agrees at (1 - _BRACKET_SLACK) * est and at
-    (1 + _BRACKET_SLACK) * ||M||_F.  Either way the answer is the one
-    decide(spectral_norm(M)) gives.  A zero M has norm 0 exactly; a decide
-    that differs at the ends of both brackets, a subnormal peak, or an
-    ||M||_F outside the _RANK_ONE_RANGE window falls back to the SVD.
-    Validated inputs are finite, so a non-finite entry is an overflowed power
-    of N and raises NumericalError.
+
+class _NormBracket:
+    """Bounds lo <= ||M||_2 <= hi of a matrix M, narrowed in three stages on demand.
+
+    Stage 1 is peak <= ||M||_2 <= sqrt(size) * peak with peak = max |m_ij|,
+    free once |M| is taken; it needs a normal peak, so that abs (a hypot) is
+    exact to an ulp.  Stage 2 is est <= ||M||_2 <= ||M||_F from
+    _power_step, narrow wherever one singular value dominates.  Both are
+    widened by _BRACKET_SLACK on either side, so they hold the sigma_1 the
+    SVD returns.  Stage 3 is lo = hi = spectral_norm(M), one SVD.  A zero M
+    has norm 0 exactly, with no SVD; a subnormal peak starts at [0, inf], and
+    an ||M||_F outside the _RANK_ONE_RANGE window skips stage 2.  M must be
+    finite: a non-finite entry is an overflowed power of N and raises
+    NumericalError.
     """
-    mods = np.abs(m)
-    peak = float(mods.max())
-    if not peak <= _HUGE:
-        raise NumericalError("a power of N overflows a double")
-    if peak == 0.0:
-        return decide(0.0)
-    if peak >= _TINY:
-        low = decide(0.5 * peak)
-        if low == decide(2.0 * math.sqrt(m.size) * peak):
-            return low
-        est, frob = _power_step(m, mods)
-        if est is not None:
-            low = decide((1.0 - _BRACKET_SLACK) * est)
-            if low == decide((1.0 + _BRACKET_SLACK) * frob):
-                return low
-    return decide(cmatrix._spectral_norm(m))
+
+    __slots__ = ("m", "mods", "stage", "lo", "hi")
+
+    def __init__(self, m: np.ndarray):
+        self.m = m
+        self.mods = np.abs(m)
+        peak = float(self.mods.max())
+        if not peak <= _HUGE:
+            raise NumericalError("a power of N overflows a double")
+        if peak == 0.0:
+            self.stage, self.lo, self.hi = 3, 0.0, 0.0
+        elif peak >= _TINY:
+            self.stage = 1
+            self.lo, self.hi = (1.0 - _BRACKET_SLACK) * peak, (1.0 + _BRACKET_SLACK) * math.sqrt(m.size) * peak
+        else:
+            self.stage, self.lo, self.hi = 2, 0.0, math.inf
+
+    def narrow(self) -> None:
+        """Move on to the next stage."""
+        if self.stage == 1:
+            est, frob = _power_step(self.m, self.mods)
+            self.mods = None
+            if est is not None:
+                self.stage, self.lo, self.hi = 2, (1.0 - _BRACKET_SLACK) * est, (1.0 + _BRACKET_SLACK) * frob
+                return
+        self.exact()
+
+    def exact(self) -> float:
+        """||M||_2 as spectral_norm gives it, by one SVD the first time it is asked for or needed, then kept."""
+        if self.stage < 3:
+            self.stage = 3
+            self.lo = self.hi = cmatrix._spectral_norm(self.m)
+        return self.lo
+
+
+def _spread(term: tuple[_NormBracket, int]) -> float:
+    """|e| * ln(hi / lo) of a (bracket, exponent) term: how widely it spreads the product of the norms."""
+    norm, exponent = term
+    if exponent == 0 or norm.lo == norm.hi:
+        return 0.0
+    return abs(exponent) * math.log(norm.hi / norm.lo) if norm.lo > 0.0 else math.inf
+
+
+def _settle(decide, *terms: tuple[_NormBracket, int]):
+    """decide(||M_1||_2, ...) with the brackets of the norms narrowed only as far as it takes.
+
+    Each term is a (bracket, e) pair, and decide must depend on the norms
+    only through the product of ||M_i||_2**e_i, monotonically.  Over the
+    box the brackets span, its verdict then lies between its verdicts at
+    the two corners where that product is least and greatest.  Where those
+    agree, so does decide at the norms the SVD returns, which lie inside the
+    box; otherwise the bracket that spreads the product most moves on a
+    stage.  A corner where decide raises NumericalError, a threshold leaving
+    the double range, settles nothing, so only the exact norms raise.
+    """
+    while True:
+        low = [norm.lo if e >= 0 else norm.hi for norm, e in terms]
+        high = [norm.hi if e >= 0 else norm.lo for norm, e in terms]
+        if low == high:  # every norm is known exactly
+            return decide(*low)
+        try:
+            verdict = decide(*low)
+            if decide(*high) == verdict:
+                return verdict
+        except NumericalError:
+            pass
+        max(terms, key=_spread)[0].narrow()
 
 
 def _norm_power(norm: float, exponent: int) -> float:
@@ -170,21 +236,26 @@ def _norm_power(norm: float, exponent: int) -> float:
     return value
 
 
-def _top_power(nmat: np.ndarray, nil_tol: float, norm: float) -> tuple[np.ndarray, float]:
+def _top_power(nmat: np.ndarray, nil_tol: float, norm: _NormBracket) -> tuple[np.ndarray, float]:
     """N^(n-1) with entries below the certification threshold flushed to 0, and its norm.
 
     Matrix powers of a numerically nilpotent N carry rounding residue in
     positions that are structurally zero; the residue is orders of magnitude
     below nil_tol * ||N||_2^(n-1), so flushing it restores the exact block
     pattern (and makes structurally zero traces exactly zero) without touching
-    any certified entry.  The power of a full-order point has rank one.
+    any certified entry.  The power of a full-order point has rank one.  The
+    flush is settled on norm, the bracket of ||N||_2: the entries under the
+    threshold are nested in it, so they are the same at both ends of the
+    bracket exactly when their count is.
     """
     dim = nmat.shape[0]
     if dim == 1:
         power = np.eye(1, dtype=complex)
     else:
         power = np.linalg.matrix_power(nmat, dim - 1).copy()  # a copy: matrix_power(N, 1) is N itself
-        power[np.abs(power) <= nil_tol * _norm_power(norm, dim - 1)] = 0.0
+        mods = np.abs(power)
+        _settle(lambda b: np.count_nonzero(mods <= nil_tol * _norm_power(b, dim - 1)), (norm, dim - 1))
+        power[mods <= nil_tol * _norm_power(norm.lo, dim - 1)] = 0.0
     power.setflags(write=False)
     return power, _rank_one_norm(power, "N^(n-1)")
 
@@ -233,10 +304,16 @@ class EpReport:
 
     order is the nilpotency index of the traceless part (None when the
     spectrum is non-degenerate).  response_strength is only defined for
-    full-order points (order == dim); partial is True otherwise.
-    nilpotent_norm is ||N||_2 of the traceless part N.  top_power is the
-    certified N^(dim-1) with its rounding residue flushed to zero, whose norm
-    is the response strength; it is None unless the point has full order.
+    full-order points (order == dim); partial is True otherwise.  top_power
+    is the certified N^(dim-1) with its rounding residue flushed to zero,
+    whose norm is the response strength; it is None unless the point has
+    full order.
+
+    nilpotent_norm, ||N||_2 of the traceless part N, is computed on first
+    read and kept.  The thresholds that scale with it (the power tests, the
+    flush, jordan_chain's residual budget and compose's cross-check) are
+    settled on the staged bracket of it that the report carries (see
+    _NormBracket), so a report takes at most one SVD of N.
     """
 
     dim: int
@@ -245,11 +322,23 @@ class EpReport:
     nilpotent: np.ndarray
     response_strength: float | None
     nil_tol: float
-    nilpotent_norm: float
     top_power: np.ndarray | None
+    _bracket: InitVar[_NormBracket | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _bracket):
         self.nilpotent.setflags(write=False)
+        if _bracket is not None:  # kept apart from _bracket, so that dataclasses.replace starts afresh
+            object.__setattr__(self, "_norm", _bracket)
+
+    @cached_property
+    def _norm(self) -> _NormBracket:
+        """The staged bracket of ||N||_2, from the power test or made on first use."""
+        return _NormBracket(self.nilpotent)
+
+    @property
+    def nilpotent_norm(self) -> float:
+        """||N||_2 as spectral_norm gives it."""
+        return self._norm.exact()
 
     @property
     def partial(self) -> bool:
@@ -296,8 +385,8 @@ def _detect(h: np.ndarray, nil_tol: float | None) -> EpReport:
         nilpotent=nmat,
         response_strength=xi,
         nil_tol=float(nil_tol),
-        nilpotent_norm=norm,
         top_power=power,
+        _bracket=norm,
     )
 
 

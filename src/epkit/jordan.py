@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmatrix
-from .ep_core import EpReport
+from .ep_core import EpReport, _settle
 from .errors import ParameterError, PreconditionError, ShapeError, StructureError
 
 __all__ = ["JordanChain", "jordan_chain", "response_from_chain", "coupling_amplitude"]
@@ -75,7 +75,9 @@ def jordan_chain(report: EpReport) -> JordanChain:
     points along the conjugate of every nonzero row of N^(n-1), taken from the
     largest, and j_l = N^(n-l) j_n follows by matrix-vector products.  Dividing every
     vector by ||j_1|| and fixing the phase of j_1 as kernel_vector does fixes
-    the gauge.  Chain residuals are accepted up to 1e-10 * ||N||_2.
+    the gauge.  Chain residuals are accepted up to 1e-10 * ||N||_2, a budget
+    settled on the report's bracket of ||N||_2, so no SVD is taken unless the
+    residuals fall between the budgets at its two ends.
     """
     if not report.is_full_ep:
         raise PreconditionError(
@@ -99,12 +101,14 @@ def jordan_chain(report: EpReport) -> JordanChain:
     last = vectors[-1]
     ortho_res = tuple(float(abs(np.vdot(last, vectors[l]))) for l in range(n - 1))
 
-    budget = max(1e-10 * report.nilpotent_norm, _BUDGET_FLOOR)
     norms = [cmatrix._frobenius_norm(v) for v in vectors]
-    ok = chain_res[0] <= budget and all(chain_res[l] <= budget * norms[l - 1] for l in range(1, n))
-    ok = ok and norm_res <= 1e-12
-    ok = ok and all(r <= 1e-10 * norms[-1] for r in ortho_res)
-    if not ok:
+
+    def within_budget(nilpotent_norm: float) -> bool:
+        budget = max(1e-10 * nilpotent_norm, _BUDGET_FLOOR)
+        return chain_res[0] <= budget and all(chain_res[l] <= budget * norms[l - 1] for l in range(1, n))
+
+    ok = norm_res <= 1e-12 and all(r <= 1e-10 * norms[-1] for r in ortho_res)
+    if not (ok and _settle(within_budget, (report._norm, 1))):
         raise StructureError(
             f"chain conditions violated: chain residuals {chain_res}, normalization {norm_res:.3e}, "
             f"orthogonality {ortho_res}"

@@ -374,6 +374,22 @@ def test_bad_tol_exits_2(capsys, tmp_path, dimer_file, trimer_file, command, tol
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "jordan"])
+@pytest.mark.parametrize("tol", ["1", "1.5", "1e10"])
+def test_nilpotency_tol_of_one_or_more_exits_2(capsys, tmp_path, dimer_file, trimer_file, command, tol):
+    # at --tol 1 every matrix passed the k = 1 power test: analyze printed "order": 1 for the trimer
+    argv = command_argv(command, tmp_path, dimer_file, trimer_file)
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--tol", tol])
+    assert info.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_compose_tol_of_one_is_an_eigenvalue_tolerance(capsys, tmp_path, dimer_file, trimer_file):
+    code, out, _ = run(capsys, command_argv("compose", tmp_path, dimer_file, trimer_file) + ["--tol", "1"])
+    assert code == 0 and json.loads(out)["order"] == 5
+
+
 @pytest.mark.parametrize("command", ["analyze", "jordan", "compose", "sweep", "reproduce-fig3"])
 def test_unwritable_out_exits_2(capsys, tmp_path, dimer_file, trimer_file, command):
     (tmp_path / "f").write_text("", encoding="utf-8")

@@ -1,10 +1,11 @@
 """Tests for hierarchical composition through unidirectional coupling."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -191,6 +192,84 @@ def test_composite_response_decides_as_the_coupling_norm_does(kind, data):
     assert error is expected_error
     if error is None:
         assert xi == pytest.approx(expected_xi, rel=1e-13)
+
+
+def _cross_check_outcome(system, nmat):
+    """The bytes of genericity_product's C with nmat as the traceless part, or the error it raises."""
+    try:
+        return compose._genericity_product(system, nmat).tobytes()
+    except NumericalError as exc:
+        return str(exc)
+
+
+@st.composite
+def composites_near_the_cross_check(draw):
+    """Two independently built copies of one composite, and its traceless part with the coupling block moved.
+
+    The composite is a dimer and a trimer at eigenvalue 0, scaled by 10**-30 .. 10**30, with a
+    coupled_pairs K, or a compose_many chain of 2-5 dimers.  Moving the coupling block of N by
+    size * E moves the direct power's block off C by size * N_b^(n_b-1) E N_a^(n_a-1), and size puts
+    that at a factor near 1 of the cross-check threshold 1e-10 * ||K||_2 * ||N_a||_2^(n_a-1) * ||N_b||_2^(n_b-1).
+    """
+    if draw(st.booleans()):
+        g_a, g_b, k = draw(coupled_pairs(draw(st.sampled_from(["single", "dense", "rank_one"]))))
+        scale = 10.0 ** draw(st.integers(-30, 30))
+        build = functools.partial(compose.block_compose, scale * pt_dimer(0.0, g_a), scale * pt_trimer(0.0, g_b), k)
+    else:
+        hams, ks, _ = dimer_chain(helpers.philox(draw(st.integers(0, 2**32 - 1))), draw(st.integers(2, 5)))
+        build = functools.partial(compose.compose_many, hams, ks)
+    fresh, exact = build(), build()
+    a, b = exact.rep_a, exact.rep_b
+    threshold = 1e-10 * exact.coupling_norm * a.nilpotent_norm ** (a.dim - 1) * b.nilpotent_norm ** (b.dim - 1)
+    e = helpers.complex_uniform(helpers.philox(draw(st.integers(0, 2**32 - 1))), (b.dim, a.dim))
+    moved = cmatrix.frobenius_norm(b.top_power @ e @ a.top_power)
+    assume(moved > 0.0 and threshold > 0.0)
+    factor = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0 - 1e-3, 1.0 + 1e-3, 1.1, 2.0]))
+    _, nmat = ep_core.traceless_part(exact.h)
+    nmat[a.dim:, :a.dim] += factor * threshold / moved * e
+    return fresh, exact, nmat
+
+
+@settings(deadline=None, max_examples=150)
+@given(composites_near_the_cross_check())
+def test_genericity_cross_check_matches_the_exact_norm_reference(case):
+    # settled on the brackets of ||K||_2, ||N_a||_2 and ||N_b||_2, the cross-check raises or
+    # returns exactly where it does on their SVDs
+    fresh, exact, nmat = case
+    assert _cross_check_outcome(fresh, nmat) == _cross_check_outcome(exact, nmat)
+
+
+@pytest.mark.parametrize("kind", ["single_entry", "dense"])
+def test_certify_op_takes_the_one_svd_of_kernel_vector(monkeypatch, kind):
+    # block_compose, three detect_ep, two jordan_chain, composite_response, kernel_vector and
+    # coupling_amplitude: every threshold on ||N||_2 and ||K||_2 is settled by a bracket
+    rng = helpers.philox(211)
+    for _ in range(5):
+        g_a, g_b = 10.0 ** rng.uniform(-1, 1, 2)
+        if kind == "single_entry":
+            k = single_entry_coupling(rng.uniform(0.1, 10.0), 3, 2)
+        else:
+            k = helpers.complex_uniform(rng, (3, 2))
+        h_a, h_b = pt_dimer(1.0, g_a), pt_trimer(1.0, g_b)
+        counts = helpers.count_linalg(monkeypatch, "svd")
+        system = compose.block_compose(h_a, h_b, k)
+        report = ep_core.detect_ep(system.h)
+        jordan.jordan_chain(report)
+        compose.composite_response(system)
+        rep_a, rep_b = ep_core.detect_ep(h_a), ep_core.detect_ep(h_b)
+        jordan.coupling_amplitude(jordan.jordan_chain(rep_b), cmatrix.kernel_vector(rep_a.nilpotent), k)
+        assert counts == {"svd": 1}
+        monkeypatch.undo()
+
+
+def test_report_reads_its_nilpotent_norm_on_demand_with_one_svd(monkeypatch):
+    system = dimer_trimer()
+    counts = helpers.count_linalg(monkeypatch, "svd")
+    report = system.report
+    assert counts == {"svd": 0}
+    first, second = report.nilpotent_norm, report.nilpotent_norm
+    assert counts == {"svd": 1}
+    assert first.hex() == second.hex() == cmatrix.spectral_norm(ep_core.traceless_part(system.h)[1]).hex()
 
 
 def test_composite_response_linear_in_coupling():
@@ -420,6 +499,14 @@ def test_compose_many_runs_one_power_test_per_subsystem(monkeypatch):
     hams, ks, _ = dimer_chain(helpers.philox(67), 5)
     compose.compose_many(hams, ks)
     assert calls == [2] * 5
+
+
+def test_compose_many_of_a_dimer_chain_takes_no_svd(monkeypatch):
+    hams, ks, gs = dimer_chain(helpers.philox(67), 5)
+    counts = helpers.count_linalg(monkeypatch, "svd")
+    system = compose.compose_many(hams, ks)
+    assert counts == {"svd": 0}
+    assert system.report.response_strength == pytest.approx(np.linalg.norm(chain_top_power(gs, ks)), rel=1e-12)
 
 
 def test_compose_many_nongeneric_intermediate_names_the_achieved_order():

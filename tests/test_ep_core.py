@@ -1,10 +1,11 @@
 """Tests for exceptional point detection and spectral response."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
@@ -115,6 +116,15 @@ def test_non_finite_nil_tol_rejected(certify, nil_tol):
     for matrix in (np.zeros((3, 3)), jordan_block(3)):
         with pytest.raises(ParameterError, match="nil_tol"):
             certify(matrix, nil_tol)
+
+
+@pytest.mark.parametrize("nil_tol", [1.0, 1.5, 1e10])
+@pytest.mark.parametrize("certify", [ep_core.nilpotency_index, ep_core.detect_ep], ids=["index", "detect"])
+def test_nil_tol_of_one_or_more_rejected(certify, nil_tol):
+    # at nil_tol >= 1 the k = 1 test ||N||_2 <= nil_tol * ||N||_2 holds for every N: a
+    # diagonal matrix of three distinct eigenvalues was reported as order 1
+    with pytest.raises(ParameterError, match="nil_tol"):
+        certify(np.diag([1.0, 5.0, 9.0]), nil_tol)
 
 
 @st.composite
@@ -323,6 +333,104 @@ def test_nilpotency_overflowing_norm_raises_numerical_error():
         ep_core.detect_ep(n)
 
 
+def _scaled_exponents(dim):
+    """Decades e with 10**e * N keeping ||N||_2^dim inside the double range: +-150 at dim 2, +-7 at dim 40."""
+    bound = 300 // (dim + 1) if dim > 2 else 150
+    return st.integers(-bound, bound)
+
+
+@st.composite
+def nilpotent_inputs(draw):
+    """The traceless part of a transformed Jordan block of dim 2-40 or of J_p + J_q, scaled by 10**e.
+
+    The scales reach 1e+-150 where the dimension allows and carry the powers of N across the
+    [1e-150, 1e150] window of the power-step bracket.
+    """
+    rng = helpers.philox(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        h = helpers.transformed_jordan_block(rng, draw(st.integers(2, 40)))
+    else:
+        p, q = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+        h = block_diag(helpers.transformed_jordan_block(rng, p), helpers.transformed_jordan_block(rng, q))
+    _, n = ep_core.traceless_part(h)
+    n = 10.0 ** draw(_scaled_exponents(n.shape[0])) * n
+    try:  # the exact-norm references take ||N||_2^dim as a Python float
+        in_range = cmatrix.spectral_norm(n) ** n.shape[0] < 1e300
+    except OverflowError:
+        in_range = False
+    assume(in_range)
+    return n
+
+
+@st.composite
+def placed_nil_tols(draw, ratios):
+    """None (default_nil_tol), or a ratio from `ratios` times a factor within 1e-6 of 1.
+
+    The ratios are the quantities a test compares with nil_tol, so the test then falls inside every bracket.
+    """
+    near = draw(st.sampled_from([None, 1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-6, 1.0 + 1e-6]))
+    if near is None or not ratios:
+        return None
+    nil_tol = near * draw(st.sampled_from(ratios))
+    assume(0.0 < nil_tol < 1.0)
+    return nil_tol
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_nilpotency_index_matches_the_exact_norm_reference(data):
+    # the order from the staged brackets of ||N||_2 and ||N^k||_2 is the order one SVD per power gives,
+    # also where nil_tol puts a power test right at ||N^k||_2 / ||N||_2^k
+    n = data.draw(nilpotent_inputs())
+    base, power, ratios = cmatrix.spectral_norm(n), n, []
+    for k in range(2, n.shape[0] + 1):
+        power = power @ n
+        if base**k > 0.0:
+            ratios.append(cmatrix.spectral_norm(power) / base**k)
+    nil_tol = data.draw(placed_nil_tols([r for r in ratios if r > 0.0]))
+    tol = ep_core.default_nil_tol(n.shape[0]) if nil_tol is None else nil_tol
+    assert ep_core.nilpotency_index(n, nil_tol) == helpers.reference_nilpotency_index(n, tol)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_top_power_flush_matches_the_exact_norm_reference(data):
+    # the flushed N^(n-1) is byte for byte the one flushed at nil_tol * spectral_norm(N)^(n-1),
+    # also where nil_tol puts the threshold on an entry
+    n = data.draw(nilpotent_inputs())
+    dim = n.shape[0]
+    power = np.linalg.matrix_power(n, dim - 1).copy()
+    scale = cmatrix.spectral_norm(n) ** (dim - 1)
+    entries = np.abs(power[power != 0]) / scale
+    nil_tol = data.draw(placed_nil_tols(sorted(set(entries.tolist()))))
+    nil_tol = ep_core.default_nil_tol(dim) if nil_tol is None else nil_tol
+    power[np.abs(power) <= nil_tol * scale] = 0.0
+    try:
+        flushed, _ = ep_core._top_power(n, nil_tol, ep_core._NormBracket(n))
+    except NumericalError:  # not rank one after the flush: the reference fails the same check
+        with pytest.raises(NumericalError, match="rank one"):
+            ep_core._rank_one_norm(power, "N^(n-1)")
+    else:
+        assert flushed.tobytes() == power.tobytes()
+
+
+@pytest.mark.parametrize("h", [pt_dimer(1.0, 1.5), pt_trimer(1.0, 1.3), dimer_trimer_system().h],
+                         ids=["dimer", "trimer", "composite"])
+def test_nilpotent_norm_is_read_on_demand_with_one_svd(monkeypatch, h):
+    report = ep_core.detect_ep(h)
+    counts = helpers.count_linalg(monkeypatch, "svd")
+    first, second = report.nilpotent_norm, report.nilpotent_norm
+    assert counts == {"svd": 1}
+    assert first.hex() == second.hex() == cmatrix.spectral_norm(report.nilpotent).hex()
+
+
+def test_replaced_report_reads_the_norm_of_its_own_nilpotent():
+    report = ep_core.detect_ep(pt_trimer(1.0, 1.3))
+    report.nilpotent_norm  # the original's bracket is exact now, and must not pass to the copy
+    doubled = dataclasses.replace(report, nilpotent=2.0 * report.nilpotent)
+    assert doubled.nilpotent_norm == cmatrix.spectral_norm(2.0 * report.nilpotent)
+
+
 # ---------------------------------------------------------------------------
 # detection
 
@@ -365,11 +473,11 @@ def test_detect_ep_zero_matrix_not_full_order():
     "h", [pt_dimer(1.0, 1.5), pt_trimer(1.0, 1.3), dimer_trimer_system().h], ids=["dimer", "trimer", "composite"]
 )
 def test_detect_ep_takes_one_svd(monkeypatch, h):
-    # one of N for ||N||_2; every power test is settled by its largest entry, and the
-    # top power is certified rank one by a power step
+    # none: every power test and the flush are settled by the largest entries of N and
+    # its powers, and the top power is certified rank one by a power step
     counts = helpers.count_linalg(monkeypatch, "svd")
     assert ep_core.detect_ep(h).is_full_ep
-    assert counts == {"svd": 1}
+    assert counts == {"svd": 0}
 
 
 @pytest.mark.parametrize(

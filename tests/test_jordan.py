@@ -5,11 +5,13 @@ import dataclasses
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from epkit import cmatrix, ep_core, jordan
 from epkit.compose import block_compose, composite_response
-from epkit.errors import ParameterError, PreconditionError, ShapeError, StructureError
+from epkit.errors import NumericalError, ParameterError, PreconditionError, ShapeError, StructureError
 from epkit.models import dimer_trimer_system, pt_dimer, pt_trimer, single_entry_coupling
 
 
@@ -82,6 +84,46 @@ def test_chain_takes_no_svd_lstsq_or_matrix_power(monkeypatch, h):
     calls = helpers.count_linalg(monkeypatch, "svd", "lstsq", "matrix_power")
     jordan.jordan_chain(report)
     assert calls == {"svd": 0, "lstsq": 0, "matrix_power": 0}
+
+
+def _chain_outcome(report):
+    """The chain's vector bytes and residuals, or the error jordan_chain raises."""
+    try:
+        chain = jordan.jordan_chain(report)
+    except StructureError as exc:
+        return str(exc)
+    return b"".join(v.tobytes() for v in chain.vectors), chain.chain_residuals
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(2, 40), st.floats(-1.0, 1.0), st.integers(-140, 140), st.integers(0, 2**32 - 1))
+def test_chain_verdict_matches_the_exact_norm_reference(dim, log_ratio, exponent, seed):
+    # N j_1 is moved off 0 by 10**log_ratio times the budget 1e-10 * ||N||_2, leaving every other
+    # chain condition as it was, so the budget is settled inside the brackets of ||N||_2 as often as
+    # outside them; the chain must pass or fail as it does on spectral_norm(N)
+    rng = helpers.philox(seed)
+    if dim <= 10:
+        h = helpers.transformed_jordan_block(rng, dim)
+    else:  # a unitary similarity keeps a large block at full order
+        q, _ = np.linalg.qr(helpers.complex_uniform(rng, (dim, dim)))
+        h = q @ np.diag(np.ones(dim - 1, dtype=complex), 1) @ q.conj().T
+    try:
+        report = ep_core.detect_ep(10.0 ** (exponent / (dim - 1)) * h)  # the top power scaled by 10**exponent
+    except NumericalError:  # a top power short of rank one
+        report = None
+    outcome = _chain_outcome(report) if report is not None and report.is_full_ep else None
+    assume(isinstance(outcome, tuple))  # a chain to move off, not a StructureError
+    vectors = np.frombuffer(outcome[0], dtype=complex).reshape(dim, dim)
+    q, _ = np.linalg.qr(np.array(vectors[1:]).T)
+    w = vectors[0] - q @ (q.conj().T @ vectors[0])  # orthogonal to j_2 ... j_n, which N moves as before
+    w /= np.linalg.norm(w)
+    u = helpers.complex_uniform(rng, dim)
+    u /= np.linalg.norm(u)
+    size = 10.0**log_ratio * 1e-10 * cmatrix.spectral_norm(report.nilpotent) / abs(np.vdot(w, vectors[0]))
+    moved = report.nilpotent + size * np.outer(u, w.conj())
+    fresh, exact = dataclasses.replace(report, nilpotent=moved), dataclasses.replace(report, nilpotent=moved.copy())
+    exact.nilpotent_norm  # the budget of this report is then decided on spectral_norm(N)
+    assert _chain_outcome(fresh) == _chain_outcome(exact)
 
 
 # Subsystem strengths two orders of magnitude apart, where a backward solve loses accuracy.
