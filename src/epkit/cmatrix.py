@@ -82,7 +82,8 @@ def _frobenius_norm(a: np.ndarray) -> float:
     overflow give inf.
     """
     x = a.ravel(order="K")
-    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _svd(a: np.ndarray, compute_uv: bool = True):
@@ -124,8 +125,9 @@ def kernel_vector(a) -> np.ndarray:
 def _pivot_phase(v: np.ndarray) -> complex:
     """Unit factor that makes the first component of largest modulus of v real and positive."""
     mods = np.abs(v)
-    # tolerate float ties so analytically equal moduli pick the first index
-    pivot = int(np.flatnonzero(mods >= (1.0 - 1e-12) * mods.max())[0])
+    # tolerate float ties so analytically equal moduli pick the first index: argmax of a boolean
+    # array is its first True, and mods[mods.argmax()] is mods.max() without numpy's Python-level wrapper
+    pivot = int((mods >= (1.0 - 1e-12) * mods[mods.argmax()]).argmax())
     return v[pivot].conjugate() / mods[pivot]
 
 

@@ -30,6 +30,7 @@ from .ep_core import (
     _nilpotency,
     _norm_power,
     _NormBracket,
+    _overflow_scope,
     _rank_one_norm,
     _settle,
     _traceless_part,
@@ -149,12 +150,16 @@ def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL, shift_b: boo
     h_a = cmatrix.as_square(h_a, "H_a")
     h_b = cmatrix.as_square(h_b, "H_b")
     k = cmatrix.as_matrix(k, "K")
-    return _assemble(h_a, _certified(_detect(h_a, None), "a"), h_b, k, tol, shift_b)
+    with _overflow_scope():
+        return _assemble(h_a, _certified(_detect(h_a, None), "a"), h_b, k, tol, shift_b)
 
 
 def _assemble(h_a: np.ndarray, rep_a: EpReport, h_b: np.ndarray, k: np.ndarray, tol: float,
               shift_b: bool) -> CompositeSystem:
-    """block_compose of validated H_a, H_b and K, with rep_a the full-order certificate of H_a."""
+    """block_compose of validated H_a, H_b and K, with rep_a the full-order certificate of H_a.
+
+    It runs inside the caller's _overflow_scope.
+    """
     rep_b = _certified(_detect(h_b, None), "b")
     n_a, n_b = rep_a.dim, rep_b.dim
     if k.shape != (n_b, n_a):
@@ -173,7 +178,7 @@ def _assemble(h_a: np.ndarray, rep_a: EpReport, h_b: np.ndarray, k: np.ndarray, 
     h[:n_a, :n_a] = h_a
     h[n_a:, :n_a] = k
     h[n_a:, n_a:] = h_b
-    ep_eigenvalue = complex(np.trace(h)) / dim
+    ep_eigenvalue = complex(h.trace()) / dim
     return CompositeSystem(h_a=h_a.copy(), h_b=h_b.copy(), k=k.copy(), h=h, ep_eigenvalue=ep_eigenvalue,
                            rep_a=rep_a, rep_b=rep_b)
 
@@ -195,9 +200,10 @@ def compose_many(hams, couplings) -> CompositeSystem:
             f"need at least two subsystems and exactly len(hams)-1 couplings, got {len(hams)} and {len(couplings)}"
         )
     system = block_compose(hams[0], hams[1], couplings[0])
-    for h_next, k_next in zip(hams[2:], couplings[1:]):
-        h_next, k_next = cmatrix.as_square(h_next, "H_b"), cmatrix.as_matrix(k_next, "K")
-        system = _assemble(system.h, system.report, h_next, k_next, DEFAULT_EIGENVALUE_TOL, False)
+    with _overflow_scope():
+        for h_next, k_next in zip(hams[2:], couplings[1:]):
+            h_next, k_next = cmatrix.as_square(h_next, "H_b"), cmatrix.as_matrix(k_next, "K")
+            system = _assemble(system.h, system.report, h_next, k_next, DEFAULT_EIGENVALUE_TOL, False)
     return system
 
 
@@ -213,16 +219,16 @@ def genericity_product(sys: CompositeSystem) -> np.ndarray:
     ep_core._NormBracket), so an SVD of K, N_a or N_b is taken only where
     the cheaper brackets cannot decide it.
     """
-    return _genericity_product(sys, _traceless_part(sys.h)[1])
+    with _overflow_scope():
+        return _genericity_product(sys, _traceless_part(sys.h)[1])
 
 
 def _genericity_product(sys: CompositeSystem, nmat: np.ndarray) -> np.ndarray:
-    """genericity_product with nmat the traceless part of sys.h."""
+    """genericity_product with nmat the traceless part of sys.h, inside the caller's _overflow_scope."""
     a, b = sys.rep_a, sys.rep_b
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NumericalError below
-        c = b.top_power @ np.asarray(sys.k) @ a.top_power
-        block = np.linalg.matrix_power(nmat, sys.dim - 1)[sys.n_a:, :sys.n_a]
-        diff = cmatrix._frobenius_norm(c - block)
+    c = b.top_power @ sys.k @ a.top_power
+    block = np.linalg.matrix_power(nmat, sys.dim - 1)[sys.n_a:, :sys.n_a]
+    diff = cmatrix._frobenius_norm(c - block)
     if not math.isfinite(diff):  # finite only when every entry of C and of the block is
         raise NumericalError("the genericity product or its cross-check overflows a double")
     if _settle(lambda norm_a, norm_b, norm_k: diff > 1e-10 * max(
@@ -246,21 +252,31 @@ def composite_response(sys: CompositeSystem) -> float:
 
 def _block_response(sys: CompositeSystem) -> tuple[np.ndarray, np.ndarray, float]:
     """(N, C, xi): the traceless part of sys.h, the genericity product and composite_response."""
-    _, nmat = _traceless_part(sys.h)
-    c = _genericity_product(sys, nmat)
-    with np.errstate(over="ignore"):  # an overflow raises NumericalError below
+    with _overflow_scope():
+        _, nmat = _traceless_part(sys.h)
+        c = _genericity_product(sys, nmat)
         frob = cmatrix._frobenius_norm(c)
-    if not math.isfinite(frob):
-        raise NumericalError("||C||_F of the genericity product overflows a double")
+        if not math.isfinite(frob):
+            raise NumericalError("||C||_F of the genericity product overflows a double")
+        # C = 0 is degenerate whatever ||K||_2 is; no certified subsystem has xi = 0, since detect_ep
+        # raises NumericalError on a top power flushed to zero
+        if not (frob > 0.0 and _is_generic(sys, frob)):
+            achieved = _nilpotency(nmat, default_nil_tol(sys.dim))[0]
+            raise DegenerateCouplingError(
+                f"coupling is degenerate: composite order {achieved} < {sys.dim}",
+                achieved_order=achieved,
+            )
+        return nmat, c, _rank_one_norm(c, "the genericity product")
+
+
+def _is_generic(sys: CompositeSystem, frob: float) -> bool:
+    """||C||_F > 1e-8 * xi_a * xi_b * ||K||_2, with _settle's first pass inline at both ends of ||K||_2's bracket."""
     xi_a, xi_b = sys.rep_a.response_strength, sys.rep_b.response_strength
-    # a subsystem whose top power was flushed to zero has xi = 0, which _upper_bound rejects, and C = 0
-    if frob == 0.0 or not _settle(lambda norm: frob > 1e-8 * _upper_bound(xi_a, xi_b, norm), (sys._coupling, 1)):
-        achieved = _nilpotency(nmat, default_nil_tol(sys.dim))[0]
-        raise DegenerateCouplingError(
-            f"coupling is degenerate: composite order {achieved} < {sys.dim}",
-            achieved_order=achieved,
-        )
-    return nmat, c, _rank_one_norm(c, "the genericity product")
+    coupling = sys._coupling
+    generic = frob > 1e-8 * _upper_bound(xi_a, xi_b, coupling.lo)
+    if (frob > 1e-8 * _upper_bound(xi_a, xi_b, coupling.hi)) != generic:
+        generic = _settle(lambda norm: frob > 1e-8 * _upper_bound(xi_a, xi_b, norm), (coupling, 1))
+    return generic
 
 
 def response_upper_bound(xi_a: float, xi_b: float, k) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import InitVar, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -75,20 +75,40 @@ def default_nil_tol(dim: int) -> float:
     return 1e-10 * dim
 
 
+def _overflow_scope() -> np.errstate:
+    """The one np.errstate scope each public entry point of ep_core, jordan and compose opens.
+
+    Inside it an overflow or invalid operation gives inf or NaN without a
+    RuntimeWarning, and the code that can produce one checks for it and raises
+    NumericalError.  The private helpers run inside their caller's scope; only
+    _power_step opens one of its own, and only where its squares may overflow.
+    """
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+@lru_cache(maxsize=32)
+def _identity(n: int) -> np.ndarray:
+    """np.eye(n), read-only and kept, so _traceless_part does not build one per call."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def traceless_part(h) -> tuple[complex, np.ndarray]:
     """Split H into (mean eigenvalue, traceless remainder N = H - mean * I).
 
     A finite H whose trace or N leaves the double range raises NumericalError.
     """
-    return _traceless_part(cmatrix.as_square(h, "H"))
+    h = cmatrix.as_square(h, "H")
+    with _overflow_scope():
+        return _traceless_part(h)
 
 
 def _traceless_part(h: np.ndarray) -> tuple[complex, np.ndarray]:
-    """traceless_part of a validated square H."""
+    """traceless_part of a validated square H; an overflow raises NumericalError."""
     n = h.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NumericalError below
-        mean = complex(h.trace()) / n
-        nmat = h - mean * np.eye(n)
+    mean = complex(h.trace()) / n
+    nmat = h - mean * _identity(n)
     if not (cmath.isfinite(mean) and np.isfinite(nmat).all()):
         raise NumericalError("the trace or traceless part of H overflows a double")
     return mean, nmat
@@ -101,15 +121,16 @@ def nilpotency_index(nmat, nil_tol: float | None = None) -> int | None:
     numerically zero, i.e. the matrix has at least two distinct eigenvalues.
     """
     nmat = cmatrix.as_square(nmat, "N")
-    return _nilpotency(nmat, default_nil_tol(nmat.shape[0]) if nil_tol is None else nil_tol)[0]
+    with _overflow_scope():
+        return _nilpotency(nmat, default_nil_tol(nmat.shape[0]) if nil_tol is None else nil_tol)[0]
 
 
 def _nilpotency(nmat: np.ndarray, nil_tol: float) -> tuple[int | None, _NormBracket]:
     """(nilpotency_index, the staged bracket of ||N||_2) of a validated N.
 
-    Each power test ||N^k||_2 <= nil_tol * ||N||_2^k is settled by _settle
-    over the brackets of N and of N^k, so ||N||_2 is taken by an SVD only when
-    no cheaper bracket decides a test.  A non-finite power raises
+    Each power test ||N^k||_2 <= nil_tol * ||N||_2^k is decided by
+    _power_test over the brackets of N and of N^k, so ||N||_2 is taken by an
+    SVD only when no cheaper bracket decides a test.  A non-finite power raises
     NumericalError, after the overflow of ||N||_2^k when that overflows too.
     """
     dim = nmat.shape[0]
@@ -117,19 +138,35 @@ def _nilpotency(nmat: np.ndarray, nil_tol: float) -> tuple[int | None, _NormBrac
         raise ParameterError(f"nil_tol must lie in (0, 1), got {nil_tol}")
     base = _NormBracket(nmat)
     power = nmat
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed power raises NumericalError below
-        for k in range(1, dim + 1):
-            norm = base
-            if k > 1:
-                power = power @ nmat
-                try:
-                    norm = _NormBracket(power)
-                except NumericalError:  # a non-finite power, raised after ||N||_2^k overflowing
-                    _norm_power(base.exact(), k)
-                    raise
-            if _settle(lambda b, p, k=k: p <= nil_tol * _norm_power(b, k), (base, k), (norm, -1)):
-                return k, base
+    for k in range(1, dim + 1):
+        norm = base
+        if k > 1:
+            power = power @ nmat
+            try:
+                norm = _NormBracket(power)
+            except NumericalError:  # a non-finite power, raised after ||N||_2^k overflowing
+                _norm_power(base.exact(), k)
+                raise
+        if _power_test(base, norm, k, nil_tol):
+            return k, base
     return None, base
+
+
+def _power_test(base: _NormBracket, norm: _NormBracket, k: int, nil_tol: float) -> bool:
+    """||N^k||_2 <= nil_tol * ||N||_2^k, with base the bracket of ||N||_2 and norm that of ||N^k||_2.
+
+    The first pass of _settle is done inline: the test is decided at once
+    when it agrees at the corner (base.lo, norm.hi) and the corner
+    (base.hi, norm.lo), as it does below the order, where the current bounds
+    reject it.  Only a test they leave open enters _settle.
+    """
+    try:
+        verdict = norm.hi <= nil_tol * _norm_power(base.lo, k)
+        if (norm.lo <= nil_tol * _norm_power(base.hi, k)) == verdict:
+            return verdict
+    except NumericalError:  # a corner's threshold leaves the double range and settles nothing
+        pass
+    return _settle(lambda b, p: p <= nil_tol * _norm_power(b, k), (base, k), (norm, -1))
 
 
 def _norm_at_most(power: np.ndarray, bound: float) -> bool:
@@ -147,22 +184,24 @@ class _NormBracket:
 
     Stage 1 is peak <= ||M||_2 <= sqrt(size) * peak with peak = max |m_ij|,
     free once |M| is taken; it needs a normal peak, so that abs (a hypot) is
-    exact to an ulp.  Stage 2 is est <= ||M||_2 <= ||M||_F from
-    _power_step, narrow wherever one singular value dominates.  Both are
-    widened by _BRACKET_SLACK on either side, so they hold the sigma_1 the
-    SVD returns.  Stage 3 is lo = hi = spectral_norm(M), one SVD.  A zero M
-    has norm 0 exactly, with no SVD; a subnormal peak starts at [0, inf], and
-    an ||M||_F outside the _RANK_ONE_RANGE window skips stage 2.  M must be
-    finite: a non-finite entry is an overflowed power of N and raises
-    NumericalError.
+    exact to an ulp.  |M| is taken once and kept for stage 2.  Stage 2 is
+    est <= ||M||_2 <= ||M||_F from _power_step, narrow wherever one singular
+    value dominates.  Both are widened by _BRACKET_SLACK on either side, so
+    they hold the sigma_1 the SVD returns.  Stage 3 is lo = hi =
+    spectral_norm(M), one SVD.  A zero M has norm 0 exactly, with no SVD; a
+    subnormal peak starts at [0, inf], and an ||M||_F outside the
+    _RANK_ONE_RANGE window skips stage 2.  M must be finite: a non-finite
+    entry is an overflowed power of N and raises NumericalError.  Most tests
+    are decided on stage 1 alone, inline (see _power_test); a bracket moves on
+    only inside _settle.
     """
 
     __slots__ = ("m", "mods", "stage", "lo", "hi")
 
     def __init__(self, m: np.ndarray):
         self.m = m
-        self.mods = np.abs(m)
-        peak = float(self.mods.max())
+        self.mods = mods = np.abs(m)
+        peak = float(mods.ravel()[mods.argmax()])  # mods.max(), NaN included, without numpy's Python-level wrapper
         if not peak <= _HUGE:
             raise NumericalError("a power of N overflows a double")
         if peak == 0.0:
@@ -210,6 +249,12 @@ def _settle(decide, *terms: tuple[_NormBracket, int]):
     box; otherwise the bracket that spreads the product most moves on a
     stage.  A corner where decide raises NumericalError, a threshold leaving
     the double range, settles nothing, so only the exact norms raise.
+
+    The hot tests (_power_test, the flush of _top_power, jordan_chain's
+    budget and compose's degeneracy test) make this loop's first pass
+    inline, at the same two corners in the same order, and call it only when
+    the current bounds leave the verdict open; the verdict is the same
+    either way.
     """
     while True:
         low = [norm.lo if e >= 0 else norm.hi for norm, e in terms]
@@ -246,18 +291,30 @@ def _top_power(nmat: np.ndarray, nil_tol: float, norm: _NormBracket) -> tuple[np
     any certified entry.  The power of a full-order point has rank one.  The
     flush is settled on norm, the bracket of ||N||_2: the entries under the
     threshold are nested in it, so they are the same at both ends of the
-    bracket exactly when their count is.
+    bracket exactly when their count is.  The flush keeps the first largest
+    entry unless it zeroes every entry, so |N^(n-1)| taken before it still
+    locates the peak of the flushed power for _rank_one_norm.
     """
     dim = nmat.shape[0]
     if dim == 1:
         power = np.eye(1, dtype=complex)
+        mods = None
     else:
-        power = np.linalg.matrix_power(nmat, dim - 1).copy()  # a copy: matrix_power(N, 1) is N itself
+        power = np.linalg.matrix_power(nmat, dim - 1)
+        if power is nmat:  # matrix_power(N, 1) is N itself
+            power = power.copy()
         mods = np.abs(power)
-        _settle(lambda b: np.count_nonzero(mods <= nil_tol * _norm_power(b, dim - 1)), (norm, dim - 1))
-        power[mods <= nil_tol * _norm_power(norm.lo, dim - 1)] = 0.0
+        try:  # the first pass of _settle, inline
+            flush = mods <= nil_tol * _norm_power(norm.lo, dim - 1)
+            settled = np.count_nonzero(flush) == np.count_nonzero(mods <= nil_tol * _norm_power(norm.hi, dim - 1))
+        except NumericalError:  # a corner's threshold leaves the double range and settles nothing
+            settled = False
+        if not settled:
+            _settle(lambda b: np.count_nonzero(mods <= nil_tol * _norm_power(b, dim - 1)), (norm, dim - 1))
+            flush = mods <= nil_tol * _norm_power(norm.lo, dim - 1)
+        power[flush] = 0.0
     power.setflags(write=False)
-    return power, _rank_one_norm(power, "N^(n-1)")
+    return power, _rank_one_norm(power, "N^(n-1)", mods)
 
 
 def _power_step(m: np.ndarray, mods: np.ndarray) -> tuple[float | None, float]:
@@ -268,25 +325,30 @@ def _power_step(m: np.ndarray, mods: np.ndarray) -> tuple[float | None, float]:
     and this one is close to ||M||_2 when one singular value dominates.  est
     is None for ||M||_F outside [1/_RANK_ONE_RANGE, _RANK_ONE_RANGE].
     """
-    with np.errstate(over="ignore"):  # squares that overflow give inf, outside the window
+    top, col = divmod(int(mods.argmax()), m.shape[1])
+    peak = mods[top, col]
+    if float(peak) * float(peak) * m.size <= _HUGE:  # no square, and no sum of them, can overflow
         frob = cmatrix._frobenius_norm(m)
+    else:
+        with np.errstate(over="ignore"):  # squares that overflow give inf, outside the window
+            frob = cmatrix._frobenius_norm(m)
     if not 1.0 / _RANK_ONE_RANGE <= frob <= _RANK_ONE_RANGE:
         return None, frob
-    top, col = divmod(int(mods.argmax()), m.shape[1])
-    v = m @ (m[top].conj() / mods[top, col] ** 2)  # scaled so that 1 <= ||v|| <= m.size
+    v = m @ (m[top].conj() / peak**2)  # scaled so that 1 <= ||v|| <= m.size
     w = v.conj() @ m  # the conjugate of M^H v
     return math.sqrt(np.vdot(w, w).real / np.vdot(v, v).real), frob
 
 
-def _rank_one_norm(m: np.ndarray, name: str) -> float:
+def _rank_one_norm(m: np.ndarray, name: str, mods: np.ndarray | None = None) -> float:
     """||M||_2 of a finite rank-one M; NumericalError when ||M||_2 and ||M||_F differ beyond 1e-10 relative.
 
     The power step of _power_step certifies rank one without an SVD: when
     ||M||_F is within _RANK_ONE_MARGIN of est, ||M||_F is returned, as it is
     then within 1e-13 of ||M||_2 and the 1e-10 check passes.  Otherwise, and
-    for ||M||_F outside the _RANK_ONE_RANGE window, one SVD decides.
+    for ||M||_F outside the _RANK_ONE_RANGE window, one SVD decides.  mods,
+    |M| unless given, need only hold the first largest |m_ij| where |M| does.
     """
-    est, frob = _power_step(m, np.abs(m))
+    est, frob = _power_step(m, np.abs(m) if mods is None else mods)
     if est is not None and abs(frob - est) <= _RANK_ONE_MARGIN * frob:
         return frob
     spec = cmatrix._spectral_norm(m)
@@ -365,19 +427,27 @@ def detect_ep(h, nil_tol: float | None = None) -> EpReport:
     traceless part.  order == dim certifies a full-order point and fixes the
     response strength; a smaller order flags a lower-order degeneracy living
     inside a larger space (response strength omitted); order None means the
-    eigenvalues do not all coalesce.
+    eigenvalues do not all coalesce.  A full-order verdict whose flushed
+    N^(n-1) has norm 0 raises NumericalError: the power test and the flush
+    then disagree, and no response strength can be certified.
     """
-    return _detect(cmatrix.as_square(h, "H"), nil_tol)
+    h = cmatrix.as_square(h, "H")
+    with _overflow_scope():
+        return _detect(h, nil_tol)
 
 
 def _detect(h: np.ndarray, nil_tol: float | None) -> EpReport:
-    """detect_ep of a validated square H."""
+    """detect_ep of a validated square H, inside the caller's _overflow_scope."""
     ep_eigenvalue, nmat = _traceless_part(h)
     dim = nmat.shape[0]
     if nil_tol is None:
         nil_tol = default_nil_tol(dim)
     order, norm = _nilpotency(nmat, nil_tol)
     power, xi = _top_power(nmat, nil_tol, norm) if order == dim else (None, None)
+    if xi == 0.0:
+        raise NumericalError(
+            f"N^{dim - 1} is flushed to zero at a full-order verdict (dim {dim}); no response strength to certify"
+        )
     return EpReport(
         dim=dim,
         order=order,

@@ -12,13 +12,14 @@ factorizes the composite response strength.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cmatrix
-from .ep_core import EpReport, _settle
-from .errors import ParameterError, PreconditionError, ShapeError, StructureError
+from .ep_core import EpReport, _overflow_scope, _settle
+from .errors import NumericalError, ParameterError, PreconditionError, ShapeError, StructureError
 
 __all__ = ["JordanChain", "jordan_chain", "response_from_chain", "coupling_amplitude"]
 
@@ -77,19 +78,28 @@ def jordan_chain(report: EpReport) -> JordanChain:
     vector by ||j_1|| and fixing the phase of j_1 as kernel_vector does fixes
     the gauge.  Chain residuals are accepted up to 1e-10 * ||N||_2, a budget
     settled on the report's bracket of ||N||_2, so no SVD is taken unless the
-    residuals fall between the budgets at its two ends.
+    residuals fall between the budgets at its two ends.  A row of N^(n-1)
+    whose norm overflows a double raises NumericalError.
     """
     if not report.is_full_ep:
         raise PreconditionError(
             f"Jordan chain requires a full-order exceptional point; detected order {report.order}"
         )
-    nmat = np.asarray(report.nilpotent)
+    with _overflow_scope():
+        return _chain(report)
+
+
+def _chain(report: EpReport) -> JordanChain:
+    """jordan_chain of a full-order report, inside the caller's _overflow_scope."""
+    nmat = report.nilpotent
     n = report.dim
     power = report.top_power
     row_norms = _row_norms(power)
-    top = int(np.argmax(row_norms))
+    top = int(row_norms.argmax())
     if not row_norms[top] > 0.0:
         raise StructureError("N^(n-1) is numerically zero; no Jordan chain to build")
+    if row_norms[top] == math.inf:
+        raise NumericalError("a row norm of N^(n-1) overflows a double; no Jordan chain to build")
     vectors = [power[top].conj() / row_norms[top]]  # j_n up to scale
     for _ in range(n - 1):
         vectors.append(nmat @ vectors[-1])
@@ -108,7 +118,12 @@ def jordan_chain(report: EpReport) -> JordanChain:
         return chain_res[0] <= budget and all(chain_res[l] <= budget * norms[l - 1] for l in range(1, n))
 
     ok = norm_res <= 1e-12 and all(r <= 1e-10 * norms[-1] for r in ortho_res)
-    if not (ok and _settle(within_budget, (report._norm, 1))):
+    if ok:  # _settle's first pass inline: the budget at both ends of the bracket of ||N||_2
+        bracket = report._norm
+        ok = within_budget(bracket.lo)
+        if within_budget(bracket.hi) != ok:
+            ok = _settle(within_budget, (bracket, 1))
+    if not ok:
         raise StructureError(
             f"chain conditions violated: chain residuals {chain_res}, normalization {norm_res:.3e}, "
             f"orthogonality {ortho_res}"

@@ -4,7 +4,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from epkit import cmatrix, ep_core
-from epkit.errors import DegenerateCouplingError, FitError, NumericalError, ParameterError
+from epkit.errors import DegenerateCouplingError, FitError, NumericalError, ParameterError, StructureError
 from epkit.perturb import SlopeFit
 
 
@@ -63,6 +63,72 @@ def reference_nilpotency_index(nmat: np.ndarray, nil_tol: float):
         if float(np.linalg.svd(power, compute_uv=False)[0]) <= nil_tol * base**k:
             return k
     return None
+
+
+def reference_detect(h, nil_tol=None):
+    """detect_ep in plain numpy: (order, ep_eigenvalue, N, top_power, xi), or NumericalError where it must raise one.
+
+    N = H - mean * np.eye(n), the order from reference_nilpotency_index, the top power from
+    np.linalg.matrix_power flushed at nil_tol * ||N||_2^(n-1) with ||N||_2 from an SVD, and rank one and
+    xi decided as ep_core._rank_one_norm documents, with the SVD's sigma_1 in place of the power-step
+    estimate.  ||N||_2^dim must stay inside the double range.
+    """
+    h = np.asarray(h, dtype=complex)
+    n = h.shape[0]
+    tol = ep_core.default_nil_tol(n) if nil_tol is None else nil_tol
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NumericalError below
+        mean = complex(h.trace()) / n
+        nmat = h - mean * np.eye(n)
+        if not np.isfinite(nmat).all():
+            raise NumericalError("the trace or traceless part of H overflows a double")
+        order = reference_nilpotency_index(nmat, tol)
+        if order != n:
+            return order, mean, nmat, None, None
+        if n == 1:
+            power = np.eye(1, dtype=complex)
+        else:
+            power = np.linalg.matrix_power(nmat, n - 1).copy()
+            power[np.abs(power) <= tol * float(np.linalg.svd(nmat, compute_uv=False)[0]) ** (n - 1)] = 0.0
+        frob = float(np.linalg.norm(power))
+    spec = float(np.linalg.svd(power, compute_uv=False)[0])
+    if abs(spec - frob) > 1e-10 * max(frob, np.finfo(float).tiny):
+        raise NumericalError("N^(n-1) is not numerically rank one")
+    in_window = 1e-150 <= frob <= 1e150
+    xi = frob if in_window and abs(frob - spec) <= 1e-13 * frob else spec
+    if xi == 0.0:
+        raise NumericalError("N^(n-1) is flushed to zero")
+    return order, mean, nmat, power, xi
+
+
+def reference_chain(nmat: np.ndarray, power: np.ndarray):
+    """jordan_chain's docstring recipe in plain numpy: (vectors, chain, normalization, orthogonality residuals).
+
+    j_n along the conjugate of the largest row of the certified N^(n-1), j_l = N^(n-l) j_n by
+    matrix-vector products, every vector divided by ||j_1|| and given the phase that makes the first
+    component of largest modulus of j_1 real and positive (ties within 1e-12 relative pick the first).
+    A top row whose norm overflows raises NumericalError and a zero one StructureError, as jordan_chain does.
+    """
+    n = nmat.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing row norm raises NumericalError below
+        row_norms = np.linalg.norm(power, axis=1)
+        top = int(np.argmax(row_norms))
+        if row_norms[top] == np.inf:
+            raise NumericalError("a row norm of N^(n-1) overflows a double")
+        if not row_norms[top] > 0.0:
+            raise StructureError("N^(n-1) is numerically zero")
+        vectors = [power[top].conj() / row_norms[top]]
+        for _ in range(n - 1):
+            vectors.append(nmat @ vectors[-1])
+        j_1 = vectors[-1]
+        mods = np.abs(j_1)
+        pivot = int(np.flatnonzero(mods >= (1.0 - 1e-12) * mods.max())[0])
+        factor = (j_1[pivot].conjugate() / mods[pivot]) / float(np.linalg.norm(j_1))
+        vectors = [v * factor for v in reversed(vectors)]
+        chain = [float(np.linalg.norm(nmat @ vectors[0]))]
+        chain += [float(np.linalg.norm(nmat @ vectors[l] - vectors[l - 1])) for l in range(1, n)]
+        normalization = float(abs(np.vdot(vectors[0], vectors[0]).real - 1.0))
+        orthogonality = [float(abs(np.vdot(vectors[-1], v))) for v in vectors[:-1]]
+    return vectors, tuple(chain), normalization, tuple(orthogonality)
 
 
 def rank_one_svd_rejects(m: np.ndarray) -> bool:

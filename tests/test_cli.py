@@ -100,6 +100,17 @@ def test_jordan_requires_full_order(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["analyze", "jordan"])
+def test_full_order_with_a_flushed_top_power_exits_4(capsys, tmp_path, command):
+    # the power test passes this dim-15 block at full order while the flush zeroes the whole of N^14
+    h = helpers.transformed_jordan_block(helpers.philox(1), 15)
+    path = write_json(tmp_path / "block.json", cmatrix.matrix_to_json(h))
+    code, out, err = run(capsys, [command, "--input", path])
+    assert code == 4
+    assert out == ""
+    assert "flushed to zero" in err
+
+
 # ---------------------------------------------------------------------------
 # compose
 

@@ -294,14 +294,12 @@ def test_degenerate_coupling_raises_with_achieved_order():
     assert info.value.achieved_order == 3
 
 
-def test_subsystem_with_a_flushed_top_power_gives_a_degenerate_coupling():
-    # detect_ep certifies this non-normal block at full order but flushes its whole top power
-    # (ROADMAP item 1), so xi_a = 0 and C = 0: degenerate, not a ParameterError from the bound
+def test_subsystem_with_a_flushed_top_power_raises_numerical_error():
+    # the power test passes this non-normal block at full order while the flush zeroes its whole
+    # top power; no subsystem with xi_a = 0 is certified, so block_compose stops at rep_a
     h_a = helpers.transformed_jordan_block(helpers.philox(1), 15)
-    system = compose.block_compose(h_a, pt_dimer(0.0, 1.0), np.ones((2, 15)))
-    assert system.rep_a.response_strength == 0.0
-    with pytest.raises(DegenerateCouplingError):
-        compose.composite_response(system)
+    with pytest.raises(NumericalError, match="flushed to zero"):
+        compose.block_compose(h_a, pt_dimer(0.0, 1.0), np.ones((2, 15)))
 
 
 @pytest.mark.parametrize("kind", ["single_entry", "dense"])

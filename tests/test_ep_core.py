@@ -434,6 +434,13 @@ def test_replaced_report_reads_the_norm_of_its_own_nilpotent():
 # ---------------------------------------------------------------------------
 # detection
 
+def test_full_order_verdict_with_a_flushed_top_power_raises_numerical_error():
+    # the power test passes this non-normal dim-15 block at full order while the flush zeroes the whole
+    # of N^14; no report may carry order 15 with response strength 0
+    with pytest.raises(NumericalError, match="flushed to zero"):
+        ep_core.detect_ep(helpers.transformed_jordan_block(helpers.philox(1), 15))
+
+
 def test_detect_ep_shifted_jordan_block():
     report = ep_core.detect_ep(jordan_block(3, eigenvalue=2.0))
     assert report.order == 3
