@@ -15,6 +15,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -227,6 +228,7 @@ def _add_sweep_options(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the epkit command line on every call."""
     parser = argparse.ArgumentParser(
         prog="epkit",
         description="Exceptional point toolkit: detection, Jordan chains, composition, perturbation sweeps.",
@@ -275,9 +277,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads arguments with: built on the first call, then shared by every later one.
+
+    parse_args keeps no state on the parser, so each call parses as a fresh
+    parser would.  build_parser stays the public way to get a parser, a new
+    one on each call, so a caller that changes one cannot change main's.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -169,16 +169,6 @@ def _power_test(base: _NormBracket, norm: _NormBracket, k: int, nil_tol: float) 
     return _settle(lambda b, p: p <= nil_tol * _norm_power(b, k), (base, k), (norm, -1))
 
 
-def _norm_at_most(power: np.ndarray, bound: float) -> bool:
-    """||P||_2 <= bound for a square P, decided by _by_norm_bracket."""
-    return _by_norm_bracket(power, lambda norm: norm <= bound)
-
-
-def _by_norm_bracket(m: np.ndarray, decide) -> bool:
-    """decide(||M||_2) for a predicate monotone in the norm, settled on a fresh staged bracket of M."""
-    return _settle(decide, (_NormBracket(m), 1))
-
-
 class _NormBracket:
     """Bounds lo <= ||M||_2 <= hi of a matrix M, narrowed in three stages on demand.
 

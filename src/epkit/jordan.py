@@ -78,8 +78,11 @@ def jordan_chain(report: EpReport) -> JordanChain:
     vector by ||j_1|| and fixing the phase of j_1 as kernel_vector does fixes
     the gauge.  Chain residuals are accepted up to 1e-10 * ||N||_2, a budget
     settled on the report's bracket of ||N||_2, so no SVD is taken unless the
-    residuals fall between the budgets at its two ends.  A row of N^(n-1)
-    whose norm overflows a double raises NumericalError.
+    residuals fall between the budgets at its two ends.  Orthogonality is
+    accepted when |<j_n, j_l>| <= 1e-10 * ||j_n|| * ||j_l||, a relative
+    overlap: in this gauge ||j_l|| grows like ||N||^-(l-1) for a small N, and
+    so does the rounding of the inner product.  A row of N^(n-1) whose norm
+    overflows a double raises NumericalError.
     """
     if not report.is_full_ep:
         raise PreconditionError(
@@ -117,7 +120,7 @@ def _chain(report: EpReport) -> JordanChain:
         budget = max(1e-10 * nilpotent_norm, _BUDGET_FLOOR)
         return chain_res[0] <= budget and all(chain_res[l] <= budget * norms[l - 1] for l in range(1, n))
 
-    ok = norm_res <= 1e-12 and all(r <= 1e-10 * norms[-1] for r in ortho_res)
+    ok = norm_res <= 1e-12 and all(r <= 1e-10 * norms[-1] * norm for r, norm in zip(ortho_res, norms))
     if ok:  # _settle's first pass inline: the budget at both ends of the bracket of ||N||_2
         bracket = report._norm
         ok = within_budget(bracket.lo)

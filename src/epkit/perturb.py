@@ -248,7 +248,8 @@ def records_to_csv(eps_grid, splittings) -> str:
     strengths, table = _table(eps_grid, splittings)
     lines = ["epsilon,trial,max_splitting"]
     for eps, row in zip(strengths.tolist(), table.tolist()):
-        lines += [f"{eps:.17g},{t},{value:.17g}" for t, value in enumerate(row)]
+        eps_text = f"{eps:.17g}"
+        lines += [f"{eps_text},{t},{value:.17g}" for t, value in enumerate(row)]
     return "\n".join(lines) + "\n"
 
 

@@ -138,6 +138,16 @@ def rank_one_svd_rejects(m: np.ndarray) -> bool:
     return abs(spec - frob) > 1e-10 * max(frob, np.finfo(float).tiny)
 
 
+def by_norm_bracket(m: np.ndarray, decide) -> bool:
+    """decide(||M||_2) for a predicate monotone in the norm, settled by ep_core's staged bracket of M."""
+    return ep_core._settle(decide, (ep_core._NormBracket(m), 1))
+
+
+def norm_at_most(power: np.ndarray, bound: float) -> bool:
+    """||P||_2 <= bound for a square P, decided by by_norm_bracket."""
+    return by_norm_bracket(power, lambda norm: norm <= bound)
+
+
 def reference_composite_response(system) -> float:
     """composite_response with both thresholds read from system.coupling_norm and rank one decided by an SVD."""
     a, b = system.rep_a, system.rep_b
@@ -198,6 +208,14 @@ def reference_fit_slope(eps_grid, splittings, window):
     slope, intercept = np.polyfit(x, y, 1)
     residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return SlopeFit(slope=float(slope), intercept=float(intercept), window=(lo, hi), residual=residual)
+
+
+def per_entry_csv(eps_grid, splittings) -> str:
+    """records_to_csv's text with the strength formatted again for every entry of its row."""
+    lines = ["epsilon,trial,max_splitting"]
+    for eps, row in zip(eps_grid, splittings):
+        lines += [f"{float(eps):.17g},{t},{float(value):.17g}" for t, value in enumerate(row)]
+    return "\n".join(lines) + "\n"
 
 
 def per_matrix_sweep_csv(h, ep_eigenvalue, perturbations, grid) -> bytes:

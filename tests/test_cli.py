@@ -328,6 +328,75 @@ def test_help_lists_commands(capsys):
 
 
 # ---------------------------------------------------------------------------
+# one parser per process
+
+def test_main_builds_its_parser_once(capsys, monkeypatch, trimer_file):
+    built = []
+    build_parser = cli.build_parser
+
+    def counting():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    for command in ("analyze", "jordan", "analyze"):
+        assert run(capsys, [command, "--input", trimer_file])[0] == 0
+    assert len(built) == 1
+
+
+def test_build_parser_returns_a_parser_main_does_not_share(capsys):
+    parser = cli.build_parser()
+    assert parser is not cli.build_parser() and parser is not cli._parser()
+    parser.prog = "changed"
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert capsys.readouterr().out.startswith("usage: epkit ")
+
+
+def in_process(capsys, argv):
+    """(exit code, stdout, stderr) of cli.main(argv), an argparse exit included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def in_fresh_process(argv):
+    """(exit code, stdout, stderr) of cli.main(argv) in a new interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from epkit import cli; sys.exit(cli.main(sys.argv[1:]))", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_calls_in_a_row_match_fresh_processes(capsys, monkeypatch, tmp_path, dimer_file, trimer_file):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line at the terminal width
+    diagonal = write_json(tmp_path / "diag.json", cmatrix.matrix_to_json(np.diag([0.0, 1.0])))
+    calls = [
+        (["reproduce-fig3", "--seed", "7"], 0),
+        (["reproduce-fig3"], 0),
+        (["analyze", "--input", dimer_file, "--tol", "nan"], 2),
+        (["analyze", "--input", dimer_file], 0),
+        (["jordan", "--input", diagonal], 3),
+        (["jordan", "--input", trimer_file], 0),
+    ]
+    for i, (argv, code) in enumerate(calls):
+        results = []
+        for side, call in (("in", lambda a: in_process(capsys, a)), ("fresh", in_fresh_process)):
+            out_dir = tmp_path / f"{side}{i}"
+            result = call(argv + ["--out", str(out_dir)] if argv[0] == "reproduce-fig3" else argv)
+            files = {p.name: p.read_bytes() for p in out_dir.iterdir()} if out_dir.exists() else {}
+            results.append((result, files))
+        assert results[0] == results[1]
+        assert results[0][0][0] == code
+
+
+# ---------------------------------------------------------------------------
 # start-up and error contract
 
 def test_import_cli_does_not_load_scipy():

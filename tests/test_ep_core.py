@@ -154,7 +154,7 @@ def power_and_bound(draw):
 @given(power_and_bound())
 def test_norm_at_most_matches_spectral_norm(case):
     p, bound = case
-    assert ep_core._norm_at_most(p, bound) == (cmatrix.spectral_norm(p) <= bound)
+    assert helpers.norm_at_most(p, bound) == (cmatrix.spectral_norm(p) <= bound)
 
 
 @pytest.mark.parametrize("entry", [np.inf, np.nan, complex(1.0, -np.inf)])
@@ -163,7 +163,7 @@ def test_norm_at_most_non_finite_power_raises_numerical_error(entry):
     p = np.eye(3, dtype=complex)
     p[1, 2] = entry
     with pytest.raises(NumericalError, match="overflows"):
-        ep_core._norm_at_most(p, 1.0)
+        helpers.norm_at_most(p, 1.0)
 
 
 def _unit_complex(rng, shape):
@@ -243,7 +243,7 @@ def power_near_bracket_edges(draw):
 @given(power_near_bracket_edges())
 def test_norm_at_most_near_the_power_step_bracket_matches_spectral_norm(case):
     p, bound = case
-    assert ep_core._norm_at_most(p, bound) == (cmatrix.spectral_norm(p) <= bound)
+    assert helpers.norm_at_most(p, bound) == (cmatrix.spectral_norm(p) <= bound)
 
 
 @settings(deadline=None, max_examples=300)
@@ -253,7 +253,7 @@ def test_by_norm_bracket_on_couplings_matches_spectral_norm(rows, cols, tail, sc
     # the shape of compose's coupling checks: a value against a threshold non-decreasing in ||K||_2
     k = scale * _dominated(helpers.philox(seed), rows, cols, tail)
     value = near * _anchor(k, which)
-    assert ep_core._by_norm_bracket(k, lambda norm: value > norm) == (value > cmatrix.spectral_norm(k))
+    assert helpers.by_norm_bracket(k, lambda norm: value > norm) == (value > cmatrix.spectral_norm(k))
 
 
 def test_norm_at_most_settles_a_dominant_singular_value_without_an_svd(monkeypatch):
@@ -261,8 +261,8 @@ def test_norm_at_most_settles_a_dominant_singular_value_without_an_svd(monkeypat
     p = _dominated(helpers.philox(29), 30, 30, 1e-9)
     norm = cmatrix.spectral_norm(p)
     counts = helpers.count_linalg(monkeypatch, "svd")
-    assert ep_core._norm_at_most(p, (1.0 + 1e-6) * norm)
-    assert not ep_core._norm_at_most(p, (1.0 - 1e-6) * norm)
+    assert helpers.norm_at_most(p, (1.0 + 1e-6) * norm)
+    assert not helpers.norm_at_most(p, (1.0 - 1e-6) * norm)
     assert counts == {"svd": 0}
 
 

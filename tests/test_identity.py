@@ -109,7 +109,7 @@ def test_jordan_chain_matches_the_docstring_recipe_bit_for_bit(h):
     budget = max(1e-10 * cmatrix.spectral_norm(report.nilpotent), 64 * np.finfo(float).eps)
     accepted = (
         normalization <= 1e-12
-        and all(r <= 1e-10 * norms[-1] for r in orthogonality)
+        and all(r <= 1e-10 * norms[-1] * norms[l] for l, r in enumerate(orthogonality))
         and chain[0] <= budget
         and all(chain[l] <= budget * norms[l - 1] for l in range(1, len(chain)))
     )

@@ -214,6 +214,18 @@ def test_response_routes_agree_random_blocks():
         assert abs(via_norm - via_chain) <= 1e-8 * via_norm
 
 
+def test_chain_of_a_small_scale_ep_matches_detect_ep():
+    # in the gauge ||j_1|| = 1, ||j_l|| and the rounding of <j_n, j_l> grow like ||N||^-(l-1),
+    # so an orthogonality bound of 1e-10 * ||j_n|| alone rejected both well-conditioned points
+    q, _ = np.linalg.qr(helpers.complex_uniform(helpers.philox(3), (10, 10)))
+    block = q @ (0.1 * np.eye(10, k=1)) @ q.conj().T
+    for h in (dimer_trimer_system(1.0, 0.01, 0.01, 0.01).h, block):
+        report = ep_core.detect_ep(h)
+        assert jordan.response_from_chain(jordan.jordan_chain(report)) == pytest.approx(
+            report.response_strength, rel=1e-12
+        )
+
+
 def test_response_gauge_invariant_under_global_phase():
     chain = chain_for(pt_trimer(1.0, 1.3))
     rotated = jordan.JordanChain(

@@ -429,6 +429,24 @@ def test_records_to_csv_roundtrip():
     ]
 
 
+@st.composite
+def csv_tables(draw):
+    """1-6 ascending strengths by 1-9 trials, with integral values, subnormals and values near the double limit."""
+    special = st.sampled_from([1.0, 2.0, 3e5, 5e-324, 1.5e-310, 1e308, 1.7976931348623157e308])
+    strength = st.floats(5e-324, 1.7976931348623157e308) | special
+    strengths = sorted(draw(st.lists(strength, min_size=1, max_size=6, unique=True)))
+    trials = draw(st.integers(1, 9))
+    value = st.floats() | special | st.integers(-10**6, 10**6).map(float)
+    return strengths, [draw(st.lists(value, min_size=trials, max_size=trials)) for _ in strengths]
+
+
+@settings(max_examples=300)
+@given(csv_tables())
+def test_records_to_csv_matches_per_entry_formatting(case):
+    grid, table = case
+    assert perturb.records_to_csv(grid, table) == helpers.per_entry_csv(grid, table)
+
+
 @pytest.mark.parametrize(
     "eps_min, eps_max",
     [(1e-12, np.inf), (1e-12, np.nan), (np.nan, 1e-2), (-np.inf, 1e-2)],
