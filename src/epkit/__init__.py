@@ -45,7 +45,6 @@ from .models import (
     single_entry_coupling,
 )
 from .perturb import (
-    Perturbation,
     SlopeFit,
     fit_slope,
     max_splitting,

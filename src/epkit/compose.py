@@ -35,7 +35,6 @@ from .ep_core import (
     _settle,
     _traceless_part,
     default_nil_tol,
-    detect_ep,
 )
 from .errors import (
     DegenerateCouplingError,
@@ -63,9 +62,8 @@ DEFAULT_EIGENVALUE_TOL = 1e-10
 class CompositeSystem:
     """Assembled unidirectionally coupled pair with its shared eigenvalue.
 
-    rep_a and rep_b are the full-order certificates of h_a and h_b as stored,
-    so of the shifted H_b when block_compose shifted it; in compose_many,
-    rep_a is the previous level's block-theorem report.
+    rep_a and rep_b are the full-order certificates of h_a and h_b; in
+    compose_many, rep_a is the previous level's block-theorem report.
     """
 
     h_a: np.ndarray
@@ -137,13 +135,11 @@ def _certified(report: EpReport, label: str) -> EpReport:
     return report
 
 
-def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL, shift_b: bool = False) -> CompositeSystem:
+def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL) -> CompositeSystem:
     """Assemble the block lower-triangular composite of two certified points.
 
     Both subsystems must host full-order exceptional points whose eigenvalues
-    agree to `tol`.  With shift_b=True a mismatched H_b is rigidly shifted
-    onto the eigenvalue of H_a instead of raising; off by default so modelling
-    errors surface.
+    agree to `tol`; a larger mismatch raises IncompatibleSubsystemsError.
     """
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ParameterError(f"tol must be finite and non-negative, got {tol}")
@@ -151,11 +147,10 @@ def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL, shift_b: boo
     h_b = cmatrix.as_square(h_b, "H_b")
     k = cmatrix.as_matrix(k, "K")
     with _overflow_scope():
-        return _assemble(h_a, _certified(_detect(h_a, None), "a"), h_b, k, tol, shift_b)
+        return _assemble(h_a, _certified(_detect(h_a, None), "a"), h_b, k, tol)
 
 
-def _assemble(h_a: np.ndarray, rep_a: EpReport, h_b: np.ndarray, k: np.ndarray, tol: float,
-              shift_b: bool) -> CompositeSystem:
+def _assemble(h_a: np.ndarray, rep_a: EpReport, h_b: np.ndarray, k: np.ndarray, tol: float) -> CompositeSystem:
     """block_compose of validated H_a, H_b and K, with rep_a the full-order certificate of H_a.
 
     It runs inside the caller's _overflow_scope.
@@ -166,13 +161,7 @@ def _assemble(h_a: np.ndarray, rep_a: EpReport, h_b: np.ndarray, k: np.ndarray, 
         raise ShapeError(f"K has shape {k.shape}, expected {(n_b, n_a)}")
     mismatch = abs(rep_a.ep_eigenvalue - rep_b.ep_eigenvalue)
     if mismatch > tol:
-        if not shift_b:
-            raise IncompatibleSubsystemsError(
-                f"subsystem eigenvalues differ by {mismatch:.3e} (> {tol:g}); "
-                "shift_b=True shifts H_b onto the eigenvalue of H_a"
-            )
-        h_b = h_b + (rep_a.ep_eigenvalue - rep_b.ep_eigenvalue) * np.eye(n_b)
-        rep_b = _certified(detect_ep(h_b), "b")  # detect_ep validates: the shift can overflow
+        raise IncompatibleSubsystemsError(f"subsystem eigenvalues differ by {mismatch:.3e} (> {tol:g})")
     dim = n_a + n_b
     h = np.zeros((dim, dim), dtype=complex)
     h[:n_a, :n_a] = h_a
@@ -203,7 +192,7 @@ def compose_many(hams, couplings) -> CompositeSystem:
     with _overflow_scope():
         for h_next, k_next in zip(hams[2:], couplings[1:]):
             h_next, k_next = cmatrix.as_square(h_next, "H_b"), cmatrix.as_matrix(k_next, "K")
-            system = _assemble(system.h, system.report, h_next, k_next, DEFAULT_EIGENVALUE_TOL, False)
+            system = _assemble(system.h, system.report, h_next, k_next, DEFAULT_EIGENVALUE_TOL)
     return system
 
 

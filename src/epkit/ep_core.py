@@ -80,8 +80,7 @@ def _overflow_scope() -> np.errstate:
 
     Inside it an overflow or invalid operation gives inf or NaN without a
     RuntimeWarning, and the code that can produce one checks for it and raises
-    NumericalError.  The private helpers run inside their caller's scope; only
-    _power_step opens one of its own, and only where its squares may overflow.
+    NumericalError.  Private helpers open none and run in their caller's scope.
     """
     return np.errstate(over="ignore", invalid="ignore")
 
@@ -286,23 +285,19 @@ def _top_power(nmat: np.ndarray, nil_tol: float, norm: _NormBracket) -> tuple[np
     locates the peak of the flushed power for _rank_one_norm.
     """
     dim = nmat.shape[0]
-    if dim == 1:
-        power = np.eye(1, dtype=complex)
-        mods = None
-    else:
-        power = np.linalg.matrix_power(nmat, dim - 1)
-        if power is nmat:  # matrix_power(N, 1) is N itself
-            power = power.copy()
-        mods = np.abs(power)
-        try:  # the first pass of _settle, inline
-            flush = mods <= nil_tol * _norm_power(norm.lo, dim - 1)
-            settled = np.count_nonzero(flush) == np.count_nonzero(mods <= nil_tol * _norm_power(norm.hi, dim - 1))
-        except NumericalError:  # a corner's threshold leaves the double range and settles nothing
-            settled = False
-        if not settled:
-            _settle(lambda b: np.count_nonzero(mods <= nil_tol * _norm_power(b, dim - 1)), (norm, dim - 1))
-            flush = mods <= nil_tol * _norm_power(norm.lo, dim - 1)
-        power[flush] = 0.0
+    power = np.linalg.matrix_power(nmat, dim - 1)  # a new 1 x 1 identity at dim 1
+    if power is nmat:  # matrix_power(N, 1) is N itself
+        power = power.copy()
+    mods = np.abs(power)
+    try:  # the first pass of _settle, inline
+        flush = mods <= nil_tol * _norm_power(norm.lo, dim - 1)
+        settled = np.count_nonzero(flush) == np.count_nonzero(mods <= nil_tol * _norm_power(norm.hi, dim - 1))
+    except NumericalError:  # a corner's threshold leaves the double range and settles nothing
+        settled = False
+    if not settled:
+        _settle(lambda b: np.count_nonzero(mods <= nil_tol * _norm_power(b, dim - 1)), (norm, dim - 1))
+        flush = mods <= nil_tol * _norm_power(norm.lo, dim - 1)
+    power[flush] = 0.0
     power.setflags(write=False)
     return power, _rank_one_norm(power, "N^(n-1)", mods)
 
@@ -313,15 +308,12 @@ def _power_step(m: np.ndarray, mods: np.ndarray) -> tuple[float | None, float]:
     est = ||M^H v|| / ||v|| after one power step v = M r from r, the conjugate
     of the row holding the largest entry; any nonzero v gives a lower bound,
     and this one is close to ||M||_2 when one singular value dominates.  est
-    is None for ||M||_F outside [1/_RANK_ONE_RANGE, _RANK_ONE_RANGE].
+    is None for ||M||_F outside [1/_RANK_ONE_RANGE, _RANK_ONE_RANGE], as when
+    a square overflows to inf inside the caller's _overflow_scope.
     """
     top, col = divmod(int(mods.argmax()), m.shape[1])
     peak = mods[top, col]
-    if float(peak) * float(peak) * m.size <= _HUGE:  # no square, and no sum of them, can overflow
-        frob = cmatrix._frobenius_norm(m)
-    else:
-        with np.errstate(over="ignore"):  # squares that overflow give inf, outside the window
-            frob = cmatrix._frobenius_norm(m)
+    frob = cmatrix._frobenius_norm(m)
     if not 1.0 / _RANK_ONE_RANGE <= frob <= _RANK_ONE_RANGE:
         return None, frob
     v = m @ (m[top].conj() / peak**2)  # scaled so that 1 <= ||v|| <= m.size

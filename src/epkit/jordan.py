@@ -81,8 +81,8 @@ def jordan_chain(report: EpReport) -> JordanChain:
     residuals fall between the budgets at its two ends.  Orthogonality is
     accepted when |<j_n, j_l>| <= 1e-10 * ||j_n|| * ||j_l||, a relative
     overlap: in this gauge ||j_l|| grows like ||N||^-(l-1) for a small N, and
-    so does the rounding of the inner product.  A row of N^(n-1) whose norm
-    overflows a double raises NumericalError.
+    so does the rounding of the inner product.  A row of N^(n-1), or a
+    Jordan vector, whose norm overflows a double raises NumericalError.
     """
     if not report.is_full_ep:
         raise PreconditionError(
@@ -108,13 +108,14 @@ def _chain(report: EpReport) -> JordanChain:
         vectors.append(nmat @ vectors[-1])
     factor = cmatrix._pivot_phase(vectors[-1]) / cmatrix._frobenius_norm(vectors[-1])  # vectors[-1] is j_1 up to scale
     vectors = [v * factor for v in reversed(vectors)]
+    norms = [cmatrix._frobenius_norm(v) for v in vectors]
+    if not all(map(math.isfinite, norms)):  # an infinite ||j_n|| would pass every orthogonality test
+        raise NumericalError("the norm of a Jordan vector overflows a double; no Jordan chain to certify")
 
     chain_res = _chain_residuals(nmat, vectors)
     norm_res = float(abs(np.vdot(vectors[0], vectors[0]).real - 1.0))
     last = vectors[-1]
     ortho_res = tuple(float(abs(np.vdot(last, vectors[l]))) for l in range(n - 1))
-
-    norms = [cmatrix._frobenius_norm(v) for v in vectors]
 
     def within_budget(nilpotent_norm: float) -> bool:
         budget = max(1e-10 * nilpotent_norm, _BUDGET_FLOOR)

@@ -1,7 +1,7 @@
 """Randomized perturbation experiments and scaling-law fits.
 
-Perturbations are dense complex matrices with entries drawn uniformly from
-[-1/2, 1/2] in both real and imaginary part; the structure-preserving variant
+Random perturbations are read-only complex matrices whose entries are uniform
+in [-1/2, 1/2] in real and imaginary part; the structure-preserving variant
 zeroes the block that would couple the downstream subsystem back into the
 upstream one.  Sweeps measure the largest eigenvalue excursion from the
 degenerate eigenvalue as a function of perturbation strength and fit the
@@ -24,7 +24,6 @@ from . import cmatrix
 from .errors import ConvergenceError, FitError, ParameterError, ShapeError
 
 __all__ = [
-    "Perturbation",
     "SlopeFit",
     "child_seed",
     "random_generic",
@@ -69,18 +68,6 @@ def _generator(seed: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class Perturbation:
-    """A drawn perturbation matrix together with its mode and seed."""
-
-    matrix: np.ndarray
-    mode: str
-    seed: int
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class SlopeFit:
     """Least-squares line through (log10 eps, log10 median splitting)."""
 
@@ -98,27 +85,30 @@ class SlopeFit:
         }
 
 
-def random_generic(dim: int, seed: int) -> Perturbation:
-    """Dense perturbation; real parts drawn first, then imaginary parts."""
+def random_generic(dim: int, seed: int) -> np.ndarray:
+    """Dense perturbation as a read-only complex matrix; real parts drawn first, then imaginary parts."""
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
     rng = _generator(seed)
     re = rng.random((dim, dim)) - 0.5
     im = rng.random((dim, dim)) - 0.5
-    return Perturbation(matrix=re + 1j * im, mode="generic", seed=int(seed))
+    full = re + 1j * im
+    full.setflags(write=False)
+    return full
 
 
-def random_preserving(n_a: int, n_b: int, seed: int) -> Perturbation:
-    """Perturbation keeping the unidirectional structure of an (n_a, n_b) composite.
+def random_preserving(n_a: int, n_b: int, seed: int) -> np.ndarray:
+    """Read-only perturbation keeping the unidirectional structure of an (n_a, n_b) composite.
 
     All blocks are generic except the n_a x n_b block coupling the downstream
     subsystem back into the upstream one, which is exactly zero.
     """
     if n_a < 1 or n_b < 1:
         raise ParameterError(f"block sizes must be >= 1, got {n_a} and {n_b}")
-    full = random_generic(n_a + n_b, seed).matrix.copy()
+    full = random_generic(n_a + n_b, seed).copy()
     full[:n_a, n_a:] = 0.0
-    return Perturbation(matrix=full, mode="preserving", seed=int(seed))
+    full.setflags(write=False)
+    return full
 
 
 def _splittings(h: np.ndarray, ep_eigenvalue: complex, h1: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -169,7 +159,11 @@ def _strengths(eps_grid) -> np.ndarray:
 
 def _table(eps_grid, splittings) -> tuple[np.ndarray, np.ndarray]:
     """(strengths, splittings) as float arrays; ShapeError unless splittings has one row per strength."""
-    strengths, table = _strengths(eps_grid), np.asarray(splittings, dtype=float)
+    strengths = _strengths(eps_grid)
+    try:
+        table = np.asarray(splittings, dtype=float)
+    except ValueError:  # ragged rows, or an entry that is not a number
+        raise ShapeError("splittings must have one row per strength and >= 1 trial, got a ragged or non-numeric table") from None
     if table.ndim != 2 or table.shape[0] != len(strengths) or table.size == 0:
         raise ShapeError(f"splittings must have one row per strength and >= 1 trial, got shape {table.shape}")
     return strengths, table
@@ -194,14 +188,14 @@ def sweep(h, ep_eigenvalue: complex, mode: str, eps_grid, trials: int, seed: int
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if mode == "generic":
-        perts = [random_generic(dim, child_seed(seed, t)) for t in range(trials)]
+        draws = [random_generic(dim, child_seed(seed, t)) for t in range(trials)]
     elif mode == "preserving":
         if n_a is None or not (1 <= n_a < dim):
             raise ParameterError("preserving mode needs the upstream block size n_a (1 <= n_a < dim)")
-        perts = [random_preserving(n_a, dim - n_a, child_seed(seed, t)) for t in range(trials)]
+        draws = [random_preserving(n_a, dim - n_a, child_seed(seed, t)) for t in range(trials)]
     else:
         raise ParameterError(f"mode must be 'generic' or 'preserving', got {mode!r}")
-    h1_stack = np.stack([p.matrix for p in perts])
+    h1_stack = np.stack(draws)
     step = max(1, _CHUNK_ENTRIES // h1_stack.size)
     table = np.concatenate([
         _splittings(h, ep_eigenvalue, h1_stack, strengths[start:start + step])

@@ -163,7 +163,7 @@ def test_criterion_08_preserving_perturbation_nullity():
     report = ep_core.detect_ep(system.h)
     exact = True
     for t in range(100):
-        h1 = perturb.random_preserving(2, 3, perturb.child_seed(80, t)).matrix
+        h1 = perturb.random_preserving(2, 3, perturb.child_seed(80, t))
         prediction = ep_core.predicted_splitting(report, h1, 1.0)
         exact = exact and prediction.radicand == 0
         exact = exact and np.all(prediction.predicted_eigenvalues == report.ep_eigenvalue)

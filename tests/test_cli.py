@@ -100,6 +100,20 @@ def test_jordan_requires_full_order(capsys, tmp_path):
     assert code == 3
 
 
+def test_jordan_whose_vector_norm_overflows_exits_4(tmp_path):
+    # analyze certifies xi = 2e-155, while ||j_2|| = 1 / xi overflows; no numpy warning reaches stderr
+    path = write_json(tmp_path / "tiny.json", {"model": "dimer", "omega0": 1.0, "g_a": 1e-155})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from epkit import cli; sys.exit(cli.main(sys.argv[1:]))",
+         "jordan", "--input", path],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error"), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["analyze", "jordan"])
 def test_full_order_with_a_flushed_top_power_exits_4(capsys, tmp_path, command):
     # the power test passes this dim-15 block at full order while the flush zeroes the whole of N^14
@@ -547,8 +561,8 @@ def test_reproduce_fig3_defaults_match_per_matrix_loop(capsys, tmp_path):
     grid = perturb.log_grid(d["eps_min"], d["eps_max"], d["points"])
     seeds = [perturb.child_seed(d["seed"], t) for t in range(d["trials"])]
     perturbations = {
-        "generic": [perturb.random_generic(system.dim, s).matrix for s in seeds],
-        "preserving": [perturb.random_preserving(system.n_a, system.dim - system.n_a, s).matrix for s in seeds],
+        "generic": [perturb.random_generic(system.dim, s) for s in seeds],
+        "preserving": [perturb.random_preserving(system.n_a, system.dim - system.n_a, s) for s in seeds],
     }
     for mode, matrices in perturbations.items():
         expected = helpers.per_matrix_sweep_csv(np.asarray(system.h), system.ep_eigenvalue, matrices, grid)
@@ -567,8 +581,8 @@ def test_reproduce_fig3_non_default_run_matches_per_matrix_loop(capsys, tmp_path
     grid = perturb.log_grid(d["eps_min"], d["eps_max"], 9)
     seeds = [perturb.child_seed(7, t) for t in range(3)]
     perturbations = {
-        "generic": [perturb.random_generic(system.dim, s).matrix for s in seeds],
-        "preserving": [perturb.random_preserving(system.n_a, system.dim - system.n_a, s).matrix for s in seeds],
+        "generic": [perturb.random_generic(system.dim, s) for s in seeds],
+        "preserving": [perturb.random_preserving(system.n_a, system.dim - system.n_a, s) for s in seeds],
     }
     for mode, matrices in perturbations.items():
         expected = helpers.per_matrix_sweep_csv(np.asarray(system.h), system.ep_eigenvalue, matrices, grid)

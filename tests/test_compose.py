@@ -1,6 +1,5 @@
 """Tests for hierarchical composition through unidirectional coupling."""
 
-import dataclasses
 import functools
 
 import numpy as np
@@ -67,26 +66,6 @@ def test_block_compose_rejects_bad_tol(tol):
         compose.block_compose(pt_dimer(1.0, 1.5), pt_trimer(2.0, 1.3), single_entry_coupling(1.0, 3, 2), tol=tol)
 
 
-def test_shift_b_aligns_eigenvalues():
-    system = compose.block_compose(
-        pt_dimer(1.0, 1.5), pt_trimer(2.0, 1.3), single_entry_coupling(1.0, 3, 2), shift_b=True
-    )
-    assert system.ep_eigenvalue == pytest.approx(1.0, abs=1e-12)
-    assert ep_core.detect_ep(system.h).order == 5
-
-
-def test_shift_b_carries_reports_of_the_shifted_subsystem():
-    system = compose.block_compose(
-        pt_dimer(1.0, 1.5), pt_trimer(2.0, 1.3), single_entry_coupling(1.0, 3, 2), shift_b=True
-    )
-    assert system.rep_b.ep_eigenvalue == pytest.approx(system.rep_a.ep_eigenvalue, abs=1e-12)
-    assert compose.composite_response(system) == pytest.approx(XI_5, rel=1e-10)
-    for rep, h in ((system.rep_a, system.h_a), (system.rep_b, system.h_b)):
-        fresh = ep_core.detect_ep(h)
-        for field in dataclasses.fields(rep):
-            assert np.array_equal(getattr(rep, field.name), getattr(fresh, field.name)), field.name
-
-
 def test_coupling_shape_error():
     with pytest.raises(ShapeError):
         compose.block_compose(pt_dimer(1.0, 1.5), pt_trimer(1.0, 1.3), np.zeros((2, 3)))
@@ -143,7 +122,7 @@ def test_composite_response_reuses_subsystem_reports(monkeypatch):
         return detect_ep(*args, **kwargs)
 
     monkeypatch.setattr(ep_core, "detect_ep", counting)
-    monkeypatch.setattr(compose, "detect_ep", counting)
+    monkeypatch.setattr(compose, "_detect", counting)
     assert compose.composite_response(system) == pytest.approx(XI_5, rel=1e-10)
     assert calls == []
 

@@ -104,8 +104,12 @@ def test_jordan_chain_matches_the_docstring_recipe_bit_for_bit(h):
         with pytest.raises(type(exc)):
             jordan.jordan_chain(report)
         return
-    with np.errstate(over="ignore"):  # ||j_n|| = 1 / xi may overflow; the budget then passes, as in jordan_chain
+    with np.errstate(over="ignore"):  # ||j_n|| = 1 / xi may overflow, and jordan_chain then raises
         norms = [float(np.linalg.norm(v)) for v in vectors]
+    if not np.isfinite(norms).all():
+        with pytest.raises(NumericalError):
+            jordan.jordan_chain(report)
+        return
     budget = max(1e-10 * cmatrix.spectral_norm(report.nilpotent), 64 * np.finfo(float).eps)
     accepted = (
         normalization <= 1e-12

@@ -188,6 +188,18 @@ def test_zero_top_power_raises_structure_error():
         jordan.jordan_chain(zeroed)
 
 
+@pytest.mark.parametrize("g_a", [1e-150, 1e-154, 1e-155])
+def test_chain_whose_vector_norm_overflows_raises_numerical_error(g_a):
+    # ||j_2|| = 1 / xi = 1 / (2 g_a), whose sum of squares overflows for g_a below about 3.7e-155;
+    # an infinite ||j_n|| would pass every orthogonality test
+    report = ep_core.detect_ep(pt_dimer(1.0, g_a))
+    if g_a > 1e-155:
+        assert jordan.response_from_chain(jordan.jordan_chain(report)) == pytest.approx(2 * g_a, rel=1e-12)
+    else:
+        with pytest.raises(NumericalError, match="Jordan vector overflows"):
+            jordan.jordan_chain(report)
+
+
 def test_chain_requires_full_order():
     with pytest.raises(PreconditionError):
         jordan.jordan_chain(ep_core.detect_ep(np.diag([0.0, 1.0])))

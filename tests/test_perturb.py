@@ -1,5 +1,6 @@
 """Tests for randomized perturbation experiments and slope fitting."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -25,12 +26,12 @@ def system5():
 def test_generic_draw_deterministic():
     a = perturb.random_generic(5, seed=123)
     b = perturb.random_generic(5, seed=123)
-    assert np.array_equal(a.matrix, b.matrix)
-    assert not np.array_equal(a.matrix, perturb.random_generic(5, seed=124).matrix)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, perturb.random_generic(5, seed=124))
 
 
 def test_generic_draw_entry_bounds():
-    m = perturb.random_generic(40, seed=5).matrix
+    m = perturb.random_generic(40, seed=5)
     assert np.max(np.abs(m.real)) <= 0.5
     assert np.max(np.abs(m.imag)) <= 0.5
 
@@ -39,7 +40,7 @@ def test_generic_draw_zero_mean():
     count = 100_000
     total = 0.0 + 0.0j
     for t in range(10):
-        total += perturb.random_generic(100, seed=perturb.child_seed(9, t)).matrix.sum()
+        total += perturb.random_generic(100, seed=perturb.child_seed(9, t)).sum()
     mean = total / count
     three_sigma = 3.0 / (np.sqrt(12.0) * np.sqrt(count))
     assert abs(mean.real) < three_sigma
@@ -47,19 +48,17 @@ def test_generic_draw_zero_mean():
 
 
 def test_preserving_zero_block_exact():
-    p = perturb.random_preserving(2, 3, seed=7)
-    m = p.matrix
+    m = perturb.random_preserving(2, 3, seed=7)
     assert np.array_equal(m[:2, 2:], np.zeros((2, 3)))
     assert np.all(m[2:, :2] != 0)
     assert np.all(m[:2, :2] != 0)
     assert np.all(m[2:, 2:] != 0)
-    assert p.mode == "preserving"
 
 
 def test_preserving_radicand_is_exactly_zero(system5):
     report = ep_core.detect_ep(system5.h)
     for t in range(10):
-        h1 = perturb.random_preserving(2, 3, seed=perturb.child_seed(31, t)).matrix
+        h1 = perturb.random_preserving(2, 3, seed=perturb.child_seed(31, t))
         prediction = ep_core.predicted_splitting(report, h1, 1.0)
         assert prediction.radicand == 0
 
@@ -67,7 +66,7 @@ def test_preserving_radicand_is_exactly_zero(system5):
 def test_coupling_only_perturbation_stays_on_degeneracy(system5):
     # perturbing only the coupling block moves along a surface of
     # full-order degeneracies as long as the genericity product stays nonzero
-    h1 = perturb.random_preserving(2, 3, seed=11).matrix.copy()
+    h1 = perturb.random_preserving(2, 3, seed=11).copy()
     h1[:2, :2] = 0.0
     h1[2:, 2:] = 0.0
     perturbed = np.asarray(system5.h) + 1e-3 * h1
@@ -93,8 +92,32 @@ def test_seed_outside_64_bits_rejected(system5, seed):
 
 
 def test_seed_range_edges_accepted():
-    assert perturb.random_generic(2, 2**64 - 1).seed == 2**64 - 1
+    assert perturb.random_generic(2, 2**64 - 1).shape == (2, 2)
     assert perturb.child_seed(0, 0) == perturb.child_seed(2**64 - 1, 0) ^ (2**64 - 1)
+
+
+# sha256 of the bytes of random_generic(5, seed) and random_preserving(2, 3, seed)
+_DRAW_DIGESTS = {
+    0: ("9816f48779ee3c82ebfbdb74b41220d363d2e1d79e8a91bff71eca918f464cb8",
+        "23eada55413afbc5b6620cd4f4de41e309b9274d859612e5d6ae3336a0bf7503"),
+    1: ("f7de7b368a94db96aa96d124083fb02f6161bfe821f30b74ea0270d35ff17ee0",
+        "2cd31bf35a311714d6e88c66e89f496df5fb4bd44dbfe981c1c5f3fcdbc648f9"),
+    42: ("f79f560f946ffffe48420a153d8160057d53ac0c3f5a962bb3b494f25446d0e6",
+         "000be5f771a217b171a94f84baa89f4c8a376413f1703b4f38411dfde30f5bd2"),
+    2**63 + 5: ("15256fc37bb77213ba5bf60b576a9d8c9da405423f38fa122322cb8247bf41bb",
+                "dcc124fa957eddbc417698f598c07df08d62a8dc32fcc3e6294684622c95d51b"),
+    2**64 - 1: ("4b7e3d9b34c86bd4499881b323ceff104314d74dffa35bb60dc9a4191243bb44",
+                "1e60cfabdc8ced66ee97314a71e76c4e99de4dd8efb2f7e31b6b6b1674596525"),
+}
+
+
+@pytest.mark.parametrize("seed", list(_DRAW_DIGESTS))
+def test_draws_are_read_only_matrices_with_pinned_bytes(seed):
+    draws = (perturb.random_generic(5, seed), perturb.random_preserving(2, 3, seed))
+    for m, digest in zip(draws, _DRAW_DIGESTS[seed]):
+        assert type(m) is np.ndarray and m.dtype == np.complex128 and m.shape == (5, 5)
+        assert not m.flags.writeable
+        assert hashlib.sha256(m.tobytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +157,7 @@ def test_sweep_record_layout(system5):
     grid = perturb.log_grid(1e-8, 1e-4, 5)
     table = perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", grid, 3, seed=42)
     assert table.shape == (5, 3) and table.dtype == np.float64
-    first_trial = perturb.random_generic(5, perturb.child_seed(42, 0)).matrix
+    first_trial = perturb.random_generic(5, perturb.child_seed(42, 0))
     assert table[0, 0] == perturb.max_splitting(system5.h, system5.ep_eigenvalue, first_trial, grid[0])
     assert np.all(table >= 0)
 
@@ -177,7 +200,7 @@ def test_sweep_records_respect_bound(system5):
     grid = perturb.log_grid(1e-10, 1e-4, 7)
     table = perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", grid, 4, seed=3)
     perts = [perturb.random_generic(5, perturb.child_seed(3, t)) for t in range(4)]
-    norms = [spectral_norm(p.matrix) for p in perts]
+    norms = [spectral_norm(p) for p in perts]
     for s, eps in enumerate(grid):
         for t, norm in enumerate(norms):
             assert table[s, t] ** 5 <= (eps * norm * xi) * (1 + 1e-6) + 1e-12
@@ -211,7 +234,7 @@ def test_sweep_matches_per_matrix_loop(h, ep, mode, seed, n_a):
         perts = [perturb.random_generic(h.shape[0], perturb.child_seed(seed, t)) for t in range(trials)]
     else:
         perts = [perturb.random_preserving(n_a, h.shape[0] - n_a, perturb.child_seed(seed, t)) for t in range(trials)]
-    expected = [[perturb.max_splitting(h, ep, p.matrix, eps) for p in perts] for eps in grid]
+    expected = [[perturb.max_splitting(h, ep, p, eps) for p in perts] for eps in grid]
     assert table.tolist() == expected
 
 
@@ -252,7 +275,7 @@ def test_sweep_chunks_hold_whole_strengths(system5, monkeypatch, bound, mode):
     assert sum(shape[0] for shape in calls) == len(grid)
     assert len(calls) == -(-len(grid) // max(1, bound // 75))
     draw = perturb.random_generic if mode == "generic" else lambda dim, s: perturb.random_preserving(2, 3, s)
-    perts = [draw(5, perturb.child_seed(17, t)).matrix for t in range(3)]
+    perts = [draw(5, perturb.child_seed(17, t)) for t in range(3)]
     expected = [[perturb.max_splitting(h, ep, m, eps) for m in perts] for eps in grid]
     assert table.tolist() == unchunked.tolist() == expected
 
@@ -376,8 +399,9 @@ def test_fit_slope_rejects_bad_window():
 
 @pytest.mark.parametrize(
     "table",
-    [[[1e-4], [1e-3]], [[1e-4], [1e-3], [1e-2], [1e-1]], [1e-4, 1e-3, 1e-2], np.zeros((3, 0))],
-    ids=["too_few_rows", "too_many_rows", "one_dimensional", "no_trials"],
+    [[[1e-4], [1e-3]], [[1e-4], [1e-3], [1e-2], [1e-1]], [1e-4, 1e-3, 1e-2], np.zeros((3, 0)),
+     [[1e-4, 2e-4], [1e-3], [1e-2]], [[1e-4], [1e-3], ["x"]]],
+    ids=["too_few_rows", "too_many_rows", "one_dimensional", "no_trials", "ragged", "non_numeric"],
 )
 def test_fit_slope_and_csv_reject_a_table_not_one_row_per_strength(table):
     grid = [1e-8, 1e-6, 1e-4]
