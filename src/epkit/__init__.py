@@ -39,9 +39,7 @@ from .jordan import JordanChain, coupling_amplitude, jordan_chain, response_from
 from .models import (
     dimer_trimer_system,
     pt_dimer,
-    pt_dimer_detuned,
     pt_trimer,
-    pt_trimer_detuned,
     single_entry_coupling,
 )
 from .perturb import (

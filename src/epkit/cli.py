@@ -199,17 +199,7 @@ def _cmd_reproduce_fig3(args) -> int:
     for mode, table in tables.items():  # written only after both fits succeed: a failed fit leaves no file
         (out_dir / f"fig3_{mode}.csv").write_text(perturb.records_to_csv(grid, table), encoding="utf-8")
     payload = {
-        "parameters": {
-            "omega0": d["omega0"],
-            "g_a": args.g_a,
-            "g_b": args.g_b,
-            "k": args.k,
-            "eps_min": args.eps_min,
-            "eps_max": args.eps_max,
-            "points": args.points,
-            "trials": args.trials,
-            "seed": args.seed,
-        },
+        "parameters": {key: getattr(args, key, value) for key, value in d.items()},  # omega0 has no option
         "slopes": slopes,
     }
     text = _json_text(payload)

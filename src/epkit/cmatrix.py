@@ -33,7 +33,6 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
     "vector_to_json",
-    "vector_from_json",
 ]
 
 
@@ -193,15 +192,3 @@ def vector_to_json(v) -> dict:
     v = as_vector(v)
     return {"dim": int(v.shape[0]), "entries": [_pair(z) for z in v]}
 
-
-def vector_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise ParseError("vector JSON must be an object")
-    try:
-        dim, entries = obj["dim"], obj["entries"]
-    except KeyError as exc:
-        raise ParseError(f"vector JSON missing key {exc}") from exc
-    dim = _positive_int(dim, "dim")
-    if not isinstance(entries, list) or len(entries) != dim:
-        raise ParseError(f"entries must hold dim = {dim} pairs")
-    return np.array([_entry_to_complex(e, f"entry {i}") for i, e in enumerate(entries)], dtype=complex)

@@ -60,31 +60,30 @@ DEFAULT_EIGENVALUE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CompositeSystem:
-    """Assembled unidirectionally coupled pair with its shared eigenvalue.
+    """The composite H = [[H_a, 0], [K, H_b]] with its shared eigenvalue.
 
-    rep_a and rep_b are the full-order certificates of h_a and h_b; in
-    compose_many, rep_a is the previous level's block-theorem report.
+    rep_a and rep_b certify the diagonal blocks, whose sizes n_a and n_b they
+    carry; in compose_many, rep_a is the previous level's block-theorem report.
+    k is a contiguous copy of the coupling block of h.
     """
 
-    h_a: np.ndarray
-    h_b: np.ndarray
-    k: np.ndarray
     h: np.ndarray
+    k: np.ndarray
     ep_eigenvalue: complex
     rep_a: EpReport
     rep_b: EpReport
 
     def __post_init__(self):
-        for m in (self.h_a, self.h_b, self.k, self.h):
+        for m in (self.h, self.k):
             m.setflags(write=False)
 
     @property
     def n_a(self) -> int:
-        return self.h_a.shape[0]
+        return self.rep_a.dim
 
     @property
     def n_b(self) -> int:
-        return self.h_b.shape[0]
+        return self.rep_b.dim
 
     @property
     def dim(self) -> int:
@@ -115,15 +114,6 @@ class CompositeSystem:
         top.setflags(write=False)
         return EpReport(dim=self.dim, order=self.dim, ep_eigenvalue=self.ep_eigenvalue, nilpotent=nmat,
                         response_strength=xi, nil_tol=default_nil_tol(self.dim), top_power=top)
-
-    def to_json(self) -> dict:
-        return {
-            "h_a": cmatrix.matrix_to_json(self.h_a),
-            "h_b": cmatrix.matrix_to_json(self.h_b),
-            "k": cmatrix.matrix_to_json(self.k),
-            "h": cmatrix.matrix_to_json(self.h),
-            "ep_eigenvalue": [self.ep_eigenvalue.real, self.ep_eigenvalue.imag],
-        }
 
 
 def _certified(report: EpReport, label: str) -> EpReport:
@@ -168,8 +158,7 @@ def _assemble(h_a: np.ndarray, rep_a: EpReport, h_b: np.ndarray, k: np.ndarray, 
     h[n_a:, :n_a] = k
     h[n_a:, n_a:] = h_b
     ep_eigenvalue = complex(h.trace()) / dim
-    return CompositeSystem(h_a=h_a.copy(), h_b=h_b.copy(), k=k.copy(), h=h, ep_eigenvalue=ep_eigenvalue,
-                           rep_a=rep_a, rep_b=rep_b)
+    return CompositeSystem(h=h, k=k.copy(), ep_eigenvalue=ep_eigenvalue, rep_a=rep_a, rep_b=rep_b)
 
 
 def compose_many(hams, couplings) -> CompositeSystem:

@@ -533,7 +533,8 @@ def predicted_splitting(report: EpReport, h1, eps: float) -> SplittingPrediction
 
     The radicand is computed both as eps * trace(N^(n-1) H1) and through the
     degenerate eigenstate expectation value; the two routes must agree to
-    1e-10 relative, otherwise a NumericalError is raised.
+    1e-10 relative, otherwise a NumericalError is raised; so is a radicand
+    that leaves the double range.  A non-finite eps raises ParameterError.
     """
     if not report.is_full_ep:
         raise PreconditionError(
@@ -543,25 +544,30 @@ def predicted_splitting(report: EpReport, h1, eps: float) -> SplittingPrediction
     if h1.shape[0] != report.dim:
         raise ShapeError(f"H1 has dimension {h1.shape[0]}, expected {report.dim}")
     eps = float(eps)
-    n = report.dim
-    power = report.top_power
-    product = power @ h1
-    trace_form = complex(np.trace(product))
-    if n == 1:
-        sandwich_form = trace_form
-    else:
-        psi = cmatrix.kernel_vector(report.nilpotent)
-        sandwich_form = complex(np.vdot(psi, product @ psi))
-    scale = max(cmatrix.frobenius_norm(power) * cmatrix.frobenius_norm(h1), _TINY)
-    if abs(trace_form - sandwich_form) > 1e-10 * scale:
-        raise NumericalError(
-            f"trace ({trace_form:.6e}) and eigenstate ({sandwich_form:.6e}) forms of the radicand disagree"
-        )
-    radicand = eps * trace_form
-    if radicand == 0:
-        roots = np.full(n, report.ep_eigenvalue, dtype=complex)
-    else:
-        principal = radicand ** (1.0 / n)
-        unity = np.exp(2j * np.pi * np.arange(n) / n)
-        roots = report.ep_eigenvalue + principal * unity
+    if not math.isfinite(eps):
+        raise ParameterError(f"eps must be finite, got {eps}")
+    with _overflow_scope():  # an H1 large enough to overflow the radicand raises NumericalError below
+        n = report.dim
+        power = report.top_power
+        product = power @ h1
+        trace_form = complex(np.trace(product))
+        if n == 1:
+            sandwich_form = trace_form
+        else:
+            psi = cmatrix.kernel_vector(report.nilpotent)
+            sandwich_form = complex(np.vdot(psi, product @ psi))
+        scale = max(cmatrix.frobenius_norm(power) * cmatrix.frobenius_norm(h1), _TINY)
+        if abs(trace_form - sandwich_form) > 1e-10 * scale:
+            raise NumericalError(
+                f"trace ({trace_form:.6e}) and eigenstate ({sandwich_form:.6e}) forms of the radicand disagree"
+            )
+        radicand = eps * trace_form
+        if not cmath.isfinite(radicand):
+            raise NumericalError(f"the radicand eps * tr(N^(n-1) H1) overflows a double at eps={eps:g}")
+        if radicand == 0:
+            roots = np.full(n, report.ep_eigenvalue, dtype=complex)
+        else:
+            principal = radicand ** (1.0 / n)
+            unity = np.exp(2j * np.pi * np.arange(n) / n)
+            roots = report.ep_eigenvalue + principal * unity
     return SplittingPrediction(n=n, radicand=radicand, predicted_eigenvalues=roots)

@@ -3,8 +3,6 @@
 The constructors lock the gain/loss coefficient to the coupling strength so
 the returned Hamiltonian sits exactly at its exceptional point: order 2 with
 response strength 2*g_a for the dimer, order 3 with 4*g_b^2 for the trimer.
-Detuned variants with a free gain/loss coefficient exist for perturbation
-studies but carry no exceptional point certification.
 """
 
 from __future__ import annotations
@@ -21,9 +19,7 @@ from .errors import ParameterError, ParseError
 
 __all__ = [
     "pt_dimer",
-    "pt_dimer_detuned",
     "pt_trimer",
-    "pt_trimer_detuned",
     "single_entry_coupling",
     "dimer_trimer_system",
     "LoadedSystem",
@@ -31,24 +27,17 @@ __all__ = [
 ]
 
 
-def pt_dimer_detuned(omega0: float, g_a: float, alpha_a: float) -> np.ndarray:
-    """Dimer with independent gain/loss alpha_a; at an EP only when alpha_a == g_a."""
-    g = _check_positive("g_a", g_a)
-    a = _check_positive("alpha_a", alpha_a)
-    w = float(omega0)
-    return np.array([[w + 1j * a, g], [g, w - 1j * a]], dtype=complex)
-
-
 def pt_dimer(omega0: float, g_a: float) -> np.ndarray:
-    """Two-site gain/loss dimer locked at its order-2 exceptional point."""
+    """Two-site dimer at its order-2 exceptional point: the gain/loss coefficient is locked to g_a."""
     g = _check_positive("g_a", g_a)
-    return pt_dimer_detuned(omega0, g, g)
+    w = float(omega0)
+    return np.array([[w + 1j * g, g], [g, w - 1j * g]], dtype=complex)
 
 
-def pt_trimer_detuned(omega0: float, g_b: float, alpha_b: float) -> np.ndarray:
-    """Trimer with independent gain/loss alpha_b; at an EP only when alpha_b == sqrt(2)*g_b."""
+def pt_trimer(omega0: float, g_b: float) -> np.ndarray:
+    """Three-site trimer at its order-3 exceptional point: the gain/loss alpha_b is locked to sqrt(2)*g_b."""
     g = _check_positive("g_b", g_b)
-    a = _check_positive("alpha_b", alpha_b)
+    a = _check_positive("alpha_b", math.sqrt(2.0) * g)  # ParameterError where sqrt(2)*g_b overflows
     w = float(omega0)
     return np.array(
         [
@@ -58,12 +47,6 @@ def pt_trimer_detuned(omega0: float, g_b: float, alpha_b: float) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def pt_trimer(omega0: float, g_b: float) -> np.ndarray:
-    """Three-site gain/loss trimer locked at its order-3 exceptional point."""
-    g = _check_positive("g_b", g_b)
-    return pt_trimer_detuned(omega0, g, math.sqrt(2.0) * g)
 
 
 def single_entry_coupling(k: complex, n_b: int, n_a: int, row: int = 1, col: int = 1) -> np.ndarray:
@@ -96,7 +79,6 @@ class LoadedSystem:
     """Hamiltonian parsed from an input file, plus block metadata when known."""
 
     h: np.ndarray
-    kind: str
     n_a: int | None = None
 
     def __post_init__(self):
@@ -119,7 +101,7 @@ def load_system(obj) -> LoadedSystem:
     if not isinstance(obj, dict):
         raise ParseError("system JSON must be an object")
     if "model" not in obj:
-        return LoadedSystem(h=cmatrix.matrix_from_json(obj), kind="matrix")
+        return LoadedSystem(h=cmatrix.matrix_from_json(obj))
     name = obj["model"]
 
     def number(key: str) -> float:
@@ -127,13 +109,13 @@ def load_system(obj) -> LoadedSystem:
 
     try:
         if name == "dimer":
-            return LoadedSystem(h=pt_dimer(number("omega0"), number("g_a")), kind=name)
+            return LoadedSystem(h=pt_dimer(number("omega0"), number("g_a")))
         if name == "trimer":
-            return LoadedSystem(h=pt_trimer(number("omega0"), number("g_b")), kind=name)
+            return LoadedSystem(h=pt_trimer(number("omega0"), number("g_b")))
         if name == "dimer_trimer":
             k = _scalar_from_json(obj["k"], "k")
             system = dimer_trimer_system(number("omega0"), number("g_a"), number("g_b"), k)
-            return LoadedSystem(h=np.asarray(system.h), kind=name, n_a=system.n_a)
+            return LoadedSystem(h=np.asarray(system.h), n_a=system.n_a)
     except KeyError as exc:
         raise ParseError(f"model '{name}' is missing parameter {exc}") from exc
     except ParameterError as exc:

@@ -1,12 +1,14 @@
 """Tests on the shape of the public API."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 from pathlib import Path
 
 import epkit
+from epkit import compose, ep_core, jordan, models, perturb
 
 TOLERANCE_NAMES = {"tol", "nil_tol", "rtol", "eps_mp"}
 
@@ -64,3 +66,54 @@ def test_every_all_entry_resolves():
         module = importlib.import_module(info.name)
         unresolved += [f"{info.name}.{name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert unresolved == []
+
+
+# Each module's __all__, in order; None for a module without one.  A change to
+# the public surface edits this list in plain view.
+PUBLIC = {
+    "epkit.cli": None,
+    "epkit.cmatrix": [
+        "DEFAULT_RTOL", "as_matrix", "as_square", "as_vector", "frobenius_norm", "spectral_norm",
+        "kernel_vector", "matrix_to_json", "matrix_from_json", "vector_to_json",
+    ],
+    "epkit.compose": [
+        "CompositeSystem", "block_compose", "compose_many", "genericity_product", "composite_response",
+        "response_upper_bound",
+    ],
+    "epkit.ep_core": [
+        "DEFAULT_EPS_MP", "EpReport", "SplittingPrediction", "default_nil_tol", "traceless_part",
+        "nilpotency_index", "detect_ep", "response_strength", "greens_function", "splitting_bound",
+        "machine_precision_bound", "predicted_splitting",
+    ],
+    "epkit.errors": None,
+    "epkit.jordan": ["JordanChain", "jordan_chain", "response_from_chain", "coupling_amplitude"],
+    "epkit.models": [
+        "pt_dimer", "pt_trimer", "single_entry_coupling", "dimer_trimer_system", "LoadedSystem", "load_system",
+    ],
+    "epkit.perturb": [
+        "SlopeFit", "child_seed", "random_generic", "random_preserving", "max_splitting", "sweep", "fit_slope",
+        "records_to_csv", "log_grid",
+    ],
+}
+
+# The fields of each public dataclass, in order.
+FIELDS = {
+    ep_core.EpReport: ["dim", "order", "ep_eigenvalue", "nilpotent", "response_strength", "nil_tol", "top_power"],
+    compose.CompositeSystem: ["h", "k", "ep_eigenvalue", "rep_a", "rep_b"],
+    models.LoadedSystem: ["h", "n_a"],
+    jordan.JordanChain: ["vectors", "chain_residuals", "normalization_residual", "orthogonality_residuals"],
+    perturb.SlopeFit: ["slope", "intercept", "window", "residual"],
+    ep_core.SplittingPrediction: ["n", "radicand", "predicted_eigenvalues"],
+}
+
+
+def test_module_surfaces_are_pinned():
+    found = {
+        info.name: getattr(importlib.import_module(info.name), "__all__", None)
+        for info in pkgutil.iter_modules(epkit.__path__, "epkit.")
+    }
+    assert found == PUBLIC
+
+
+def test_dataclass_fields_are_pinned():
+    assert {cls: [f.name for f in dataclasses.fields(cls)] for cls in FIELDS} == FIELDS

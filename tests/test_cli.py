@@ -82,6 +82,16 @@ def test_analyze_bad_matrix_schema(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_trimer_whose_gain_overflows_is_invalid_input(capsys, tmp_path, command):
+    # g_b is finite, but the locked gain/loss sqrt(2) * g_b is not
+    path = write_json(tmp_path / "big_trimer.json", {"model": "trimer", "omega0": 1.0, "g_b": 1.5e308})
+    argv = [command, "--input", path] + (["--out", str(tmp_path / "sweep.csv")] if command == "sweep" else [])
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: invalid parameter for model 'trimer': alpha_b must be positive and finite, got inf\n"
+
+
 # ---------------------------------------------------------------------------
 # jordan
 

@@ -500,10 +500,3 @@ def test_compose_many_argument_validation():
         compose.compose_many([pt_dimer(1.0, 1.5)], [])
     with pytest.raises(ParameterError):
         compose.compose_many([pt_dimer(1.0, 1.5), pt_dimer(1.0, 0.7)], [])
-
-
-def test_composite_json_roundtrip():
-    system = dimer_trimer()
-    payload = system.to_json()
-    assert cmatrix.matrix_from_json(payload["h"]).shape == (5, 5)
-    assert payload["ep_eigenvalue"] == [1.0, 0.0]

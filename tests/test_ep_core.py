@@ -743,6 +743,40 @@ def test_predicted_splitting_requires_full_order():
         ep_core.predicted_splitting(report, np.eye(2), 1e-6)
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+def test_predicted_splitting_rejects_non_finite_strength(system5, eps):
+    # a NaN strength once gave five NaN eigenvalues, an infinite one a bare OverflowError
+    with pytest.raises(ParameterError, match="eps"):
+        ep_core.predicted_splitting(system5.report, np.ones((5, 5)), eps)
+
+
+@pytest.mark.parametrize("eps", [1e308, -1e308])
+def test_predicted_splitting_radicand_overflow_is_numerical(system5, eps):
+    # eps is finite, but eps * tr(N^4 H1) is not: the fifth root once ended in a bare OverflowError
+    with pytest.raises(NumericalError, match="radicand"):
+        ep_core.predicted_splitting(system5.report, np.ones((5, 5)), eps)
+
+
+def test_predicted_splitting_of_an_overflowing_perturbation_warns_nothing(system5):
+    # N^4 H1 overflows: once numpy's overflow RuntimeWarnings, then a bare OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="radicand"):
+            ep_core.predicted_splitting(system5.report, np.full((5, 5), 1e308), 1.0)
+
+
+def test_predicted_splitting_zero_and_negative_strengths_keep_their_values(system5):
+    h1 = np.ones((5, 5))
+    ep = system5.report.ep_eigenvalue
+    zero = ep_core.predicted_splitting(system5.report, h1, 0.0)
+    assert zero.radicand == 0 and np.array_equal(zero.predicted_eigenvalues, np.full(5, ep))
+    forward = ep_core.predicted_splitting(system5.report, h1, 1e-6)
+    backward = ep_core.predicted_splitting(system5.report, h1, -1e-6)
+    assert backward.radicand == -forward.radicand != 0
+    deltas = backward.predicted_eigenvalues - ep
+    assert np.allclose(deltas**5, backward.radicand, rtol=1e-10, atol=0.0)
+
+
 def test_predicted_eigenvalues_match_spectrum(system5, report5):
     rng = helpers.philox(59)
     for _ in range(20):

@@ -58,15 +58,8 @@ def test_parity_time_structure():
     for h in (
         models.pt_dimer(1.0, 1.5),
         models.pt_trimer(1.0, 1.3),
-        models.pt_dimer_detuned(0.5, 1.0, 0.3),
-        models.pt_trimer_detuned(0.5, 1.0, 0.3),
     ):
         assert np.array_equal(np.conj(h[::-1, ::-1]), h)
-
-
-def test_detuned_models_are_off_the_degeneracy():
-    assert ep_core.detect_ep(models.pt_dimer_detuned(1.0, 1.0, 0.5)).order is None
-    assert ep_core.detect_ep(models.pt_trimer_detuned(1.0, 1.0, 0.5)).order is None
 
 
 def test_single_entry_coupling_layout():
@@ -134,12 +127,18 @@ def test_model_parameter_validation(bad):
         models.pt_trimer(1.0, bad)
 
 
+def test_trimer_rejects_a_coupling_whose_gain_overflows():
+    # g_b = 1.5e308 is finite, but the locked gain/loss sqrt(2) * g_b is not
+    with pytest.raises(ParameterError, match="alpha_b"):
+        models.pt_trimer(1.0, 1.5e308)
+
+
 # ---------------------------------------------------------------------------
 # named-system parsing
 
 def test_load_system_models():
     dimer = models.load_system({"model": "dimer", "omega0": 1.0, "g_a": 1.5})
-    assert dimer.kind == "dimer" and dimer.h.shape == (2, 2)
+    assert dimer.h.shape == (2, 2)
     trimer = models.load_system({"model": "trimer", "omega0": 1.0, "g_b": 1.3})
     assert trimer.h.shape == (3, 3)
     full = models.load_system(
@@ -150,7 +149,6 @@ def test_load_system_models():
 
 def test_load_system_plain_matrix():
     loaded = models.load_system(cmatrix.matrix_to_json(models.pt_dimer(1.0, 1.5)))
-    assert loaded.kind == "matrix"
     assert np.array_equal(loaded.h, models.pt_dimer(1.0, 1.5))
 
 

@@ -96,6 +96,34 @@ def test_seed_range_edges_accepted():
     assert perturb.child_seed(0, 0) == perturb.child_seed(2**64 - 1, 0) ^ (2**64 - 1)
 
 
+@pytest.mark.parametrize("value", [1.5, 1.0, np.float64(2.0), "1"])
+def test_non_integer_seed_trial_and_size_rejected(system5, value):
+    # int() would truncate 1.5 to 1 and draw seed 1's matrix; range() and the draw shapes raised a bare TypeError
+    with pytest.raises(ParameterError, match="seed"):
+        perturb.random_generic(2, value)
+    with pytest.raises(ParameterError, match="trial"):
+        perturb.child_seed(1, value)
+    with pytest.raises(ParameterError, match="dim"):
+        perturb.random_generic(value, 1)
+    with pytest.raises(ParameterError, match="n_a"):
+        perturb.random_preserving(value, 3, 1)
+    with pytest.raises(ParameterError, match="n_b"):
+        perturb.random_preserving(2, value, 1)
+    with pytest.raises(ParameterError, match="trials"):
+        perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", [1e-8, 1e-4], value, seed=1)
+    with pytest.raises(ParameterError, match="n_a"):
+        perturb.sweep(system5.h, system5.ep_eigenvalue, "preserving", [1e-8, 1e-4], 2, seed=1, n_a=value)
+
+
+def test_numpy_integer_seed_trial_and_size_accepted(system5):
+    assert np.array_equal(perturb.random_generic(np.int64(3), np.uint64(9)), perturb.random_generic(3, 9))
+    assert perturb.child_seed(np.uint64(1), np.int32(7)) == perturb.child_seed(1, 7)
+    table = perturb.sweep(system5.h, system5.ep_eigenvalue, "preserving", [1e-8, 1e-4], np.int64(2),
+                          seed=np.uint64(1), n_a=np.int64(2))
+    assert np.array_equal(table, perturb.sweep(system5.h, system5.ep_eigenvalue, "preserving", [1e-8, 1e-4], 2,
+                                               seed=1, n_a=2))
+
+
 # sha256 of the bytes of random_generic(5, seed) and random_preserving(2, 3, seed)
 _DRAW_DIGESTS = {
     0: ("9816f48779ee3c82ebfbdb74b41220d363d2e1d79e8a91bff71eca918f464cb8",
