@@ -19,7 +19,6 @@ import functools
 import json
 import math
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -157,35 +156,6 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _sweep_both_modes(system, grid, trials: int, seed: int) -> dict:
-    """The generic and the preserving sweep of system, keyed by mode in that order.
-
-    The preserving sweep runs on a second thread while this one runs the
-    generic sweep: their stacked eigenvalue calls release the interpreter lock
-    and overlap on two cores.  Each sweep is the call it would be alone, so
-    the tables are bit-identical.  Both sweeps finish before an error is
-    raised, the generic one's first.
-    """
-    tables, errors = {}, {}
-
-    def run(mode: str) -> None:
-        try:
-            tables[mode] = perturb.sweep(system.h, system.ep_eigenvalue, mode, grid, trials, seed, n_a=system.n_a)
-        except Exception as exc:  # raised on the calling thread once both sweeps are done
-            errors[mode] = exc
-
-    worker = threading.Thread(target=run, args=("preserving",))
-    worker.start()
-    try:
-        run("generic")
-    finally:
-        worker.join()
-    for mode in ("generic", "preserving"):
-        if mode in errors:
-            raise errors[mode]
-    return {mode: tables[mode] for mode in ("generic", "preserving")}
-
-
 def _cmd_reproduce_fig3(args) -> int:
     d = FIG3_DEFAULTS
     system = models.dimer_trimer_system(d["omega0"], args.g_a, args.g_b, args.k)
@@ -194,7 +164,8 @@ def _cmd_reproduce_fig3(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     window = _fit_window(args.eps_min, args.eps_max)
-    tables = _sweep_both_modes(system, grid, args.trials, args.seed)
+    tables = {mode: perturb.sweep(system.h, system.ep_eigenvalue, mode, grid, args.trials, args.seed, n_a=system.n_a)
+              for mode in ("generic", "preserving")}  # in order: a generic failure is the one reported
     slopes = {mode: perturb.fit_slope(grid, table, window).to_json() for mode, table in tables.items()}
     for mode, table in tables.items():  # written only after both fits succeed: a failed fit leaves no file
         (out_dir / f"fig3_{mode}.csv").write_text(perturb.records_to_csv(grid, table), encoding="utf-8")

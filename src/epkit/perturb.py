@@ -6,6 +6,7 @@ zeroes the block that would couple the downstream subsystem back into the
 upstream one.  Sweeps measure the largest eigenvalue excursion from the
 degenerate eigenvalue as a function of perturbation strength and fit the
 log-log slope, which approaches 1/n at a generic order-n exceptional point.
+A sweep takes its eigenvalues in two trial halves on two threads.
 
 Randomness comes from the counter-based Philox generator keyed per trial by
 seed XOR splitmix64(trial), so results are reproducible across platforms and
@@ -17,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +40,8 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-#: Most perturbed-matrix entries one eigenvalue call of a sweep holds (4 MiB of
-#: complex128); a single strength whose trials exceed it still takes one call.
+#: Most perturbed-matrix entries one chunk of a sweep holds (4 MiB of
+#: complex128); a single strength whose trials exceed it still makes one chunk.
 _CHUNK_ENTRIES = 1 << 18
 
 
@@ -122,27 +124,49 @@ def random_preserving(n_a: int, n_b: int, seed: int) -> np.ndarray:
     return full
 
 
+def _eigvals(stack: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvals of a (strengths, trials, d, d) stack: ceil(trials / 2) trials here, the rest on a worker thread."""
+    if stack.shape[1] == 1:
+        return np.linalg.eigvals(stack)
+    half, rest = -(-stack.shape[1] // 2), []
+
+    def run_rest() -> None:
+        try:
+            rest.append(np.linalg.eigvals(stack[:, half:]))
+        except Exception as exc:  # raised on the calling thread once its own half is done
+            rest.append(exc)
+
+    worker = threading.Thread(target=run_rest)
+    worker.start()
+    try:
+        first = np.linalg.eigvals(stack[:, :half])
+    finally:
+        worker.join()
+    if isinstance(rest[0], Exception):
+        raise rest[0]
+    return np.concatenate([first, rest[0]], axis=1)
+
+
 def _splittings(h: np.ndarray, ep_eigenvalue: complex, h1: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """max_j |E_j - ep_eigenvalue| for H + eps * H1 at each strength of a column, one row per strength.
 
-    eps is a 1-d array of strengths and H1 a (d, d) matrix or a (trials, d, d)
-    stack; the row for eps[s] holds one value per matrix of H1.  All perturbed
-    matrices go to one eigenvalue call.  numpy runs the same LAPACK routine on
-    every matrix of a stack as on a single matrix, so the stacked call gives
-    the same bits as one call per matrix.
+    eps is a 1-d array of strengths and H1 a (trials, d, d) stack; the row for
+    eps[s] holds one value per trial.  numpy runs the same LAPACK routine on
+    every matrix of a stack as on a single matrix, so _eigvals' stacked calls
+    give the same bits as one call per matrix.
     """
     ep = complex(ep_eigenvalue)
     if not cmath.isfinite(ep):
         raise ParameterError(f"ep_eigenvalue must be finite, got {ep}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed entry raises ParameterError below
-        perturbed = h + eps.reshape((-1,) + (1,) * h1.ndim) * h1
+        perturbed = h + eps[:, None, None, None] * h1
     finite = np.isfinite(perturbed.view(float)).reshape(len(eps), -1).all(axis=1)
     if not finite.all():
         raise ParameterError(
             f"H + eps * H1 contains non-finite entries at eps={eps[np.argmin(finite)]:g}"
         )
     try:
-        vals = np.linalg.eigvals(perturbed)
+        vals = _eigvals(perturbed)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
     return np.max(np.abs(vals - ep), axis=-1)
@@ -157,7 +181,7 @@ def max_splitting(h, ep_eigenvalue: complex, h1, eps: float) -> float:
     eps = float(eps)
     if eps < 0.0:
         raise ParameterError(f"eps must be nonnegative, got {eps}")
-    return float(_splittings(h, ep_eigenvalue, h1, np.array([eps]))[0])
+    return float(_splittings(h, ep_eigenvalue, h1[None], np.array([eps]))[0, 0])
 
 
 def _strengths(eps_grid) -> np.ndarray:
@@ -188,10 +212,9 @@ def sweep(h, ep_eigenvalue: complex, mode: str, eps_grid, trials: int, seed: int
     every strength, so each trial traces a curve over the grid.  Preserving
     mode needs n_a, the upstream block size.  Returns a read-only
     (len(eps_grid), trials) table: row s holds the splittings at eps_grid[s],
-    column t those of trial t.  The whole (strengths, trials, d, d) stack of
-    perturbed matrices takes one eigenvalue call; a grid whose stack would
-    exceed _CHUNK_ENTRIES matrix entries is split into chunks of whole
-    strengths under that bound, with at least one strength per chunk.
+    column t those of trial t.  The (strengths, trials, d, d) stack of
+    perturbed matrices goes to _eigvals in chunks of whole strengths of at most
+    _CHUNK_ENTRIES matrix entries, with at least one strength per chunk.
     """
     h = cmatrix.as_square(h, "H")
     dim = h.shape[0]

@@ -302,6 +302,38 @@ def test_sweep_byte_identical(capsys, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("bound", [75, 10_000])
+@pytest.mark.parametrize("trials", [1, 2, 3, 8])
+@pytest.mark.parametrize("mode", ["generic", "preserving"])
+def test_sweep_trial_halves_match_per_matrix_loop(capsys, monkeypatch, tmp_path, mode, trials, bound):
+    # 75 entries: chunks of three 5x5 strengths at one trial, of one strength from two trials on; 10_000: one chunk
+    monkeypatch.setattr(perturb, "_CHUNK_ENTRIES", bound)
+    system_file = write_json(
+        tmp_path / "sys.json",
+        {"model": "dimer_trimer", "omega0": 1.0, "g_a": 1.5, "g_b": 1.3, "k": [1.0, 0.0]},
+    )
+    csv_path = tmp_path / "sweep.csv"
+    code, _, _ = run(
+        capsys,
+        ["sweep", "--input", system_file, "--mode", mode, "--points", "9",
+         "--trials", str(trials), "--seed", "42", "--out", str(csv_path)],
+    )
+    assert code == 0
+    system = models.dimer_trimer_system(1.0, 1.5, 1.3, 1.0)
+    h = np.asarray(system.h)
+    ep_eigenvalue, _ = ep_core.traceless_part(h)
+    grid = perturb.log_grid(cli.FIG3_DEFAULTS["eps_min"], cli.FIG3_DEFAULTS["eps_max"], 9)
+    seeds = [perturb.child_seed(42, t) for t in range(trials)]
+    if mode == "generic":
+        matrices = [perturb.random_generic(5, s) for s in seeds]
+    else:
+        matrices = [perturb.random_preserving(2, 3, s) for s in seeds]
+    expected = helpers.per_matrix_sweep_csv(h, ep_eigenvalue, matrices, grid)
+    table = perturb.sweep(h, ep_eigenvalue, mode, grid, trials, 42, n_a=2)
+    assert perturb.records_to_csv(grid, table).encode("utf-8") == expected
+    assert csv_path.read_bytes() == expected
+
+
 # ---------------------------------------------------------------------------
 # reproduce-fig3
 
@@ -625,7 +657,9 @@ def test_reproduce_fig3_sweep_error_reports_generic_first(capsys, monkeypatch, t
     assert code == 4
     assert out == "" and list(out_dir.iterdir()) == []
     assert err == f"numerical failure: {failing_modes[0]} sweep did not converge\n"
-    assert threads == {"generic": True, "preserving": False}  # both sweeps ran, preserving off the main thread
+    # in order on the main thread: a generic failure stops before the preserving sweep
+    ran = ["generic"] if "generic" in failing_modes else ["generic", "preserving"]
+    assert threads == dict.fromkeys(ran, True)
 
 
 @pytest.mark.parametrize("failing_modes", [(), ("preserving",)], ids=["success", "failure"])

@@ -84,6 +84,22 @@ def test_single_entry_coupling_rejects_bad_position():
         models.single_entry_coupling(1.0, 3, 2, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "args", [(3.0, 2), (3, 2.0), (3, 2, 1.5, 1), (3, 2, 1, np.float64(1.0)), ("3", 2)],
+    ids=["n_b", "n_a", "row", "col", "string"],
+)
+def test_single_entry_coupling_rejects_non_integer_sizes_and_position(args):
+    with pytest.raises(ParameterError, match="must be an integer"):
+        models.single_entry_coupling(1.0, *args)
+
+
+def test_single_entry_coupling_accepts_numpy_integers():
+    k = models.single_entry_coupling(2.0, np.int64(3), np.int32(2), np.int8(3), np.uint16(2))
+    expected = np.zeros((3, 2), dtype=complex)
+    expected[2, 1] = 2.0
+    assert np.array_equal(k, expected)
+
+
 def test_dimer_trimer_system_order_five():
     system = models.dimer_trimer_system(1.0, 1.5, 1.3, 1.0)
     report = ep_core.detect_ep(system.h)

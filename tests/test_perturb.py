@@ -1,6 +1,8 @@
 """Tests for randomized perturbation experiments and slope fitting."""
 
 import hashlib
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -278,7 +280,9 @@ def test_sweep_one_eigvals_call_per_sweep(system5, monkeypatch, trials):
     monkeypatch.setattr(np.linalg, "eigvals", counting)
     grid = perturb.log_grid(1e-10, 1e-3, 6)
     perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", grid, trials, seed=5)
-    assert calls == [(len(grid), trials, 5, 5)]
+    half = -(-trials // 2)
+    halves = [half, trials - half] if trials > 1 else [trials]
+    assert sorted(calls) == sorted((len(grid), size, 5, 5) for size in halves)
 
 
 @pytest.mark.parametrize("bound", [1, 20, 75, 100, 160, 10_000])
@@ -298,10 +302,12 @@ def test_sweep_chunks_hold_whole_strengths(system5, monkeypatch, bound, mode):
     monkeypatch.setattr(perturb, "_CHUNK_ENTRIES", bound)
     monkeypatch.setattr(np.linalg, "eigvals", recording)
     table = perturb.sweep(h, ep, mode, grid, 3, seed=17, n_a=2)
-    assert all(shape[1:] == (3, 5, 5) for shape in calls)
-    assert all(np.prod(shape) <= bound or shape[0] == 1 for shape in calls)
-    assert sum(shape[0] for shape in calls) == len(grid)
-    assert len(calls) == -(-len(grid) // max(1, bound // 75))
+    # each chunk's strengths go to two calls, one per trial half; the next chunk starts after both
+    chunks = [calls[i:i + 2] for i in range(0, len(calls), 2)]
+    assert all(a[0] == b[0] and a[2:] == b[2:] == (5, 5) and a[1] + b[1] == 3 for a, b in chunks)
+    assert all(a[0] * 75 <= bound or a[0] == 1 for a, _ in chunks)
+    assert sum(a[0] for a, _ in chunks) == len(grid)
+    assert len(chunks) == -(-len(grid) // max(1, bound // 75))
     draw = perturb.random_generic if mode == "generic" else lambda dim, s: perturb.random_preserving(2, 3, s)
     perts = [draw(5, perturb.child_seed(17, t)) for t in range(3)]
     expected = [[perturb.max_splitting(h, ep, m, eps) for m in perts] for eps in grid]
@@ -326,6 +332,64 @@ def test_eigenvalue_failure_raises_convergence_error(system5, monkeypatch):
         perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", [1e-8, 1e-4], 2, seed=1)
     with pytest.raises(ConvergenceError, match="did not converge"):
         perturb.max_splitting(system5.h, system5.ep_eigenvalue, np.eye(5), 1e-4)
+
+
+@pytest.mark.parametrize("failing", [("worker",), ("caller",), ("caller", "worker")], ids=["worker", "caller", "both"])
+def test_eigenvalue_failure_in_either_trial_half(system5, monkeypatch, failing):
+    # a failure in the worker's half alone is still a ConvergenceError; with both failing, the caller's is raised
+    caller = threading.current_thread()
+    eigvals = np.linalg.eigvals
+
+    def failing_half(a):
+        side = "caller" if threading.current_thread() is caller else "worker"
+        if side in failing:
+            raise np.linalg.LinAlgError(f"{side} half")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing_half)
+    before = threading.active_count()
+    with pytest.raises(ConvergenceError, match=f"did not converge: {failing[0]} half"):
+        perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", [1e-8, 1e-4], 3, seed=1)
+    assert threading.active_count() == before
+
+
+def test_concurrent_sweeps_match_per_matrix_loop(system5):
+    # four sweeps at once, each with its worker: eight threads on two cores, switching every 10 us
+    h, ep = np.asarray(system5.h), system5.ep_eigenvalue
+    grid = perturb.log_grid(1e-12, 1e-2, 9)
+    jobs = [("generic", 8, 3), ("preserving", 8, 4), ("generic", 5, 5), ("preserving", 2, 6)]
+    expected = []
+    for mode, trials, seed in jobs:
+        seeds = [perturb.child_seed(seed, t) for t in range(trials)]
+        if mode == "generic":
+            matrices = [perturb.random_generic(5, s) for s in seeds]
+        else:
+            matrices = [perturb.random_preserving(2, 3, s) for s in seeds]
+        expected.append(helpers.per_matrix_sweep_csv(h, ep, matrices, grid))
+    results = {}
+
+    def run(i, mode, trials, seed):
+        try:
+            for _ in range(20):
+                table = perturb.sweep(h, ep, mode, grid, trials, seed, n_a=2)
+                results.setdefault(i, []).append(perturb.records_to_csv(grid, table).encode("utf-8"))
+        except Exception as exc:  # reported by the assertions below
+            results[i] = exc
+
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i, *job)) for i, job in enumerate(jobs)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    assert [results[i] for i in range(len(jobs))] == [[csv] * 20 for csv in expected]
 
 
 @pytest.mark.parametrize("ep", [float("nan"), float("inf"), complex(1.0, float("nan")), complex(float("-inf"), 0.0)])
