@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cmatrix, compose, ep_core, jordan, models, perturb
-from .errors import EpkitError, NumericalError, ParseError
+from .errors import EpkitError, NumericalError, ParameterError, ParseError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -145,10 +145,18 @@ def _fit_window(eps_min: float, eps_max: float) -> tuple[float, float]:
     return (max(eps_min, FIT_WINDOW[0]), min(eps_max, FIT_WINDOW[1]))
 
 
+def _grid(args) -> list[float]:
+    """The strength grid of --eps-min, --eps-max and --points; an --eps-min not below --eps-max is invalid input."""
+    try:
+        return perturb.log_grid(args.eps_min, args.eps_max, args.points)
+    except ParameterError as exc:
+        raise ParseError(f"invalid strength grid: {exc}") from exc
+
+
 def _cmd_sweep(args) -> int:
     system = models.load_system(_load_json(args.input))
+    grid = _grid(args)
     ep_eigenvalue, _ = ep_core.traceless_part(system.h)
-    grid = perturb.log_grid(args.eps_min, args.eps_max, args.points)
     table = perturb.sweep(system.h, ep_eigenvalue, args.mode, grid, args.trials, args.seed, n_a=system.n_a)
     fit = perturb.fit_slope(grid, table, _fit_window(args.eps_min, args.eps_max))
     Path(args.out).write_text(perturb.records_to_csv(grid, table), encoding="utf-8")
@@ -158,9 +166,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_reproduce_fig3(args) -> int:
     d = FIG3_DEFAULTS
-    system = models.dimer_trimer_system(d["omega0"], args.g_a, args.g_b, args.k)
+    try:
+        system = models.dimer_trimer_system(d["omega0"], args.g_a, args.g_b, args.k)
+    except ParameterError as exc:  # sqrt(2) * g_b overflows: invalid input, as load_system reports it
+        raise ParseError(f"invalid parameter for model 'dimer_trimer': {exc}") from exc
+    grid = _grid(args)
     system.report  # certifies order 5 before any sweep runs
-    grid = perturb.log_grid(args.eps_min, args.eps_max, args.points)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     window = _fit_window(args.eps_min, args.eps_max)

@@ -282,7 +282,10 @@ def _top_power(nmat: np.ndarray, nil_tol: float, norm: _NormBracket) -> tuple[np
     threshold are nested in it, so they are the same at both ends of the
     bracket exactly when their count is.  The flush keeps the first largest
     entry unless it zeroes every entry, so |N^(n-1)| taken before it still
-    locates the peak of the flushed power for _rank_one_norm.
+    locates the peak of the flushed power for _rank_one_norm.  A flush that
+    removes more than nil_tol of the kept norm, ||flushed part||_F >
+    nil_tol * xi, took a certified entry and raises NumericalError; a power
+    flushed to zero (xi = 0) is left to _detect.
     """
     dim = nmat.shape[0]
     power = np.linalg.matrix_power(nmat, dim - 1)  # a new 1 x 1 identity at dim 1
@@ -299,7 +302,12 @@ def _top_power(nmat: np.ndarray, nil_tol: float, norm: _NormBracket) -> tuple[np
         flush = mods <= nil_tol * _norm_power(norm.lo, dim - 1)
     power[flush] = 0.0
     power.setflags(write=False)
-    return power, _rank_one_norm(power, "N^(n-1)", mods)
+    xi = _rank_one_norm(power, "N^(n-1)", mods)
+    if xi > 0.0:
+        x = mods[flush] / xi  # in units of xi a square overflows only far above the threshold
+        if not x.dot(x) <= nil_tol * nil_tol:
+            raise NumericalError(f"the flush of N^{dim - 1} removes more than nil_tol = {nil_tol:g} of its norm")
+    return power, xi
 
 
 def _power_step(m: np.ndarray, mods: np.ndarray) -> tuple[float | None, float]:
@@ -355,9 +363,9 @@ class EpReport:
 
     nilpotent_norm, ||N||_2 of the traceless part N, is computed on first
     read and kept.  The thresholds that scale with it (the power tests, the
-    flush, jordan_chain's residual budget and compose's cross-check) are
-    settled on the staged bracket of it that the report carries (see
-    _NormBracket), so a report takes at most one SVD of N.
+    flush and jordan_chain's residual budget) are settled on the staged
+    bracket of it that the report carries (see _NormBracket), so a report
+    takes at most one SVD of N.
     """
 
     dim: int
@@ -410,8 +418,9 @@ def detect_ep(h, nil_tol: float | None = None) -> EpReport:
     response strength; a smaller order flags a lower-order degeneracy living
     inside a larger space (response strength omitted); order None means the
     eigenvalues do not all coalesce.  A full-order verdict whose flushed
-    N^(n-1) has norm 0 raises NumericalError: the power test and the flush
-    then disagree, and no response strength can be certified.
+    N^(n-1) has norm 0, or whose flush removes more than nil_tol of the kept
+    norm, raises NumericalError: the power test and the flush then disagree,
+    and no response strength can be certified.
     """
     h = cmatrix.as_square(h, "H")
     with _overflow_scope():
@@ -468,7 +477,7 @@ def greens_function(report: EpReport, energy: complex) -> np.ndarray:
         raise PoleError("energy coincides with the degenerate eigenvalue")
     dim = report.dim
     g = np.zeros((dim, dim), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry raises NumericalError below
+    with _overflow_scope():  # a non-finite entry raises NumericalError below
         term = np.eye(dim, dtype=complex) / delta
         for _ in range(report.order):
             g += term

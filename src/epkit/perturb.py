@@ -55,10 +55,12 @@ def _splitmix64(x: int) -> int:
 
 def _index(name: str, value) -> int:
     """value through operator.index, so numpy integers pass; ParameterError where int() would truncate or fail."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if not isinstance(value, bool):  # operator.index(True) is 1
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 def _seed(seed: int) -> int:

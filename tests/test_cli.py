@@ -740,3 +740,28 @@ def test_bad_grid_argument_exits_2(capsys, tmp_path, dimer_file, trimer_file, co
         cli.main(argv + [option, value, "--out", str(tmp_path / "out")])
     assert info.value.code == 2
     assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "reproduce-fig3"])
+def test_eps_min_not_below_eps_max_exits_2(capsys, tmp_path, dimer_file, trimer_file, command):
+    # each bound passes argparse alone; their order is checked by the grid, which exited 3
+    argv = command_argv(command, tmp_path, dimer_file, trimer_file)
+    code, out, err = run(capsys, argv + ["--eps-min", "1e-2", "--eps-max", "1e-12", "--out", str(tmp_path / "out")])
+    assert code == 2 and out == ""
+    assert err == "error: invalid strength grid: need finite 0 < eps_min < eps_max and points >= 2\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_invalid_grid_is_reported_before_the_certification(capsys, tmp_path):
+    # --k 0 makes a degenerate composite (exit 3), but invalid input is reported first
+    argv = ["reproduce-fig3", "--k", "0", "--eps-min", "1e-2", "--eps-max", "1e-12", "--out", str(tmp_path / "out")]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and err.startswith("error: invalid strength grid")
+
+
+def test_reproduce_fig3_with_an_overflowing_trimer_gain_exits_2(capsys, tmp_path):
+    # as analyze of the same trimer does: g_b is finite, but sqrt(2) * g_b is not
+    code, out, err = run(capsys, ["reproduce-fig3", "--g-b", "1.5e308", "--out", str(tmp_path / "out")])
+    assert code == 2 and out == ""
+    assert err == "error: invalid parameter for model 'dimer_trimer': alpha_b must be positive and finite, got inf\n"
+    assert not (tmp_path / "out").exists()

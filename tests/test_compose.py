@@ -1,16 +1,15 @@
 """Tests for hierarchical composition through unidirectional coupling."""
 
-import functools
-
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
 from epkit import cmatrix, compose, ep_core, jordan
 from epkit.errors import (
     DegenerateCouplingError,
+    EpkitError,
     IncompatibleSubsystemsError,
     NumericalError,
     ParameterError,
@@ -173,51 +172,6 @@ def test_composite_response_decides_as_the_coupling_norm_does(kind, data):
         assert xi == pytest.approx(expected_xi, rel=1e-13)
 
 
-def _cross_check_outcome(system, nmat):
-    """The bytes of genericity_product's C with nmat as the traceless part, or the error it raises."""
-    try:
-        return compose._genericity_product(system, nmat).tobytes()
-    except NumericalError as exc:
-        return str(exc)
-
-
-@st.composite
-def composites_near_the_cross_check(draw):
-    """Two independently built copies of one composite, and its traceless part with the coupling block moved.
-
-    The composite is a dimer and a trimer at eigenvalue 0, scaled by 10**-30 .. 10**30, with a
-    coupled_pairs K, or a compose_many chain of 2-5 dimers.  Moving the coupling block of N by
-    size * E moves the direct power's block off C by size * N_b^(n_b-1) E N_a^(n_a-1), and size puts
-    that at a factor near 1 of the cross-check threshold 1e-10 * ||K||_2 * ||N_a||_2^(n_a-1) * ||N_b||_2^(n_b-1).
-    """
-    if draw(st.booleans()):
-        g_a, g_b, k = draw(coupled_pairs(draw(st.sampled_from(["single", "dense", "rank_one"]))))
-        scale = 10.0 ** draw(st.integers(-30, 30))
-        build = functools.partial(compose.block_compose, scale * pt_dimer(0.0, g_a), scale * pt_trimer(0.0, g_b), k)
-    else:
-        hams, ks, _ = dimer_chain(helpers.philox(draw(st.integers(0, 2**32 - 1))), draw(st.integers(2, 5)))
-        build = functools.partial(compose.compose_many, hams, ks)
-    fresh, exact = build(), build()
-    a, b = exact.rep_a, exact.rep_b
-    threshold = 1e-10 * exact.coupling_norm * a.nilpotent_norm ** (a.dim - 1) * b.nilpotent_norm ** (b.dim - 1)
-    e = helpers.complex_uniform(helpers.philox(draw(st.integers(0, 2**32 - 1))), (b.dim, a.dim))
-    moved = cmatrix.frobenius_norm(b.top_power @ e @ a.top_power)
-    assume(moved > 0.0 and threshold > 0.0)
-    factor = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0 - 1e-3, 1.0 + 1e-3, 1.1, 2.0]))
-    _, nmat = ep_core.traceless_part(exact.h)
-    nmat[a.dim:, :a.dim] += factor * threshold / moved * e
-    return fresh, exact, nmat
-
-
-@settings(deadline=None, max_examples=150)
-@given(composites_near_the_cross_check())
-def test_genericity_cross_check_matches_the_exact_norm_reference(case):
-    # settled on the brackets of ||K||_2, ||N_a||_2 and ||N_b||_2, the cross-check raises or
-    # returns exactly where it does on their SVDs
-    fresh, exact, nmat = case
-    assert _cross_check_outcome(fresh, nmat) == _cross_check_outcome(exact, nmat)
-
-
 @pytest.mark.parametrize("kind", ["single_entry", "dense"])
 def test_certify_op_takes_the_one_svd_of_kernel_vector(monkeypatch, kind):
     # block_compose, three detect_ep, two jordan_chain, composite_response, kernel_vector and
@@ -279,6 +233,92 @@ def test_subsystem_with_a_flushed_top_power_raises_numerical_error():
     h_a = helpers.transformed_jordan_block(helpers.philox(1), 15)
     with pytest.raises(NumericalError, match="flushed to zero"):
         compose.block_compose(h_a, pt_dimer(0.0, 1.0), np.ones((2, 15)))
+
+
+def test_subsystem_with_a_partly_flushed_top_power_raises_numerical_error():
+    # the flush of this block's N^12 keeps a rank-one remnant whose norm is not xi_a; certifying H_a refuses it
+    h_a = helpers.transformed_jordan_block(helpers.philox(2), 13)
+    with pytest.raises(NumericalError, match="removes more than nil_tol"):
+        compose.block_compose(h_a, pt_dimer(0.0, 1.0), np.ones((2, 13)))
+
+
+def model_top_power(h) -> np.ndarray:
+    """The exact N^(n-1) of pt_dimer(w, g) (g [[i, 1], [1, -i]]) or pt_trimer(w, g) (g^2 times a rank-one 3x3)."""
+    if h.shape[0] == 2:
+        return h[0, 1].real * np.array([[1j, 1.0], [1.0, -1j]])
+    r = np.sqrt(2.0)
+    return h[0, 1].real ** 2 * np.array([[-1.0, 1j * r, 1.0], [1j * r, 2.0, -1j * r], [1.0, -1j * r, -1.0]])
+
+
+def construction_xi(top_a, top_b, k) -> float:
+    """||T_b K T_a||_2 with T_a and T_b the top powers of the subsystems' constructions."""
+    return cmatrix.spectral_norm(top_b @ k @ top_a)
+
+
+@pytest.mark.parametrize("upstream", ["dimer", "trimer"])
+def test_exact_points_of_different_scales_compose_at_order_five(upstream):
+    # a cross-check scaled by ||K|| * ||N_a||^(n_a-1) * ||N_b||^(n_b-1) called these exact points inconsistent
+    dimer, trimer = pt_dimer(1.0, 1e-3), pt_trimer(1.0, 1e5)
+    h_a, h_b = (dimer, trimer) if upstream == "dimer" else (trimer, dimer)
+    n_a, n_b = h_a.shape[0], h_b.shape[0]
+    report = compose.block_compose(h_a, h_b, single_entry_coupling(1.0, n_b, n_a)).report
+    assert report.order == 5 and report.is_full_ep
+    assert report.response_strength == pytest.approx(np.sqrt(8.0) * 1e-3 * 1e10, rel=1e-12)
+    k = helpers.complex_uniform(helpers.philox(127), (n_b, n_a))
+    system = compose.block_compose(h_a, h_b, k)
+    xi = system.report.response_strength
+    assert compose.composite_response(system) == xi
+    assert xi == pytest.approx(construction_xi(model_top_power(h_a), model_top_power(h_b), k), rel=1e-12)
+
+
+def test_certifying_a_composite_powers_no_assembled_matrix(monkeypatch):
+    system = dimer_trimer()
+    counts = helpers.count_linalg(monkeypatch, "matrix_power")
+    system.report
+    compose.composite_response(system)
+    compose.genericity_product(system)
+    assert counts == {"matrix_power": 0}
+
+
+@st.composite
+def scanned_composites(draw):
+    """(H_a, H_b, K, T_a, T_b): a transformed Jordan block and a dimer or trimer, or a dimer and a trimer.
+
+    The block has dim 2-15 and scale 10**-3 .. 10**3, its T = scale^(n-1) S J^(n-1) S^-1 from the S that
+    helpers.transformed_jordan_block draws; the models have g in 10**-4 .. 10**4 and their exact top powers.
+    Either subsystem may be upstream, and K is dense.
+    """
+    g = 10.0 ** draw(st.floats(-4.0, 4.0))
+    model = draw(st.sampled_from([pt_dimer, pt_trimer]))
+    if draw(st.booleans()):
+        dim, seed = draw(st.integers(2, 15)), draw(st.integers(0, 2**32 - 1))
+        scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+        h_1 = scale * helpers.transformed_jordan_block(helpers.philox(seed), dim)
+        s = np.eye(dim) + 0.5 * helpers.complex_uniform(helpers.philox(seed), (dim, dim))
+        t_1 = scale ** (dim - 1) * np.outer(s[:, 0], np.linalg.inv(s)[-1])
+        h_2 = model(0.0, g)
+    else:
+        h_1 = pt_dimer(1.0, 10.0 ** draw(st.floats(-4.0, 4.0)))
+        t_1 = model_top_power(h_1)
+        h_2 = pt_trimer(1.0, g)
+    pair = [(h_1, t_1), (h_2, model_top_power(h_2))]
+    if draw(st.booleans()):
+        pair.reverse()
+    (h_a, t_a), (h_b, t_b) = pair
+    k = helpers.complex_uniform(helpers.philox(draw(st.integers(0, 2**32 - 1))), (h_b.shape[0], h_a.shape[0]))
+    return h_a, h_b, k, t_a, t_b
+
+
+@settings(deadline=None, max_examples=100)
+@given(scanned_composites())
+def test_composite_xi_is_the_constructions_or_block_compose_raises(case):
+    # a subsystem whose certified top power is not its construction's must be refused where it is certified
+    h_a, h_b, k, t_a, t_b = case
+    try:
+        system = compose.block_compose(h_a, h_b, k)
+    except EpkitError:
+        return
+    assert system.report.response_strength == pytest.approx(construction_xi(t_a, t_b, k), rel=1e-8)
 
 
 @pytest.mark.parametrize("kind", ["single_entry", "dense"])

@@ -405,13 +405,21 @@ def test_top_power_flush_matches_the_exact_norm_reference(data):
     entries = np.abs(power[power != 0]) / scale
     nil_tol = data.draw(placed_nil_tols(sorted(set(entries.tolist()))))
     nil_tol = ep_core.default_nil_tol(dim) if nil_tol is None else nil_tol
-    power[np.abs(power) <= nil_tol * scale] = 0.0
+    mods = np.abs(power)
+    flush = mods <= nil_tol * scale
+    power[flush] = 0.0
     try:
         with ep_core._overflow_scope():  # _top_power runs inside its caller's scope, as in epkit
             flushed, _ = ep_core._top_power(n, nil_tol, ep_core._NormBracket(n))
-    except NumericalError:  # not rank one after the flush: the reference fails the same check
-        with pytest.raises(NumericalError, match="rank one"):
-            ep_core._rank_one_norm(power, "N^(n-1)")
+    except NumericalError:  # the reference flush fails the rank-one check or removes more than nil_tol of xi
+        with ep_core._overflow_scope():
+            try:
+                xi = ep_core._rank_one_norm(power, "N^(n-1)")
+            except NumericalError as exc:
+                assert "rank one" in str(exc)
+            else:
+                x = mods[flush] / xi
+                assert xi > 0.0 and not x.dot(x) <= nil_tol * nil_tol
     else:
         assert flushed.tobytes() == power.tobytes()
 
@@ -441,6 +449,13 @@ def test_full_order_verdict_with_a_flushed_top_power_raises_numerical_error():
     # of N^14; no report may carry order 15 with response strength 0
     with pytest.raises(NumericalError, match="flushed to zero"):
         ep_core.detect_ep(helpers.transformed_jordan_block(helpers.philox(1), 15))
+
+
+def test_full_order_verdict_with_a_partly_flushed_top_power_raises_numerical_error():
+    # the flush keeps a rank-one remnant of this dim-13 block's N^12, whose norm 1.0100 is not the 1.6860 of
+    # the construction; the entries flushed away hold far more than nil_tol of it
+    with pytest.raises(NumericalError, match="removes more than nil_tol"):
+        ep_core.detect_ep(helpers.transformed_jordan_block(helpers.philox(2), 13))
 
 
 def test_detect_ep_shifted_jordan_block():

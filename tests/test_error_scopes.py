@@ -15,18 +15,22 @@ import pytest
 import helpers
 from epkit import compose, ep_core, jordan
 from epkit.errors import NumericalError
-from epkit.models import pt_dimer, pt_trimer
+from epkit.models import dimer_trimer_system, pt_dimer, pt_trimer
 
 
-def _huge_coupling_system():
-    # C = N_b^2 K N_a leaves the double range although H itself is finite
-    return compose.block_compose(pt_dimer(1.0, 1.5), pt_trimer(1.0, 1.3), np.full((3, 2), 1e300))
+def _huge_coupling_system(k=1e300):
+    # ||C||_F of C = N_b^2 K N_a leaves the double range although H itself is finite; at k = 1e308 C does too
+    return compose.block_compose(pt_dimer(1.0, 1.5), pt_trimer(1.0, 1.3), np.full((3, 2), k))
 
 
 def _overflowing_chain_report():
     # a unitary similarity of J_40 scaled by 1e4: certified with xi = 1e156, whose squared rows overflow
     q, _ = np.linalg.qr(helpers.complex_uniform(helpers.philox(3), (40, 40)))
     return ep_core.detect_ep(1e4 * (q @ np.diag(np.ones(39, dtype=complex), 1) @ q.conj().T))
+
+
+def _trimer_report():
+    return ep_core.detect_ep(pt_trimer(1.0, 1.3))
 
 
 #: (entry point, overflow-prone argument, a well-behaved argument)
@@ -53,10 +57,20 @@ CASES = {
         lambda: np.full((2, 4), 1e300),
         lambda: np.ones((2, 4)),
     ),
-    "genericity_product": (compose.genericity_product, _huge_coupling_system,
+    "genericity_product": (compose.genericity_product, lambda: _huge_coupling_system(1e308),
                            lambda: compose.block_compose(pt_dimer(1.0, 1.5), pt_trimer(1.0, 1.3), np.ones((3, 2)))),
     "composite_response": (compose.composite_response, _huge_coupling_system,
                            lambda: compose.block_compose(pt_dimer(1.0, 1.5), pt_trimer(1.0, 1.3), np.ones((3, 2)))),
+    "greens_function": (
+        lambda args: ep_core.greens_function(*args),
+        lambda: (dimer_trimer_system().report, 1 + 1e-70j),  # N^4 / delta^5 leaves the double range
+        lambda: (_trimer_report(), 2.0),
+    ),
+    "predicted_splitting": (
+        lambda h1: ep_core.predicted_splitting(_trimer_report(), h1, 1e10),
+        lambda: np.full((3, 3), 1e300),  # the radicand eps * tr(N^2 H1) leaves the double range
+        lambda: np.ones((3, 3)),
+    ),
 }
 
 #: the caller's floating-point error state: numpy's default, and one that turns every overflow into an exception

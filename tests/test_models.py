@@ -93,6 +93,12 @@ def test_single_entry_coupling_rejects_non_integer_sizes_and_position(args):
         models.single_entry_coupling(1.0, *args)
 
 
+def test_single_entry_coupling_rejects_boolean_position():
+    # operator.index(True) is 1, so row=True, col=True put k at (1, 1)
+    with pytest.raises(ParameterError, match="must be an integer"):
+        models.single_entry_coupling(1.0, 3, 2, True, True)
+
+
 def test_single_entry_coupling_accepts_numpy_integers():
     k = models.single_entry_coupling(2.0, np.int64(3), np.int32(2), np.int8(3), np.uint16(2))
     expected = np.zeros((3, 2), dtype=complex)

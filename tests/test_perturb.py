@@ -117,6 +117,18 @@ def test_non_integer_seed_trial_and_size_rejected(system5, value):
         perturb.sweep(system5.h, system5.ep_eigenvalue, "preserving", [1e-8, 1e-4], 2, seed=1, n_a=value)
 
 
+def test_boolean_seed_trial_and_size_rejected(system5):
+    # operator.index(True) is 1, so trials=True ran one trial and child_seed(True, 0) was child_seed(1, 0)
+    with pytest.raises(ParameterError, match="trials"):
+        perturb.sweep(system5.h, system5.ep_eigenvalue, "generic", [1e-8, 1e-4], True, seed=1)
+    with pytest.raises(ParameterError, match="seed"):
+        perturb.child_seed(True, 0)
+    with pytest.raises(ParameterError, match="trial"):
+        perturb.child_seed(1, False)
+    with pytest.raises(ParameterError, match="dim"):
+        perturb.random_generic(True, 0)
+
+
 def test_numpy_integer_seed_trial_and_size_accepted(system5):
     assert np.array_equal(perturb.random_generic(np.int64(3), np.uint64(9)), perturb.random_generic(3, 9))
     assert perturb.child_seed(np.uint64(1), np.int32(7)) == perturb.child_seed(1, 7)
