@@ -145,20 +145,30 @@ def _fit_window(eps_min: float, eps_max: float) -> tuple[float, float]:
     return (max(eps_min, FIT_WINDOW[0]), min(eps_max, FIT_WINDOW[1]))
 
 
-def _grid(args) -> list[float]:
-    """The strength grid of --eps-min, --eps-max and --points; an --eps-min not below --eps-max is invalid input."""
+def _grid(args) -> tuple[list[float], tuple[float, float]]:
+    """The strength grid of --eps-min, --eps-max and --points, and the fit window it gives.
+
+    An --eps-min not below --eps-max, or a grid with fewer than three
+    strengths inside the window, is invalid input: no slope could be fitted.
+    """
     try:
-        return perturb.log_grid(args.eps_min, args.eps_max, args.points)
+        grid = perturb.log_grid(args.eps_min, args.eps_max, args.points)
     except ParameterError as exc:
         raise ParseError(f"invalid strength grid: {exc}") from exc
+    lo, hi = _fit_window(args.eps_min, args.eps_max)
+    inside = sum(lo <= eps <= hi for eps in grid)
+    if inside < 3:  # lo >= hi holds at most one
+        raise ParseError(f"invalid strength grid: the fit window [{lo:g}, {hi:g}] holds {inside} of its strengths, "
+                         "need at least 3")
+    return grid, (lo, hi)
 
 
 def _cmd_sweep(args) -> int:
     system = models.load_system(_load_json(args.input))
-    grid = _grid(args)
+    grid, window = _grid(args)
     ep_eigenvalue, _ = ep_core.traceless_part(system.h)
     table = perturb.sweep(system.h, ep_eigenvalue, args.mode, grid, args.trials, args.seed, n_a=system.n_a)
-    fit = perturb.fit_slope(grid, table, _fit_window(args.eps_min, args.eps_max))
+    fit = perturb.fit_slope(grid, table, window)
     Path(args.out).write_text(perturb.records_to_csv(grid, table), encoding="utf-8")
     _dump_json(fit.to_json(), None)
     return EXIT_OK
@@ -170,11 +180,10 @@ def _cmd_reproduce_fig3(args) -> int:
         system = models.dimer_trimer_system(d["omega0"], args.g_a, args.g_b, args.k)
     except ParameterError as exc:  # sqrt(2) * g_b overflows: invalid input, as load_system reports it
         raise ParseError(f"invalid parameter for model 'dimer_trimer': {exc}") from exc
-    grid = _grid(args)
+    grid, window = _grid(args)
     system.report  # certifies order 5 before any sweep runs
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    window = _fit_window(args.eps_min, args.eps_max)
     tables = {mode: perturb.sweep(system.h, system.ep_eigenvalue, mode, grid, args.trials, args.seed, n_a=system.n_a)
               for mode in ("generic", "preserving")}  # in order: a generic failure is the one reported
     slopes = {mode: perturb.fit_slope(grid, table, window).to_json() for mode, table in tables.items()}

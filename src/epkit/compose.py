@@ -10,8 +10,8 @@ n_a + n_b; the product C = N_b^(n_b-1) K N_a^(n_a-1) decides genericity and
 carries the composite response strength xi = ||C||.  The coupling is called
 degenerate when ||C||_F <= 1e-8 * xi_a * xi_b * ||K||_2, a fraction of the
 bound xi <= xi_a * xi_b * ||K||_2 whatever the subsystem scale.  compose_many
-folds over these block-theorem certificates: it certifies only the subsystems
-it is given, never an assembled composite.
+folds over these block-theorem certificates: one power test per subsystem it
+is given, one C per level, and H assembled once, at the end.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from . import cmatrix
 from .ep_core import (
     EpReport,
     _detect,
+    _mean_eigenvalue,
     _nilpotency,
     _NormBracket,
     _overflow_scope,
@@ -54,6 +56,24 @@ __all__ = [
 
 #: Absolute tolerance on the subsystem eigenvalue mismatch.
 DEFAULT_EIGENVALUE_TOL = 1e-10
+
+
+class _Level(NamedTuple):
+    """The block-theorem certificate of a composite, all compose_many carries from one level to the next.
+
+    Its fields are named as in EpReport, so a report or a _Level can certify either block of a level.
+    """
+
+    top_power: np.ndarray
+    response_strength: float
+    dim: int
+    ep_eigenvalue: complex
+
+    def report(self, nmat: np.ndarray) -> EpReport:
+        """The full-order EpReport of the composite whose traceless part is nmat."""
+        return EpReport(dim=self.dim, order=self.dim, ep_eigenvalue=self.ep_eigenvalue, nilpotent=nmat,
+                        response_strength=self.response_strength, nil_tol=default_nil_tol(self.dim),
+                        top_power=self.top_power)
 
 
 @dataclass(frozen=True)
@@ -106,12 +126,44 @@ class CompositeSystem:
         assembled N is tested.  nilpotent_norm is read on demand, as for any
         report.
         """
-        nmat, c, xi = _block_response(self)
-        top = np.zeros_like(nmat)
-        top[self.n_a:, :self.n_a] = c
-        top.setflags(write=False)
-        return EpReport(dim=self.dim, order=self.dim, ep_eigenvalue=self.ep_eigenvalue, nilpotent=nmat,
-                        response_strength=xi, nil_tol=default_nil_tol(self.dim), top_power=top)
+        with _overflow_scope():
+            _, nmat = _traceless_part(self.h)
+            level = _level(self.rep_a, self.rep_b, self.k, self._coupling, self.ep_eigenvalue, lambda: nmat)
+        return level.report(nmat)
+
+
+def _level(a, b, k: np.ndarray, coupling: _NormBracket, mean: complex, nilpotent) -> _Level:
+    """The certificate of [[H_a, 0], [K, H_b]] from the certificates a and b (EpReports or _Levels) of its blocks.
+
+    coupling is the bracket of ||K||_2 and mean the composite's mean
+    eigenvalue; nilpotent() gives the composite's traceless part, which only a
+    degenerate coupling needs, to name the achieved order.  It raises what
+    composite_response documents, inside the caller's _overflow_scope.
+    """
+    c = _genericity_product(a.top_power, k, b.top_power)
+    frob = cmatrix._frobenius_norm(c)
+    if not math.isfinite(frob):
+        raise NumericalError("||C||_F of the genericity product overflows a double")
+    dim = a.dim + b.dim
+    # ||C||_F > 1e-8 * xi_a * xi_b * ||K||_2, with _settle's first pass inline at both ends of ||K||_2's
+    # bracket; C = 0 is degenerate whatever ||K||_2 is, and no certified block has xi = 0, since detect_ep
+    # raises NumericalError on a top power flushed to zero
+    xi_a, xi_b, generic = a.response_strength, b.response_strength, False
+    if frob > 0.0:
+        generic = frob > 1e-8 * _upper_bound(xi_a, xi_b, coupling.lo)
+        if (frob > 1e-8 * _upper_bound(xi_a, xi_b, coupling.hi)) != generic:
+            generic = _settle(lambda norm: frob > 1e-8 * _upper_bound(xi_a, xi_b, norm), (coupling, 1))
+    if not generic:
+        achieved = _nilpotency(nilpotent(), default_nil_tol(dim))[0]
+        raise DegenerateCouplingError(
+            f"coupling is degenerate: composite order {achieved} < {dim}",
+            achieved_order=achieved,
+        )
+    xi = _rank_one_norm(c, "the genericity product")
+    top = np.zeros((dim, dim), dtype=complex)
+    top[a.dim:, :a.dim] = c
+    top.setflags(write=False)
+    return _Level(top_power=top, response_strength=xi, dim=dim, ep_eigenvalue=mean)
 
 
 def _certified(report: EpReport, label: str) -> EpReport:
@@ -121,6 +173,38 @@ def _certified(report: EpReport, label: str) -> EpReport:
             f"subsystem {label} is not at a full-order exceptional point (order {report.order}, dim {report.dim})"
         )
     return report
+
+
+def _joined(a, h_b: np.ndarray, k: np.ndarray, tol: float) -> EpReport:
+    """The certified report of H_b, once K fits between it and a (an EpReport or a _Level) and the eigenvalues agree.
+
+    It runs inside the caller's _overflow_scope.
+    """
+    rep_b = _certified(_detect(h_b, None), "b")
+    if k.shape != (rep_b.dim, a.dim):
+        raise ShapeError(f"K has shape {k.shape}, expected {(rep_b.dim, a.dim)}")
+    mismatch = abs(a.ep_eigenvalue - rep_b.ep_eigenvalue)
+    if mismatch > tol:
+        raise IncompatibleSubsystemsError(f"subsystem eigenvalues differ by {mismatch:.3e} (> {tol:g})")
+    return rep_b
+
+
+def _block_matrix(blocks: list[np.ndarray], couplings: list[np.ndarray]) -> np.ndarray:
+    """The block lower-triangular H of a chain: blocks on the diagonal, couplings[i] left of blocks[i + 1]."""
+    dim = sum(block.shape[0] for block in blocks)
+    h = np.zeros((dim, dim), dtype=complex)
+    stop = blocks[0].shape[0]
+    h[:stop, :stop] = blocks[0]
+    for block, k in zip(blocks[1:], couplings):
+        start, stop = stop, stop + block.shape[0]
+        h[start:stop, :start] = k
+        h[start:stop, start:stop] = block
+    return h
+
+
+def _composite(h: np.ndarray, k: np.ndarray, rep_a: EpReport, rep_b: EpReport) -> CompositeSystem:
+    """The CompositeSystem of an assembled H whose last coupling is K, rep_a certifying all but its last block."""
+    return CompositeSystem(h=h, k=k.copy(), ep_eigenvalue=complex(h.trace()) / h.shape[0], rep_a=rep_a, rep_b=rep_b)
 
 
 def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL) -> CompositeSystem:
@@ -135,39 +219,24 @@ def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL) -> Composite
     h_b = cmatrix.as_square(h_b, "H_b")
     k = cmatrix.as_matrix(k, "K")
     with _overflow_scope():
-        return _assemble(h_a, _certified(_detect(h_a, None), "a"), h_b, k, tol)
-
-
-def _assemble(h_a: np.ndarray, rep_a: EpReport, h_b: np.ndarray, k: np.ndarray, tol: float) -> CompositeSystem:
-    """block_compose of validated H_a, H_b and K, with rep_a the full-order certificate of H_a.
-
-    It runs inside the caller's _overflow_scope.
-    """
-    rep_b = _certified(_detect(h_b, None), "b")
-    n_a, n_b = rep_a.dim, rep_b.dim
-    if k.shape != (n_b, n_a):
-        raise ShapeError(f"K has shape {k.shape}, expected {(n_b, n_a)}")
-    mismatch = abs(rep_a.ep_eigenvalue - rep_b.ep_eigenvalue)
-    if mismatch > tol:
-        raise IncompatibleSubsystemsError(f"subsystem eigenvalues differ by {mismatch:.3e} (> {tol:g})")
-    dim = n_a + n_b
-    h = np.zeros((dim, dim), dtype=complex)
-    h[:n_a, :n_a] = h_a
-    h[n_a:, :n_a] = k
-    h[n_a:, n_a:] = h_b
-    ep_eigenvalue = complex(h.trace()) / dim
-    return CompositeSystem(h=h, k=k.copy(), ep_eigenvalue=ep_eigenvalue, rep_a=rep_a, rep_b=rep_b)
+        rep_a = _certified(_detect(h_a, None), "a")
+        rep_b = _joined(rep_a, h_b, k, tol)
+        return _composite(_block_matrix([h_a, h_b], [k]), k, rep_a, rep_b)
 
 
 def compose_many(hams, couplings) -> CompositeSystem:
     """Left fold of block_compose over several subsystems.
 
     couplings[i] maps the composite of hams[:i+1] into hams[i+1], so it must
-    have shape (dim of hams[i+1]) x (sum of dims of hams[:i+1]).  Only the
-    given subsystems are certified by a power test; each intermediate
-    composite enters the next level through its block-theorem report, so a
-    nongeneric intermediate coupling (||C||_F <= 1e-8 * xi_a * xi_b * ||K||_2)
-    raises DegenerateCouplingError naming the achieved order.
+    have shape (dim of hams[i+1]) x (sum of dims of hams[:i+1]).  The fold
+    carries block-theorem certificates, never an assembled composite: each
+    given subsystem gets one power test, each intermediate composite one
+    C = N_b^(n_b-1) K N_a^(n_a-1), and H is assembled once, at the end.  The
+    result is the composite block_compose would give at the last level, with
+    rep_a the report of the composite of hams[:-1]; a nongeneric intermediate
+    coupling (||C||_F <= 1e-8 * xi_a * xi_b * ||K||_2) raises
+    DegenerateCouplingError naming the achieved order, and the last level's C
+    is certified by the result's report.
     """
     hams = list(hams)
     couplings = list(couplings)
@@ -175,12 +244,24 @@ def compose_many(hams, couplings) -> CompositeSystem:
         raise ParameterError(
             f"need at least two subsystems and exactly len(hams)-1 couplings, got {len(hams)} and {len(couplings)}"
         )
-    system = block_compose(hams[0], hams[1], couplings[0])
+    blocks = [cmatrix.as_square(hams[0], "H_a"), cmatrix.as_square(hams[1], "H_b")]
+    ks = [cmatrix.as_matrix(couplings[0], "K")]
     with _overflow_scope():
+        level = first = _certified(_detect(blocks[0], None), "a")
+        rep_b = _joined(level, blocks[1], ks[0], DEFAULT_EIGENVALUE_TOL)
+        diagonal = np.concatenate([block.diagonal() for block in blocks])
         for h_next, k_next in zip(hams[2:], couplings[1:]):
             h_next, k_next = cmatrix.as_square(h_next, "H_b"), cmatrix.as_matrix(k_next, "K")
-            system = _assemble(system.h, system.report, h_next, k_next, DEFAULT_EIGENVALUE_TOL)
-    return system
+            mean = _mean_eigenvalue(diagonal)
+            level = _level(level, rep_b, ks[-1], _NormBracket(ks[-1]), mean,
+                           lambda: _traceless_part(_block_matrix(blocks, ks))[1])
+            rep_b = _joined(level, h_next, k_next, DEFAULT_EIGENVALUE_TOL)
+            blocks.append(h_next)
+            ks.append(k_next)
+            diagonal = np.concatenate((diagonal, h_next.diagonal()))
+        h = _block_matrix(blocks, ks)
+        rep_a = first if level is first else level.report(_traceless_part(h[:level.dim, :level.dim])[1])
+        return _composite(h, ks[-1], rep_a, rep_b)
 
 
 def genericity_product(sys: CompositeSystem) -> np.ndarray:
@@ -192,12 +273,12 @@ def genericity_product(sys: CompositeSystem) -> np.ndarray:
     leaves the double range raises NumericalError.
     """
     with _overflow_scope():
-        return _genericity_product(sys)
+        return _genericity_product(sys.rep_a.top_power, sys.k, sys.rep_b.top_power)
 
 
-def _genericity_product(sys: CompositeSystem) -> np.ndarray:
-    """genericity_product inside the caller's _overflow_scope."""
-    c = sys.rep_b.top_power @ sys.k @ sys.rep_a.top_power
+def _genericity_product(top_a: np.ndarray, k: np.ndarray, top_b: np.ndarray) -> np.ndarray:
+    """genericity_product from the two top powers and K, inside the caller's _overflow_scope."""
+    c = top_b @ k @ top_a
     if not np.isfinite(c).all():
         raise NumericalError("the genericity product overflows a double")
     return c
@@ -210,38 +291,10 @@ def composite_response(sys: CompositeSystem) -> float:
     coupling is nongeneric, ||C||_F <= 1e-8 * xi_a * xi_b * ||K||_2, and
     NumericalError when ||C||_F leaves the double range.  The rank-one norm of
     C is certified by ep_core._rank_one_norm, without an SVD when C is rank
-    one to well below its 1e-10 check.
+    one to well below its 1e-10 check.  It is the response strength of
+    sys.report, which it computes and keeps.
     """
-    return _block_response(sys)[2]
-
-
-def _block_response(sys: CompositeSystem) -> tuple[np.ndarray, np.ndarray, float]:
-    """(N, C, xi): the traceless part of sys.h, the genericity product and composite_response."""
-    with _overflow_scope():
-        _, nmat = _traceless_part(sys.h)
-        c = _genericity_product(sys)
-        frob = cmatrix._frobenius_norm(c)
-        if not math.isfinite(frob):
-            raise NumericalError("||C||_F of the genericity product overflows a double")
-        # C = 0 is degenerate whatever ||K||_2 is; no certified subsystem has xi = 0, since detect_ep
-        # raises NumericalError on a top power flushed to zero
-        if not (frob > 0.0 and _is_generic(sys, frob)):
-            achieved = _nilpotency(nmat, default_nil_tol(sys.dim))[0]
-            raise DegenerateCouplingError(
-                f"coupling is degenerate: composite order {achieved} < {sys.dim}",
-                achieved_order=achieved,
-            )
-        return nmat, c, _rank_one_norm(c, "the genericity product")
-
-
-def _is_generic(sys: CompositeSystem, frob: float) -> bool:
-    """||C||_F > 1e-8 * xi_a * xi_b * ||K||_2, with _settle's first pass inline at both ends of ||K||_2's bracket."""
-    xi_a, xi_b = sys.rep_a.response_strength, sys.rep_b.response_strength
-    coupling = sys._coupling
-    generic = frob > 1e-8 * _upper_bound(xi_a, xi_b, coupling.lo)
-    if (frob > 1e-8 * _upper_bound(xi_a, xi_b, coupling.hi)) != generic:
-        generic = _settle(lambda norm: frob > 1e-8 * _upper_bound(xi_a, xi_b, norm), (coupling, 1))
-    return generic
+    return sys.report.response_strength
 
 
 def response_upper_bound(xi_a: float, xi_b: float, k) -> float:

@@ -105,12 +105,21 @@ def traceless_part(h) -> tuple[complex, np.ndarray]:
 
 def _traceless_part(h: np.ndarray) -> tuple[complex, np.ndarray]:
     """traceless_part of a validated square H; an overflow raises NumericalError."""
-    n = h.shape[0]
-    mean = complex(h.trace()) / n
-    nmat = h - mean * _identity(n)
-    if not (cmath.isfinite(mean) and np.isfinite(nmat).all()):
+    mean = _mean_eigenvalue(h.diagonal())
+    return mean, h - mean * _identity(h.shape[0])
+
+
+def _mean_eigenvalue(diagonal: np.ndarray) -> complex:
+    """tr H / n from the diagonal of a finite H, summed as H.trace() sums it.
+
+    NumericalError when the mean or a diagonal entry of N = H - mean * I
+    leaves the double range; off the diagonal N is H itself, so this checks
+    all of N.  compose_many reads each level's mean from its blocks' diagonals.
+    """
+    mean = complex(diagonal.sum()) / diagonal.size
+    if not (cmath.isfinite(mean) and np.isfinite(diagonal - mean).all()):
         raise NumericalError("the trace or traceless part of H overflows a double")
-    return mean, nmat
+    return mean
 
 
 def nilpotency_index(nmat, nil_tol: float | None = None) -> int | None:
@@ -124,31 +133,34 @@ def nilpotency_index(nmat, nil_tol: float | None = None) -> int | None:
         return _nilpotency(nmat, default_nil_tol(nmat.shape[0]) if nil_tol is None else nil_tol)[0]
 
 
-def _nilpotency(nmat: np.ndarray, nil_tol: float) -> tuple[int | None, _NormBracket]:
-    """(nilpotency_index, the staged bracket of ||N||_2) of a validated N.
+def _nilpotency(nmat: np.ndarray, nil_tol: float) -> tuple[int | None, _NormBracket, _NormBracket | None]:
+    """(nilpotency_index, the staged bracket of ||N||_2, the bracket of N^(index-1)) of a validated N.
 
     Each power test ||N^k||_2 <= nil_tol * ||N||_2^k is decided by
     _power_test over the brackets of N and of N^k, so ||N||_2 is taken by an
-    SVD only when no cheaper bracket decides a test.  A non-finite power raises
+    SVD only when no cheaper bracket decides a test.  N^k is the
+    left-to-right product N N ... N, and the bracket of the power below the
+    index is handed back with its matrix, so _top_power flushes the very
+    N^(n-1) the test examined; it is None at index 1, as N^0 = I is never
+    formed, and when there is no index.  A non-finite power raises
     NumericalError, after the overflow of ||N||_2^k when that overflows too.
     """
     dim = nmat.shape[0]
     if not 0.0 < nil_tol < 1.0:  # at 1 or above every N passes the k = 1 test
         raise ParameterError(f"nil_tol must lie in (0, 1), got {nil_tol}")
     base = _NormBracket(nmat)
-    power = nmat
+    below, norm = None, base  # the brackets of N^(k-1) and N^k
     for k in range(1, dim + 1):
-        norm = base
         if k > 1:
-            power = power @ nmat
+            below = norm
             try:
-                norm = _NormBracket(power)
+                norm = _NormBracket(norm.m @ nmat)
             except NumericalError:  # a non-finite power, raised after ||N||_2^k overflowing
                 _norm_power(base.exact(), k)
                 raise
         if _power_test(base, norm, k, nil_tol):
-            return k, base
-    return None, base
+            return k, base, below
+    return None, base, None
 
 
 def _power_test(base: _NormBracket, norm: _NormBracket, k: int, nil_tol: float) -> bool:
@@ -173,7 +185,8 @@ class _NormBracket:
 
     Stage 1 is peak <= ||M||_2 <= sqrt(size) * peak with peak = max |m_ij|,
     free once |M| is taken; it needs a normal peak, so that abs (a hypot) is
-    exact to an ulp.  |M| is taken once and kept for stage 2.  Stage 2 is
+    exact to an ulp.  |M| and the index of its first largest entry are taken
+    once; |M| is kept until stage 2 has used it.  Stage 2 is
     est <= ||M||_2 <= ||M||_F from _power_step, narrow wherever one singular
     value dominates.  Both are widened by _BRACKET_SLACK on either side, so
     they hold the sigma_1 the SVD returns.  Stage 3 is lo = hi =
@@ -185,12 +198,13 @@ class _NormBracket:
     only inside _settle.
     """
 
-    __slots__ = ("m", "mods", "stage", "lo", "hi")
+    __slots__ = ("m", "mods", "at", "stage", "lo", "hi")
 
     def __init__(self, m: np.ndarray):
         self.m = m
         self.mods = mods = np.abs(m)
-        peak = float(mods.ravel()[mods.argmax()])  # mods.max(), NaN included, without numpy's Python-level wrapper
+        self.at = int(mods.argmax())  # the flat index of the first largest |m_ij|, NaN included
+        peak = float(mods.ravel()[self.at])  # mods.max() without numpy's Python-level wrapper
         if not peak <= _HUGE:
             raise NumericalError("a power of N overflows a double")
         if peak == 0.0:
@@ -204,7 +218,7 @@ class _NormBracket:
     def narrow(self) -> None:
         """Move on to the next stage."""
         if self.stage == 1:
-            est, frob = _power_step(self.m, self.mods)
+            est, frob = _power_step(self.m, self.mods, self.at)
             self.mods = None
             if est is not None:
                 self.stage, self.lo, self.hi = 2, (1.0 - _BRACKET_SLACK) * est, (1.0 + _BRACKET_SLACK) * frob
@@ -270,28 +284,33 @@ def _norm_power(norm: float, exponent: int) -> float:
     return value
 
 
-def _top_power(nmat: np.ndarray, nil_tol: float, norm: _NormBracket) -> tuple[np.ndarray, float]:
+def _top_power(top: _NormBracket | None, nil_tol: float, norm: _NormBracket) -> tuple[np.ndarray, float]:
     """N^(n-1) with entries below the certification threshold flushed to 0, and its norm.
 
-    Matrix powers of a numerically nilpotent N carry rounding residue in
-    positions that are structurally zero; the residue is orders of magnitude
-    below nil_tol * ||N||_2^(n-1), so flushing it restores the exact block
-    pattern (and makes structurally zero traces exactly zero) without touching
-    any certified entry.  The power of a full-order point has rank one.  The
+    top is the bracket of N^(n-1) that _nilpotency built for the power test
+    (None for N^0 = I at n = 1), so the flush acts on exactly the power the
+    test examined and reuses its |M| (taken again only if _settle dropped it)
+    and the index of its first largest entry.  top.m is flushed in place,
+    unless it is N itself (n = 2), which is copied.  Matrix powers of a
+    numerically nilpotent N carry rounding residue in positions that are
+    structurally zero; the residue is orders of magnitude below
+    nil_tol * ||N||_2^(n-1), so flushing it restores the exact block pattern
+    (and makes structurally zero traces exactly zero) without touching any
+    certified entry.  The power of a full-order point has rank one.  The
     flush is settled on norm, the bracket of ||N||_2: the entries under the
     threshold are nested in it, so they are the same at both ends of the
     bracket exactly when their count is.  The flush keeps the first largest
-    entry unless it zeroes every entry, so |N^(n-1)| taken before it still
-    locates the peak of the flushed power for _rank_one_norm.  A flush that
-    removes more than nil_tol of the kept norm, ||flushed part||_F >
-    nil_tol * xi, took a certified entry and raises NumericalError; a power
-    flushed to zero (xi = 0) is left to _detect.
+    entry unless it zeroes every entry, so that entry still locates the peak
+    of the flushed power for _rank_one_norm.  A flush that removes more than
+    nil_tol of the kept norm, ||flushed part||_F > nil_tol * xi, took a
+    certified entry and raises NumericalError; a power flushed to zero
+    (xi = 0) is left to _detect.
     """
-    dim = nmat.shape[0]
-    power = np.linalg.matrix_power(nmat, dim - 1)  # a new 1 x 1 identity at dim 1
-    if power is nmat:  # matrix_power(N, 1) is N itself
-        power = power.copy()
-    mods = np.abs(power)
+    dim = norm.m.shape[0]
+    if top is None:
+        top = _NormBracket(np.ones((1, 1), dtype=complex))
+    power = top.m.copy() if top is norm else top.m
+    mods = np.abs(power) if top.mods is None else top.mods
     try:  # the first pass of _settle, inline
         flush = mods <= nil_tol * _norm_power(norm.lo, dim - 1)
         settled = np.count_nonzero(flush) == np.count_nonzero(mods <= nil_tol * _norm_power(norm.hi, dim - 1))
@@ -302,7 +321,7 @@ def _top_power(nmat: np.ndarray, nil_tol: float, norm: _NormBracket) -> tuple[np
         flush = mods <= nil_tol * _norm_power(norm.lo, dim - 1)
     power[flush] = 0.0
     power.setflags(write=False)
-    xi = _rank_one_norm(power, "N^(n-1)", mods)
+    xi = _rank_one_norm(power, "N^(n-1)", mods, top.at)
     if xi > 0.0:
         x = mods[flush] / xi  # in units of xi a square overflows only far above the threshold
         if not x.dot(x) <= nil_tol * nil_tol:
@@ -310,16 +329,17 @@ def _top_power(nmat: np.ndarray, nil_tol: float, norm: _NormBracket) -> tuple[np
     return power, xi
 
 
-def _power_step(m: np.ndarray, mods: np.ndarray) -> tuple[float | None, float]:
+def _power_step(m: np.ndarray, mods: np.ndarray, at: int | None = None) -> tuple[float | None, float]:
     """(est, ||M||_F) of a finite M with mods = |M|, where est <= ||M||_2 <= ||M||_F.
 
     est = ||M^H v|| / ||v|| after one power step v = M r from r, the conjugate
     of the row holding the largest entry; any nonzero v gives a lower bound,
     and this one is close to ||M||_2 when one singular value dominates.  est
     is None for ||M||_F outside [1/_RANK_ONE_RANGE, _RANK_ONE_RANGE], as when
-    a square overflows to inf inside the caller's _overflow_scope.
+    a square overflows to inf inside the caller's _overflow_scope.  at, the
+    flat index of the first largest entry of mods, is found unless given.
     """
-    top, col = divmod(int(mods.argmax()), m.shape[1])
+    top, col = divmod(int(mods.argmax()) if at is None else at, m.shape[1])
     peak = mods[top, col]
     frob = cmatrix._frobenius_norm(m)
     if not 1.0 / _RANK_ONE_RANGE <= frob <= _RANK_ONE_RANGE:
@@ -329,16 +349,17 @@ def _power_step(m: np.ndarray, mods: np.ndarray) -> tuple[float | None, float]:
     return math.sqrt(np.vdot(w, w).real / np.vdot(v, v).real), frob
 
 
-def _rank_one_norm(m: np.ndarray, name: str, mods: np.ndarray | None = None) -> float:
+def _rank_one_norm(m: np.ndarray, name: str, mods: np.ndarray | None = None, at: int | None = None) -> float:
     """||M||_2 of a finite rank-one M; NumericalError when ||M||_2 and ||M||_F differ beyond 1e-10 relative.
 
     The power step of _power_step certifies rank one without an SVD: when
     ||M||_F is within _RANK_ONE_MARGIN of est, ||M||_F is returned, as it is
     then within 1e-13 of ||M||_2 and the 1e-10 check passes.  Otherwise, and
     for ||M||_F outside the _RANK_ONE_RANGE window, one SVD decides.  mods,
-    |M| unless given, need only hold the first largest |m_ij| where |M| does.
+    |M| unless given, need only hold the first largest |m_ij| where |M| does,
+    and at is that entry's flat index, as _power_step takes it.
     """
-    est, frob = _power_step(m, np.abs(m) if mods is None else mods)
+    est, frob = _power_step(m, np.abs(m) if mods is None else mods, at)
     if est is not None and abs(frob - est) <= _RANK_ONE_MARGIN * frob:
         return frob
     spec = cmatrix._spectral_norm(m)
@@ -359,7 +380,9 @@ class EpReport:
     full-order points (order == dim); partial is True otherwise.  top_power
     is the certified N^(dim-1) with its rounding residue flushed to zero,
     whose norm is the response strength; it is None unless the point has
-    full order.
+    full order.  detect_ep's top_power is the power its power test examined,
+    the left-to-right product N N ... N; a composite's, from the block
+    theorem, is [[0, 0], [C, 0]].
 
     nilpotent_norm, ||N||_2 of the traceless part N, is computed on first
     read and kept.  The thresholds that scale with it (the power tests, the
@@ -433,8 +456,8 @@ def _detect(h: np.ndarray, nil_tol: float | None) -> EpReport:
     dim = nmat.shape[0]
     if nil_tol is None:
         nil_tol = default_nil_tol(dim)
-    order, norm = _nilpotency(nmat, nil_tol)
-    power, xi = _top_power(nmat, nil_tol, norm) if order == dim else (None, None)
+    order, norm, top = _nilpotency(nmat, nil_tol)
+    power, xi = _top_power(top, nil_tol, norm) if order == dim else (None, None)
     if xi == 0.0:
         raise NumericalError(
             f"N^{dim - 1} is flushed to zero at a full-order verdict (dim {dim}); no response strength to certify"

@@ -3,8 +3,17 @@
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from epkit import cmatrix, ep_core
-from epkit.errors import DegenerateCouplingError, FitError, NumericalError, ParameterError, StructureError
+from epkit import cmatrix, compose, ep_core
+from epkit.errors import (
+    DegenerateCouplingError,
+    FitError,
+    IncompatibleSubsystemsError,
+    NumericalError,
+    ParameterError,
+    PreconditionError,
+    ShapeError,
+    StructureError,
+)
 from epkit.perturb import SlopeFit
 
 
@@ -65,11 +74,19 @@ def reference_nilpotency_index(nmat: np.ndarray, nil_tol: float):
     return None
 
 
+def left_power(nmat: np.ndarray, exponent: int) -> np.ndarray:
+    """N^exponent as a new array: the left-to-right product N N ... N that the power test forms, I at 0."""
+    power = np.eye(nmat.shape[0], dtype=complex) if exponent == 0 else nmat.copy()
+    for _ in range(exponent - 1):
+        power = power @ nmat
+    return power
+
+
 def reference_detect(h, nil_tol=None):
     """detect_ep in plain numpy: (order, ep_eigenvalue, N, top_power, xi), or NumericalError where it must raise one.
 
     N = H - mean * np.eye(n), the order from reference_nilpotency_index, the top power from
-    np.linalg.matrix_power flushed at nil_tol * ||N||_2^(n-1) with ||N||_2 from an SVD, and rank one and
+    left_power flushed at nil_tol * ||N||_2^(n-1) with ||N||_2 from an SVD, and rank one and
     xi decided as ep_core._rank_one_norm documents, with the SVD's sigma_1 in place of the power-step
     estimate.  A flush removing more than nil_tol * xi in Frobenius norm raises NumericalError, with
     ep_core._top_power's arithmetic.  ||N||_2^dim must stay inside the double range.
@@ -85,7 +102,7 @@ def reference_detect(h, nil_tol=None):
         order = reference_nilpotency_index(nmat, tol)
         if order != n:
             return order, mean, nmat, None, None
-        power = np.linalg.matrix_power(nmat, n - 1).copy()
+        power = left_power(nmat, n - 1)
         mods = np.abs(power)
         flush = mods <= tol * float(np.linalg.svd(nmat, compute_uv=False)[0]) ** (n - 1)
         power[flush] = 0.0
@@ -162,6 +179,44 @@ def reference_composite_response(system) -> float:
     if rank_one_svd_rejects(c):
         raise NumericalError("the genericity product is not numerically rank one")
     return float(np.linalg.svd(c, compute_uv=False)[0])
+
+
+def reference_compose_many(hams, couplings):
+    """compose_many as a left fold of block_compose over .report: every level assembles its composite.
+
+    Each level after the first enters the next through its block-theorem report, and the next
+    subsystem is certified, checked and joined as block_compose does it, with the same messages.
+    """
+    hams, couplings = list(hams), list(couplings)
+    if len(hams) < 2 or len(couplings) != len(hams) - 1:
+        raise ParameterError(
+            f"need at least two subsystems and exactly len(hams)-1 couplings, got {len(hams)} and {len(couplings)}"
+        )
+    system = compose.block_compose(hams[0], hams[1], couplings[0])
+    for h_next, k_next in zip(hams[2:], couplings[1:]):
+        h_next, k_next = cmatrix.as_square(h_next, "H_b"), cmatrix.as_matrix(k_next, "K")
+        rep_a = system.report
+        rep_b = ep_core.detect_ep(h_next)
+        if not rep_b.is_full_ep:
+            raise PreconditionError(
+                f"subsystem b is not at a full-order exceptional point (order {rep_b.order}, dim {rep_b.dim})"
+            )
+        n_a, n_b = rep_a.dim, rep_b.dim
+        if k_next.shape != (n_b, n_a):
+            raise ShapeError(f"K has shape {k_next.shape}, expected {(n_b, n_a)}")
+        mismatch = abs(rep_a.ep_eigenvalue - rep_b.ep_eigenvalue)
+        if mismatch > compose.DEFAULT_EIGENVALUE_TOL:
+            raise IncompatibleSubsystemsError(
+                f"subsystem eigenvalues differ by {mismatch:.3e} (> {compose.DEFAULT_EIGENVALUE_TOL:g})"
+            )
+        dim = n_a + n_b
+        h = np.zeros((dim, dim), dtype=complex)
+        h[:n_a, :n_a] = system.h
+        h[n_a:, :n_a] = k_next
+        h[n_a:, n_a:] = h_next
+        system = compose.CompositeSystem(h=h, k=k_next.copy(), ep_eigenvalue=complex(h.trace()) / dim,
+                                         rep_a=rep_a, rep_b=rep_b)
+    return system
 
 
 def count_linalg(monkeypatch, *names: str) -> dict[str, int]:

@@ -12,7 +12,7 @@ import pytest
 
 import helpers
 from epkit import cli, cmatrix, ep_core, models, perturb
-from epkit.errors import ConvergenceError
+from epkit.errors import ConvergenceError, FitError
 from epkit.models import pt_dimer, pt_trimer, single_entry_coupling
 
 
@@ -475,7 +475,7 @@ def command_argv(command, tmp_path, dimer_file, trimer_file):
         k_path = write_json(tmp_path / "k.json", cmatrix.matrix_to_json(single_entry_coupling(1.0, 3, 2)))
         return ["compose", "--a", dimer_file, "--b", trimer_file, "--k", k_path]
     if command == "reproduce-fig3":
-        return ["reproduce-fig3", "--points", "4", "--trials", "1"]
+        return ["reproduce-fig3", "--points", "9", "--trials", "1"]  # 4 strengths inside the fit window
     return [command, "--input", trimer_file]
 
 
@@ -653,7 +653,7 @@ def failing_sweep(monkeypatch, failing_modes):
 def test_reproduce_fig3_sweep_error_reports_generic_first(capsys, monkeypatch, tmp_path, failing_modes):
     threads = failing_sweep(monkeypatch, failing_modes)
     out_dir = tmp_path / "fig3"
-    code, out, err = run(capsys, ["reproduce-fig3", "--points", "4", "--trials", "2", "--out", str(out_dir)])
+    code, out, err = run(capsys, ["reproduce-fig3", "--points", "9", "--trials", "2", "--out", str(out_dir)])
     assert code == 4
     assert out == "" and list(out_dir.iterdir()) == []
     assert err == f"numerical failure: {failing_modes[0]} sweep did not converge\n"
@@ -671,14 +671,30 @@ def test_reproduce_fig3_leaves_no_thread_running(capsys, monkeypatch, tmp_path, 
     assert threading.active_count() == before
 
 
-def test_reproduce_fig3_fit_failure_writes_no_file(capsys, tmp_path):
+def failing_fit(monkeypatch, failing_mode_index):
+    """Make the fit_slope call numbered failing_mode_index (0 first) raise FitError."""
+    fit_slope, calls = perturb.fit_slope, []
+
+    def patched(*args):
+        calls.append(args)
+        if len(calls) - 1 == failing_mode_index:
+            raise FitError("median splitting must be positive to fit on a log scale")
+        return fit_slope(*args)
+
+    monkeypatch.setattr(perturb, "fit_slope", patched)
+
+
+def test_reproduce_fig3_fit_failure_writes_no_file(capsys, monkeypatch, tmp_path):
+    # the preserving fit fails after the generic one succeeded
+    failing_fit(monkeypatch, 1)
     out_dir = tmp_path / "fig3"
-    code, out, _ = run(capsys, ["reproduce-fig3", "--points", "5", "--trials", "2", "--out", str(out_dir)])
+    code, out, _ = run(capsys, ["reproduce-fig3", "--points", "9", "--trials", "2", "--out", str(out_dir)])
     assert code == 3
     assert out == "" and list(out_dir.iterdir()) == []
 
 
-def test_sweep_fit_failure_writes_no_csv(capsys, tmp_path):
+def test_sweep_fit_failure_writes_no_csv(capsys, monkeypatch, tmp_path):
+    failing_fit(monkeypatch, 0)
     system_file = write_json(
         tmp_path / "sys.json",
         {"model": "dimer_trimer", "omega0": 1.0, "g_a": 1.5, "g_b": 1.3, "k": [1.0, 0.0]},
@@ -687,12 +703,30 @@ def test_sweep_fit_failure_writes_no_csv(capsys, tmp_path):
     code, _, _ = run(
         capsys,
         [
-            "sweep", "--input", system_file, "--eps-min", "1e-3", "--eps-max", "1e-2",
-            "--points", "4", "--trials", "1", "--out", str(csv_path),
+            "sweep", "--input", system_file, "--eps-min", "1e-5", "--eps-max", "1e-2",
+            "--points", "7", "--trials", "1", "--out", str(csv_path),
         ],
     )
     assert code == 3
     assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("grid", [["--eps-min", "1e-3", "--eps-max", "1e-2"],
+                                  ["--eps-min", "1e-4", "--eps-max", "2e-3", "--points", "3"]],
+                         ids=["one_strength_window", "two_strengths_inside"])
+@pytest.mark.parametrize("command", ["sweep", "reproduce-fig3"])
+def test_grid_with_fewer_than_three_strengths_in_the_fit_window_exits_2(capsys, monkeypatch, tmp_path, trimer_file,
+                                                                         command, grid):
+    # no slope can be fitted on it: invalid input, reported before any sweep runs or any output is made
+    calls = []
+    monkeypatch.setattr(perturb, "sweep", lambda *args, **kwargs: calls.append(args))
+    argv = ["sweep", "--input", trimer_file] if command == "sweep" else ["reproduce-fig3"]
+    before = sorted(tmp_path.iterdir())
+    code, stdout, err = run(capsys, argv + grid + ["--out", str(tmp_path / "out")])
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: invalid strength grid: ") and "the fit window" in err
+    assert sorted(tmp_path.iterdir()) == before
+    assert calls == []
 
 
 HUGE_INT = 10**400

@@ -540,3 +540,155 @@ def test_compose_many_argument_validation():
         compose.compose_many([pt_dimer(1.0, 1.5)], [])
     with pytest.raises(ParameterError):
         compose.compose_many([pt_dimer(1.0, 1.5), pt_dimer(1.0, 0.7)], [])
+
+
+# ---------------------------------------------------------------------------
+# the fold over level certificates against the fold over composites
+
+FAULTS = ("non_ep", "mismatch", "shape", "non_finite", "degenerate")
+
+
+def assembled(hams, ks) -> np.ndarray:
+    """The block lower-triangular H of a chain, assembled level by level."""
+    h = hams[0]
+    for h_b, k in zip(hams[1:], ks):
+        h = np.block([[h, np.zeros((h.shape[0], h_b.shape[0]))], [k, h_b]])
+    return h
+
+
+@st.composite
+def faulted_chains(draw):
+    """(hams, couplings): a compose_many chain of 2-8 subsystems at one eigenvalue, with up to two faults.
+
+    The subsystems are dimers, trimers and transformed Jordan blocks of dim 1-6, the couplings dense or
+    single-entry.  Each fault sits at its own level i: subsystem i is not at an EP or is shifted off the
+    shared eigenvalue, or the coupling into it has a wrong shape, a non-finite entry, or is degenerate
+    (zero, or X N with N the traceless part of the composite it couples from).  Two faults are often at
+    adjacent levels, where the order in which a level's checks run decides which one is raised.
+    """
+    rng = helpers.philox(draw(st.integers(0, 2**32 - 1)))
+    depth = draw(st.integers(2, 8))
+    omega0 = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    first, other = draw(st.integers(0, depth - 1)), draw(st.integers(0, depth - 1))
+    levels = [i for i in dict.fromkeys(draw(st.sampled_from([[], [first], [first, first + 1], [first, other]])))
+              if i < depth]
+    faults = {i: draw(st.sampled_from(FAULTS if i > 0 else FAULTS[:2])) for i in levels}
+    hams = []
+    for i in range(depth):
+        kind = draw(st.sampled_from(["dimer", "trimer", "block"]))
+        g = 10.0 ** rng.uniform(-1.0, 1.0)
+        if faults.get(i) == "non_ep":
+            h = np.diag(omega0 + np.arange(draw(st.integers(2, 3))))
+        elif kind == "dimer":
+            h = pt_dimer(omega0.real, g) + 1j * omega0.imag * np.eye(2)
+        elif kind == "trimer":
+            h = pt_trimer(omega0.real, g) + 1j * omega0.imag * np.eye(3)
+        else:
+            dim = draw(st.integers(1, 6))
+            h = g * helpers.transformed_jordan_block(rng, dim) + omega0 * np.eye(dim)
+        if faults.get(i) == "mismatch":
+            h = h + 1e-3 * np.eye(h.shape[0])
+        hams.append(h)
+    ks = []
+    for i in range(1, depth):
+        rows, cols = hams[i].shape[0], sum(h.shape[0] for h in hams[:i])
+        fault = faults.get(i)
+        if fault == "degenerate":
+            k = np.zeros((rows, cols), dtype=complex)
+            if draw(st.booleans()) and all(faults.get(j) not in ("shape", "non_finite") for j in range(i)):
+                _, n_prev = ep_core.traceless_part(assembled(hams[:i], ks))
+                k = helpers.complex_uniform(rng, (rows, cols)) @ n_prev
+        elif draw(st.booleans()):
+            k = helpers.complex_uniform(rng, (rows, cols + (fault == "shape")))
+        else:
+            k = np.zeros((rows, cols + (fault == "shape")), dtype=complex)
+            k[rng.integers(rows), rng.integers(cols)] = np.exp(2j * np.pi * rng.random())
+        if fault == "non_finite":
+            k[rng.integers(rows), rng.integers(cols)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        ks.append(k)
+    return hams, ks
+
+
+def _fold_outcome(fold, hams, ks):
+    try:
+        return fold(hams, ks), None
+    except EpkitError as exc:
+        return None, exc
+
+
+def _same_error(got, expected):
+    assert type(got) is type(expected)
+    assert str(got) == str(expected)
+    assert getattr(got, "achieved_order", None) == getattr(expected, "achieved_order", None)
+
+
+def _same_report(got, expected):
+    assert (got.dim, got.order, got.nil_tol) == (expected.dim, expected.order, expected.nil_tol)
+    assert np.array([got.ep_eigenvalue]).tobytes() == np.array([expected.ep_eigenvalue]).tobytes()
+    assert got.nilpotent.tobytes() == expected.nilpotent.tobytes()
+    assert np.array([got.response_strength]).tobytes() == np.array([expected.response_strength]).tobytes()
+    assert (got.top_power is None) == (expected.top_power is None)
+    if got.top_power is not None:
+        assert got.top_power.tobytes() == expected.top_power.tobytes()
+
+
+@settings(deadline=None, max_examples=400)
+@given(faulted_chains())
+def test_compose_many_equals_the_fold_over_composites(chain):
+    hams, ks = chain
+    system, error = _fold_outcome(compose.compose_many, hams, ks)
+    expected, expected_error = _fold_outcome(helpers.reference_compose_many, hams, ks)
+    if expected_error is not None:
+        _same_error(error, expected_error)
+        return
+    assert error is None
+    assert system.h.tobytes() == expected.h.tobytes()
+    assert system.k.tobytes() == expected.k.tobytes()
+    assert np.array([system.ep_eigenvalue]).tobytes() == np.array([expected.ep_eigenvalue]).tobytes()
+    _same_report(system.rep_a, expected.rep_a)
+    _same_report(system.rep_b, expected.rep_b)
+    report, report_error = _fold_outcome(lambda s, _: s.report, system, None)
+    expected_report, expected_report_error = _fold_outcome(lambda s, _: s.report, expected, None)
+    if expected_report_error is not None:
+        _same_error(report_error, expected_report_error)
+    else:
+        _same_report(report, expected_report)
+
+
+@pytest.mark.parametrize("fault", ["non_ep", "mismatch", "shape"])
+def test_compose_many_certifies_a_level_before_it_joins_the_next_subsystem(fault):
+    # the coupling into the second dimer is degenerate, and the third subsystem or its coupling is faulty too
+    hams = [pt_dimer(1.0, 1.5), pt_dimer(1.0, 0.7), pt_dimer(1.0, 1.1)]
+    ks = [ep_core.traceless_part(hams[0])[1], helpers.complex_uniform(helpers.philox(71), (2, 4))]
+    if fault == "non_ep":
+        hams[2] = np.diag([1.0, 2.0])
+    elif fault == "mismatch":
+        hams[2] = pt_dimer(1.1, 1.1)
+    else:
+        ks[1] = ks[1][:, :3]
+    with pytest.raises(DegenerateCouplingError) as info:
+        compose.compose_many(hams, ks)
+    with pytest.raises(DegenerateCouplingError) as expected:
+        helpers.reference_compose_many(hams, ks)
+    _same_error(info.value, expected.value)
+
+
+def test_compose_many_raises_an_overflowing_intermediate_trace_as_the_fold_over_composites_does():
+    # each dimer's trace is finite, the first composite's overflows; it is found where that level is certified
+    hams = [pt_dimer(5e307, 1.0)] * 3
+    ks = [np.ones((2, 2)), np.ones((2, 4))]
+    with pytest.raises(NumericalError, match="trace") as info:
+        compose.compose_many(hams, ks)
+    with pytest.raises(NumericalError) as expected:
+        helpers.reference_compose_many(hams, ks)
+    _same_error(info.value, expected.value)
+
+
+def test_certification_takes_no_matrix_power(monkeypatch):
+    # the power test forms N^(n-1) and hands it to the flush, so no power is taken twice
+    hams, ks, _ = dimer_chain(helpers.philox(67), 4)
+    counts = helpers.count_linalg(monkeypatch, "matrix_power")
+    ep_core.detect_ep(helpers.transformed_jordan_block(helpers.philox(5), 9))
+    compose.block_compose(pt_dimer(1.0, 1.5), pt_trimer(1.0, 1.3), single_entry_coupling(1.0, 3, 2))
+    compose.compose_many(hams, ks)
+    assert counts == {"matrix_power": 0}
