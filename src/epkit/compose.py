@@ -26,6 +26,7 @@ import numpy as np
 from . import cmatrix
 from .ep_core import (
     EpReport,
+    _as_float,
     _detect,
     _mean_eigenvalue,
     _nilpotency,
@@ -140,9 +141,11 @@ def _level(a, b, k: np.ndarray, coupling: _NormBracket, mean: complex, nilpotent
     degenerate coupling needs, to name the achieved order.  It raises what
     composite_response documents, inside the caller's _overflow_scope.
     """
-    c = _genericity_product(a.top_power, k, b.top_power)
+    c = b.top_power @ k @ a.top_power
     frob = cmatrix._frobenius_norm(c)
-    if not math.isfinite(frob):
+    if not math.isfinite(frob):  # a non-finite entry makes ||C||_F non-finite too, so only then is C scanned
+        if not np.isfinite(c).all():
+            raise NumericalError("the genericity product overflows a double")
         raise NumericalError("||C||_F of the genericity product overflows a double")
     dim = a.dim + b.dim
     # ||C||_F > 1e-8 * xi_a * xi_b * ||K||_2, with _settle's first pass inline at both ends of ||K||_2's
@@ -159,7 +162,7 @@ def _level(a, b, k: np.ndarray, coupling: _NormBracket, mean: complex, nilpotent
             f"coupling is degenerate: composite order {achieved} < {dim}",
             achieved_order=achieved,
         )
-    xi = _rank_one_norm(c, "the genericity product")
+    xi = _rank_one_norm(c, "the genericity product", frob=frob)
     top = np.zeros((dim, dim), dtype=complex)
     top[a.dim:, :a.dim] = c
     top.setflags(write=False)
@@ -213,7 +216,8 @@ def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL) -> Composite
     Both subsystems must host full-order exceptional points whose eigenvalues
     agree to `tol`; a larger mismatch raises IncompatibleSubsystemsError.
     """
-    if not (np.isfinite(tol) and tol >= 0.0):
+    tol = _as_float("tol", tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
         raise ParameterError(f"tol must be finite and non-negative, got {tol}")
     h_a = cmatrix.as_square(h_a, "H_a")
     h_b = cmatrix.as_square(h_b, "H_b")
@@ -273,12 +277,7 @@ def genericity_product(sys: CompositeSystem) -> np.ndarray:
     leaves the double range raises NumericalError.
     """
     with _overflow_scope():
-        return _genericity_product(sys.rep_a.top_power, sys.k, sys.rep_b.top_power)
-
-
-def _genericity_product(top_a: np.ndarray, k: np.ndarray, top_b: np.ndarray) -> np.ndarray:
-    """genericity_product from the two top powers and K, inside the caller's _overflow_scope."""
-    c = top_b @ k @ top_a
+        c = sys.rep_b.top_power @ sys.k @ sys.rep_a.top_power
     if not np.isfinite(c).all():
         raise NumericalError("the genericity product overflows a double")
     return c

@@ -62,9 +62,17 @@ __all__ = [
 ]
 
 
+def _as_float(name: str, value) -> float:
+    """value as float() reads it; ParameterError where that fails, as for None or a non-numeric string."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be a real number, got {value!r}") from None
+
+
 def _check_positive(name: str, value: float) -> float:
     """value as a float; ParameterError unless it is positive and finite (NaN included)."""
-    value = float(value)
+    value = _as_float(name, value)
     if not math.isfinite(value) or value <= 0.0:
         raise ParameterError(f"{name} must be positive and finite, got {value}")
     return value
@@ -129,8 +137,9 @@ def nilpotency_index(nmat, nil_tol: float | None = None) -> int | None:
     numerically zero, i.e. the matrix has at least two distinct eigenvalues.
     """
     nmat = cmatrix.as_square(nmat, "N")
+    nil_tol = default_nil_tol(nmat.shape[0]) if nil_tol is None else _as_float("nil_tol", nil_tol)
     with _overflow_scope():
-        return _nilpotency(nmat, default_nil_tol(nmat.shape[0]) if nil_tol is None else nil_tol)[0]
+        return _nilpotency(nmat, nil_tol)[0]
 
 
 def _nilpotency(nmat: np.ndarray, nil_tol: float) -> tuple[int | None, _NormBracket, _NormBracket | None]:
@@ -313,23 +322,26 @@ def _top_power(top: _NormBracket | None, nil_tol: float, norm: _NormBracket) -> 
     mods = np.abs(power) if top.mods is None else top.mods
     try:  # the first pass of _settle, inline
         flush = mods <= nil_tol * _norm_power(norm.lo, dim - 1)
-        settled = np.count_nonzero(flush) == np.count_nonzero(mods <= nil_tol * _norm_power(norm.hi, dim - 1))
+        flushed = np.count_nonzero(flush)
+        settled = flushed == np.count_nonzero(mods <= nil_tol * _norm_power(norm.hi, dim - 1))
     except NumericalError:  # a corner's threshold leaves the double range and settles nothing
         settled = False
     if not settled:
-        _settle(lambda b: np.count_nonzero(mods <= nil_tol * _norm_power(b, dim - 1)), (norm, dim - 1))
+        flushed = _settle(lambda b: np.count_nonzero(mods <= nil_tol * _norm_power(b, dim - 1)), (norm, dim - 1))
         flush = mods <= nil_tol * _norm_power(norm.lo, dim - 1)
-    power[flush] = 0.0
+    if flushed:
+        power[flush] = 0.0
     power.setflags(write=False)
     xi = _rank_one_norm(power, "N^(n-1)", mods, top.at)
-    if xi > 0.0:
+    if flushed and xi > 0.0:
         x = mods[flush] / xi  # in units of xi a square overflows only far above the threshold
         if not x.dot(x) <= nil_tol * nil_tol:
             raise NumericalError(f"the flush of N^{dim - 1} removes more than nil_tol = {nil_tol:g} of its norm")
     return power, xi
 
 
-def _power_step(m: np.ndarray, mods: np.ndarray, at: int | None = None) -> tuple[float | None, float]:
+def _power_step(m: np.ndarray, mods: np.ndarray, at: int | None = None,
+                frob: float | None = None) -> tuple[float | None, float]:
     """(est, ||M||_F) of a finite M with mods = |M|, where est <= ||M||_2 <= ||M||_F.
 
     est = ||M^H v|| / ||v|| after one power step v = M r from r, the conjugate
@@ -337,11 +349,13 @@ def _power_step(m: np.ndarray, mods: np.ndarray, at: int | None = None) -> tuple
     and this one is close to ||M||_2 when one singular value dominates.  est
     is None for ||M||_F outside [1/_RANK_ONE_RANGE, _RANK_ONE_RANGE], as when
     a square overflows to inf inside the caller's _overflow_scope.  at, the
-    flat index of the first largest entry of mods, is found unless given.
+    flat index of the first largest entry of mods, is found unless given, and
+    so is frob, ||M||_F as cmatrix._frobenius_norm takes it.
     """
     top, col = divmod(int(mods.argmax()) if at is None else at, m.shape[1])
     peak = mods[top, col]
-    frob = cmatrix._frobenius_norm(m)
+    if frob is None:
+        frob = cmatrix._frobenius_norm(m)
     if not 1.0 / _RANK_ONE_RANGE <= frob <= _RANK_ONE_RANGE:
         return None, frob
     v = m @ (m[top].conj() / peak**2)  # scaled so that 1 <= ||v|| <= m.size
@@ -349,17 +363,18 @@ def _power_step(m: np.ndarray, mods: np.ndarray, at: int | None = None) -> tuple
     return math.sqrt(np.vdot(w, w).real / np.vdot(v, v).real), frob
 
 
-def _rank_one_norm(m: np.ndarray, name: str, mods: np.ndarray | None = None, at: int | None = None) -> float:
+def _rank_one_norm(m: np.ndarray, name: str, mods: np.ndarray | None = None, at: int | None = None,
+                   frob: float | None = None) -> float:
     """||M||_2 of a finite rank-one M; NumericalError when ||M||_2 and ||M||_F differ beyond 1e-10 relative.
 
     The power step of _power_step certifies rank one without an SVD: when
     ||M||_F is within _RANK_ONE_MARGIN of est, ||M||_F is returned, as it is
     then within 1e-13 of ||M||_2 and the 1e-10 check passes.  Otherwise, and
     for ||M||_F outside the _RANK_ONE_RANGE window, one SVD decides.  mods,
-    |M| unless given, need only hold the first largest |m_ij| where |M| does,
-    and at is that entry's flat index, as _power_step takes it.
+    |M| unless given, need only hold the first largest |m_ij| where |M| does;
+    at is that entry's flat index and frob is ||M||_F, as _power_step takes them.
     """
-    est, frob = _power_step(m, np.abs(m) if mods is None else mods, at)
+    est, frob = _power_step(m, np.abs(m) if mods is None else mods, at, frob)
     if est is not None and abs(frob - est) <= _RANK_ONE_MARGIN * frob:
         return frob
     spec = cmatrix._spectral_norm(m)
@@ -454,8 +469,7 @@ def _detect(h: np.ndarray, nil_tol: float | None) -> EpReport:
     """detect_ep of a validated square H, inside the caller's _overflow_scope."""
     ep_eigenvalue, nmat = _traceless_part(h)
     dim = nmat.shape[0]
-    if nil_tol is None:
-        nil_tol = default_nil_tol(dim)
+    nil_tol = default_nil_tol(dim) if nil_tol is None else _as_float("nil_tol", nil_tol)
     order, norm, top = _nilpotency(nmat, nil_tol)
     power, xi = _top_power(top, nil_tol, norm) if order == dim else (None, None)
     if xi == 0.0:
@@ -468,7 +482,7 @@ def _detect(h: np.ndarray, nil_tol: float | None) -> EpReport:
         ep_eigenvalue=ep_eigenvalue,
         nilpotent=nmat,
         response_strength=xi,
-        nil_tol=float(nil_tol),
+        nil_tol=nil_tol,
         top_power=power,
         _bracket=norm,
     )

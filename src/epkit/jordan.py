@@ -56,13 +56,6 @@ class JordanChain:
         }
 
 
-def _chain_residuals(nmat, vectors) -> tuple[float, ...]:
-    res = [cmatrix._frobenius_norm(nmat @ vectors[0])]
-    for l in range(1, len(vectors)):
-        res.append(cmatrix._frobenius_norm(nmat @ vectors[l] - vectors[l - 1]))
-    return tuple(res)
-
-
 def _row_norms(m: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of m, as np.linalg.norm(m, axis=1) sums them, without its dispatch."""
     return np.sqrt(np.add.reduce((m.conj() * m).real, axis=1))
@@ -74,11 +67,17 @@ def jordan_chain(report: EpReport) -> JordanChain:
     The certified top power N^(n-1) = xi u v^H has rank one, and v spans the
     orthogonal complement of ker N^(n-1), which holds j_1 ... j_{n-1}.  So j_n
     points along the conjugate of every nonzero row of N^(n-1), taken from the
-    largest, and j_l = N^(n-l) j_n follows by matrix-vector products.  Dividing every
-    vector by ||j_1|| and fixing the phase of j_1 as kernel_vector does fixes
-    the gauge.  Chain residuals are accepted up to 1e-10 * ||N||_2, a budget
-    settled on the report's bracket of ||N||_2, so no SVD is taken unless the
-    residuals fall between the budgets at its two ends.  Orthogonality is
+    largest.  The chain is built as one read-only n x n array B whose row l is
+    j_l: j_n is its last row, each row above is N times the row below (one
+    matrix-vector product each, so j_l = N^(n-l) j_n), and one in-place
+    scaling of B divides every vector by ||j_1|| and fixes the phase of j_1 as
+    kernel_vector does, which fixes the gauge.  The checks read whole-array
+    products: the chain residuals ||N j_l - j_(l-1)|| (j_0 = 0) are the row
+    norms of B N^T less B shifted down one row, and the overlaps with j_n come
+    from one matrix-vector product.  Chain residuals are accepted up to
+    1e-10 * ||N||_2, a budget settled on the report's bracket of ||N||_2, so
+    no SVD is taken unless the residuals fall between the budgets at its two
+    ends.  Orthogonality is
     accepted when |<j_n, j_l>| <= 1e-10 * ||j_n|| * ||j_l||, a relative
     overlap: in this gauge ||j_l|| grows like ||N||^-(l-1) for a small N, and
     so does the rounding of the inner product.  A row of N^(n-1), or a
@@ -103,19 +102,22 @@ def _chain(report: EpReport) -> JordanChain:
         raise StructureError("N^(n-1) is numerically zero; no Jordan chain to build")
     if row_norms[top] == math.inf:
         raise NumericalError("a row norm of N^(n-1) overflows a double; no Jordan chain to build")
-    vectors = [power[top].conj() / row_norms[top]]  # j_n up to scale
-    for _ in range(n - 1):
-        vectors.append(nmat @ vectors[-1])
-    factor = cmatrix._pivot_phase(vectors[-1]) / cmatrix._frobenius_norm(vectors[-1])  # vectors[-1] is j_1 up to scale
-    vectors = [v * factor for v in reversed(vectors)]
-    norms = [cmatrix._frobenius_norm(v) for v in vectors]
+    block = np.empty((n, n), dtype=complex)  # row l - 1 is j_l, all up to scale until scaled below
+    np.divide(power[top].conj(), row_norms[top], out=block[-1])
+    for l in range(n - 1, 0, -1):
+        np.matmul(nmat, block[l], out=block[l - 1])
+    block *= cmatrix._pivot_phase(block[0]) / cmatrix._frobenius_norm(block[0])
+    block.setflags(write=False)
+    norms = _row_norms(block).tolist()
     if not all(map(math.isfinite, norms)):  # an infinite ||j_n|| would pass every orthogonality test
         raise NumericalError("the norm of a Jordan vector overflows a double; no Jordan chain to certify")
 
-    chain_res = _chain_residuals(nmat, vectors)
-    norm_res = float(abs(np.vdot(vectors[0], vectors[0]).real - 1.0))
-    last = vectors[-1]
-    ortho_res = tuple(float(abs(np.vdot(last, vectors[l]))) for l in range(n - 1))
+    shifted = block @ nmat.T  # row l - 1 is N j_l, and N j_l - j_(l-1) once the block is taken off one row down
+    shifted[1:] -= block[:-1]
+    chain_res = tuple(_row_norms(shifted).tolist())
+    norm_res = float(abs(np.vdot(block[0], block[0]).real - 1.0))
+    last = block[-1]
+    ortho_res = tuple(np.abs(block[:-1] @ last.conj()).tolist())
 
     def within_budget(nilpotent_norm: float) -> bool:
         budget = max(1e-10 * nilpotent_norm, _BUDGET_FLOOR)
@@ -133,7 +135,7 @@ def _chain(report: EpReport) -> JordanChain:
             f"orthogonality {ortho_res}"
         )
     return JordanChain(
-        vectors=tuple(vectors),
+        vectors=tuple(block),
         chain_residuals=chain_res,
         normalization_residual=norm_res,
         orthogonality_residuals=ortho_res,

@@ -286,6 +286,7 @@ def records_to_csv(eps_grid, splittings) -> str:
 
 def log_grid(eps_min: float, eps_max: float, points: int) -> list[float]:
     """Logarithmically spaced strength grid, endpoints included."""
+    points = _index("points", points)
     if not (0.0 < eps_min < eps_max < math.inf) or points < 2:
         raise ParameterError("need finite 0 < eps_min < eps_max and points >= 2")
     return [float(e) for e in np.logspace(math.log10(eps_min), math.log10(eps_max), points)]

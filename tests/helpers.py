@@ -128,7 +128,33 @@ def reference_chain(nmat: np.ndarray, power: np.ndarray):
     matrix-vector products, every vector divided by ||j_1|| and given the phase that makes the first
     component of largest modulus of j_1 real and positive (ties within 1e-12 relative pick the first).
     A top row whose norm overflows raises NumericalError and a zero one StructureError, as jordan_chain does.
+    The residuals are taken on the block B whose rows are j_1 ... j_n: the chain residuals are the row
+    norms of B N^T less B shifted down one row, the overlaps the moduli of B[:-1] times the conjugate of j_n.
     """
+    vectors = _chain_vectors(nmat, power)
+    block = np.array(vectors)
+    with np.errstate(over="ignore", invalid="ignore"):  # jordan_chain raises on an overflowing ||j_l|| first
+        shifted = block @ nmat.T
+        shifted[1:] -= block[:-1]
+        chain = np.linalg.norm(shifted, axis=1)
+        normalization = float(abs(np.vdot(vectors[0], vectors[0]).real - 1.0))
+        orthogonality = np.abs(block[:-1] @ vectors[-1].conj())
+    return vectors, tuple(chain.tolist()), normalization, tuple(orthogonality.tolist())
+
+
+def per_vector_chain(nmat: np.ndarray, power: np.ndarray):
+    """reference_chain with each residual and overlap taken one vector at a time, as jordan_chain once did."""
+    vectors = _chain_vectors(nmat, power)
+    with np.errstate(over="ignore", invalid="ignore"):
+        chain = [float(np.linalg.norm(nmat @ vectors[0]))]
+        chain += [float(np.linalg.norm(nmat @ vectors[l] - vectors[l - 1])) for l in range(1, len(vectors))]
+        normalization = float(abs(np.vdot(vectors[0], vectors[0]).real - 1.0))
+        orthogonality = [float(abs(np.vdot(vectors[-1], v))) for v in vectors[:-1]]
+    return vectors, tuple(chain), normalization, tuple(orthogonality)
+
+
+def _chain_vectors(nmat: np.ndarray, power: np.ndarray) -> list[np.ndarray]:
+    """The vectors j_1 ... j_n of reference_chain, each its own array, scaled one at a time."""
     n = nmat.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing row norm raises NumericalError below
         row_norms = np.linalg.norm(power, axis=1)
@@ -144,12 +170,7 @@ def reference_chain(nmat: np.ndarray, power: np.ndarray):
         mods = np.abs(j_1)
         pivot = int(np.flatnonzero(mods >= (1.0 - 1e-12) * mods.max())[0])
         factor = (j_1[pivot].conjugate() / mods[pivot]) / float(np.linalg.norm(j_1))
-        vectors = [v * factor for v in reversed(vectors)]
-        chain = [float(np.linalg.norm(nmat @ vectors[0]))]
-        chain += [float(np.linalg.norm(nmat @ vectors[l] - vectors[l - 1])) for l in range(1, n)]
-        normalization = float(abs(np.vdot(vectors[0], vectors[0]).real - 1.0))
-        orthogonality = [float(abs(np.vdot(vectors[-1], v))) for v in vectors[:-1]]
-    return vectors, tuple(chain), normalization, tuple(orthogonality)
+        return [v * factor for v in reversed(vectors)]
 
 
 def rank_one_svd_rejects(m: np.ndarray) -> bool:

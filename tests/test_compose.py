@@ -65,6 +65,12 @@ def test_block_compose_rejects_bad_tol(tol):
         compose.block_compose(pt_dimer(1.0, 1.5), pt_trimer(2.0, 1.3), single_entry_coupling(1.0, 3, 2), tol=tol)
 
 
+@pytest.mark.parametrize("tol", [None, "x"])
+def test_block_compose_rejects_a_tol_that_is_not_a_number(tol):
+    with pytest.raises(ParameterError, match="tol"):
+        compose.block_compose(pt_dimer(1.0, 1.5), pt_trimer(1.0, 1.3), single_entry_coupling(1.0, 3, 2), tol=tol)
+
+
 def test_coupling_shape_error():
     with pytest.raises(ShapeError):
         compose.block_compose(pt_dimer(1.0, 1.5), pt_trimer(1.0, 1.3), np.zeros((2, 3)))

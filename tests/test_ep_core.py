@@ -118,6 +118,18 @@ def test_non_finite_nil_tol_rejected(certify, nil_tol):
             certify(matrix, nil_tol)
 
 
+@pytest.mark.parametrize("certify", [ep_core.nilpotency_index, ep_core.detect_ep], ids=["index", "detect"])
+def test_nil_tol_is_read_as_a_float(certify):
+    matrix = jordan_block(3)
+    got, want = certify(matrix, "1e-9"), certify(matrix, 1e-9)
+    if certify is ep_core.detect_ep:
+        got, want = (got.order, got.nil_tol), (want.order, want.nil_tol)
+    assert got == want
+    for nil_tol in ("x", [1e-9]):
+        with pytest.raises(ParameterError, match="nil_tol"):
+            certify(matrix, nil_tol)
+
+
 @pytest.mark.parametrize("nil_tol", [1.0, 1.5, 1e10])
 @pytest.mark.parametrize("certify", [ep_core.nilpotency_index, ep_core.detect_ep], ids=["index", "detect"])
 def test_nil_tol_of_one_or_more_rejected(certify, nil_tol):

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 import helpers
-from epkit import cmatrix, ep_core, jordan
+from epkit import cmatrix, compose, ep_core, jordan
 from epkit.errors import NumericalError, StructureError
-from epkit.models import pt_dimer, pt_trimer
+from epkit.models import pt_dimer, pt_trimer, single_entry_coupling
 
 FAMILIES = ("block", "direct_sum", "distinct", "dimer", "trimer", "composite")
 FULL_ORDER_FAMILIES = ("block", "dimer", "trimer", "composite")
@@ -126,3 +126,79 @@ def test_jordan_chain_matches_the_docstring_recipe_bit_for_bit(h):
     assert [_bits(r) for r in got.chain_residuals] == [_bits(r) for r in chain]
     assert _bits(got.normalization_residual) == _bits(normalization)
     assert [_bits(r) for r in got.orthogonality_residuals] == [_bits(r) for r in orthogonality]
+
+
+def _chain_reports(family: str, rng):
+    """Certified reports whose chains cover dims 1-16.
+
+    block: per dim 1-16, transformed Jordan blocks (helpers.transformed_jordan_block, which certify up to dim
+    12) and Jordan blocks under a random diagonal similarity (exactly nilpotent at every dim); dimer_chain:
+    compose_many chains of 2-8 dimers, through the block-theorem report and, where it certifies, detect_ep of
+    the assembled H; composite: certify-style 5x5 dimer + trimer composites with a single-entry or dense K.
+    """
+    def certified(h):
+        try:
+            report = ep_core.detect_ep(h)
+        except NumericalError:
+            return []
+        return [report] if report.is_full_ep else []
+
+    for _ in range(3):
+        if family == "block":
+            for dim in range(1, 17):
+                eigenvalue = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+                yield from certified(helpers.transformed_jordan_block(rng, dim, eigenvalue))
+                d = 10.0 ** rng.uniform(-0.5, 0.5, dim) * np.exp(2j * np.pi * rng.random(dim))
+                yield from certified(eigenvalue * np.eye(dim) + (d[:, None] / d[None, :]) * np.eye(dim, k=1))
+        elif family == "dimer_chain":
+            for depth in range(2, 9):
+                omega0 = rng.uniform(0.5, 1.5)
+                hams = [pt_dimer(omega0, 10.0 ** rng.uniform(-0.3, 0.3)) for _ in range(depth)]
+                system = compose.compose_many(hams, [helpers.complex_uniform(rng, (2, 2 * j)) for j in range(1, depth)])
+                yield system.report
+                yield from certified(system.h)
+        else:
+            for dense in (False, True):
+                omega0 = rng.uniform(-1.0, 1.0)
+                a = pt_dimer(omega0, 10.0 ** rng.uniform(-1.0, 1.0))
+                b = pt_trimer(omega0, 10.0 ** rng.uniform(-1.0, 1.0))
+                k = helpers.complex_uniform(rng, (3, 2)) if dense else single_entry_coupling(rng.uniform(0.1, 10), 3, 2)
+                yield from certified(np.block([[a, np.zeros((2, 3))], [k, b]]))
+
+
+@pytest.mark.parametrize("family", ["block", "dimer_chain", "composite"])
+def test_jordan_chain_vectors_match_the_per_vector_recipe_byte_for_byte(family):
+    dims = set()
+    for report in _chain_reports(family, helpers.philox(28)):
+        try:
+            vectors = helpers.per_vector_chain(report.nilpotent, report.top_power)[0]
+            chain = jordan.jordan_chain(report)
+        except (NumericalError, StructureError):
+            continue
+        assert [v.tobytes() for v in chain.vectors] == [v.tobytes() for v in vectors]
+        assert _bits(jordan.response_from_chain(chain)) == _bits(1.0 / np.linalg.norm(vectors[-1]))
+        dims.add(report.dim)
+    assert dims == {"block": set(range(1, 17)), "dimer_chain": set(range(4, 17, 2)), "composite": {5}}[family]
+
+
+@settings(deadline=None, max_examples=300)
+@given(certification_inputs(FULL_ORDER_FAMILIES))
+def test_chain_residuals_agree_with_the_per_vector_recipe_to_rounding(h):
+    try:
+        report = ep_core.detect_ep(h)
+    except NumericalError:
+        assume(False)
+    assume(report.is_full_ep)
+    try:
+        chain = jordan.jordan_chain(report)
+    except (NumericalError, StructureError):
+        assume(False)
+    _, residuals, _, overlaps = helpers.per_vector_chain(report.nilpotent, report.top_power)
+    n, eps = chain.n, np.finfo(float).eps
+    norms = [float(np.linalg.norm(v)) for v in chain.vectors]
+    scale = float(np.linalg.norm(report.nilpotent))
+    for l, (got, want) in enumerate(zip(chain.chain_residuals, residuals)):
+        below = norms[l - 1] if l > 0 else 0.0
+        assert abs(got - want) <= 8 * n * eps * (scale * norms[l] + below)
+    for l, (got, want) in enumerate(zip(chain.orthogonality_residuals, overlaps)):
+        assert abs(got - want) <= 8 * n * eps * norms[-1] * norms[l]

@@ -588,6 +588,12 @@ def test_log_grid_rejects_non_finite_endpoints(eps_min, eps_max):
             perturb.log_grid(eps_min, eps_max, 4)
 
 
+def test_log_grid_reads_points_as_an_integer():
+    with pytest.raises(ParameterError, match="points"):
+        perturb.log_grid(1e-12, 1e-2, 41.0)
+    assert perturb.log_grid(1e-12, 1e-2, np.int64(41)) == perturb.log_grid(1e-12, 1e-2, 41)
+
+
 def test_log_grid_endpoints():
     grid = perturb.log_grid(1e-12, 1e-2, 41)
     assert len(grid) == 41
