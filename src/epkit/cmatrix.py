@@ -56,6 +56,14 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _as_number(name: str, value, kind: type = float):
+    """value as kind() reads it, for kind float or complex; ParameterError where that fails, as for None or "abc"."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"{name} must be a {'real' if kind is float else 'complex'} number, got {value!r}") from None
+
+
 def as_vector(v, name: str = "vector") -> np.ndarray:
     w = np.asarray(v, dtype=complex)
     if w.ndim != 1 or w.shape[0] < 1:

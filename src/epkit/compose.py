@@ -26,14 +26,12 @@ import numpy as np
 from . import cmatrix
 from .ep_core import (
     EpReport,
-    _as_float,
     _detect,
     _mean_eigenvalue,
     _nilpotency,
     _NormBracket,
     _overflow_scope,
     _rank_one_norm,
-    _settle,
     _traceless_part,
     default_nil_tol,
 )
@@ -148,15 +146,11 @@ def _level(a, b, k: np.ndarray, coupling: _NormBracket, mean: complex, nilpotent
             raise NumericalError("the genericity product overflows a double")
         raise NumericalError("||C||_F of the genericity product overflows a double")
     dim = a.dim + b.dim
-    # ||C||_F > 1e-8 * xi_a * xi_b * ||K||_2, with _settle's first pass inline at both ends of ||K||_2's
-    # bracket; C = 0 is degenerate whatever ||K||_2 is, and no certified block has xi = 0, since detect_ep
-    # raises NumericalError on a top power flushed to zero
-    xi_a, xi_b, generic = a.response_strength, b.response_strength, False
-    if frob > 0.0:
-        generic = frob > 1e-8 * _upper_bound(xi_a, xi_b, coupling.lo)
-        if (frob > 1e-8 * _upper_bound(xi_a, xi_b, coupling.hi)) != generic:
-            generic = _settle(lambda norm: frob > 1e-8 * _upper_bound(xi_a, xi_b, norm), (coupling, 1))
-    if not generic:
+    # ||C||_F > 1e-8 * xi_a * xi_b * ||K||_2, settled on ||K||_2's bracket; C = 0 is degenerate whatever
+    # ||K||_2 is, and no certified block has xi = 0, since detect_ep raises NumericalError on a top power
+    # flushed to zero
+    xi_a, xi_b = a.response_strength, b.response_strength
+    if not (frob > 0.0 and coupling.settle(lambda norm: frob > 1e-8 * _upper_bound(xi_a, xi_b, norm))):
         achieved = _nilpotency(nilpotent(), default_nil_tol(dim))[0]
         raise DegenerateCouplingError(
             f"coupling is degenerate: composite order {achieved} < {dim}",
@@ -216,7 +210,7 @@ def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL) -> Composite
     Both subsystems must host full-order exceptional points whose eigenvalues
     agree to `tol`; a larger mismatch raises IncompatibleSubsystemsError.
     """
-    tol = _as_float("tol", tol)
+    tol = cmatrix._as_number("tol", tol)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ParameterError(f"tol must be finite and non-negative, got {tol}")
     h_a = cmatrix.as_square(h_a, "H_a")
@@ -298,7 +292,7 @@ def composite_response(sys: CompositeSystem) -> float:
 
 def response_upper_bound(xi_a: float, xi_b: float, k) -> float:
     """Submultiplicative bound xi_a * xi_b * ||K||_2 on the composite response."""
-    return _upper_bound(xi_a, xi_b, cmatrix.spectral_norm(k))
+    return _upper_bound(cmatrix._as_number("xi_a", xi_a), cmatrix._as_number("xi_b", xi_b), cmatrix.spectral_norm(k))
 
 
 def _upper_bound(xi_a: float, xi_b: float, coupling_norm: float) -> float:

@@ -37,8 +37,8 @@ _RANK_ONE_MARGIN = 1e-13
 #: below the total, so neither overflow nor gradual underflow can fake agreement.
 _RANK_ONE_RANGE = 1e150
 
-#: Relative widening of each bound of a _NormBracket stage before _settle
-#: lets it decide.  The computed peak (exact to an ulp), sqrt(size) * peak,
+#: Relative widening of each bound of a _NormBracket stage before a test is
+#: decided on it.  The computed peak (exact to an ulp), sqrt(size) * peak,
 #: est (a lower bound for any computed v, so only the last products round)
 #: and ||M||_F, and LAPACK's sigma_1, each differ from their exact values by
 #: O(size * eps) relative to ||M||_2: 1.4e-12 at dim 80 and 2.2e-10 at dim
@@ -62,17 +62,9 @@ __all__ = [
 ]
 
 
-def _as_float(name: str, value) -> float:
-    """value as float() reads it; ParameterError where that fails, as for None or a non-numeric string."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{name} must be a real number, got {value!r}") from None
-
-
 def _check_positive(name: str, value: float) -> float:
     """value as a float; ParameterError unless it is positive and finite (NaN included)."""
-    value = _as_float(name, value)
+    value = cmatrix._as_number(name, value)
     if not math.isfinite(value) or value <= 0.0:
         raise ParameterError(f"{name} must be positive and finite, got {value}")
     return value
@@ -137,7 +129,7 @@ def nilpotency_index(nmat, nil_tol: float | None = None) -> int | None:
     numerically zero, i.e. the matrix has at least two distinct eigenvalues.
     """
     nmat = cmatrix.as_square(nmat, "N")
-    nil_tol = default_nil_tol(nmat.shape[0]) if nil_tol is None else _as_float("nil_tol", nil_tol)
+    nil_tol = default_nil_tol(nmat.shape[0]) if nil_tol is None else cmatrix._as_number("nil_tol", nil_tol)
     with _overflow_scope():
         return _nilpotency(nmat, nil_tol)[0]
 
@@ -175,18 +167,25 @@ def _nilpotency(nmat: np.ndarray, nil_tol: float) -> tuple[int | None, _NormBrac
 def _power_test(base: _NormBracket, norm: _NormBracket, k: int, nil_tol: float) -> bool:
     """||N^k||_2 <= nil_tol * ||N||_2^k, with base the bracket of ||N||_2 and norm that of ||N^k||_2.
 
-    The first pass of _settle is done inline: the test is decided at once
-    when it agrees at the corner (base.lo, norm.hi) and the corner
-    (base.hi, norm.lo), as it does below the order, where the current bounds
-    reject it.  Only a test they leave open enters _settle.
+    The test is monotone in ||N||_2^k / ||N^k||_2, so over the box the two
+    brackets span its verdict lies between its verdicts at the corners
+    (base.lo, norm.hi) and (base.hi, norm.lo).  Where those agree, so does the
+    test at the norms the SVD returns, which lie inside the box; below the
+    order the current bounds usually reject it at both.  Otherwise the
+    bracket that spreads the threshold ratio more moves on a stage, base on a
+    tie.  A corner whose threshold leaves the double range settles nothing,
+    so only the exact norms raise NumericalError.
     """
-    try:
-        verdict = norm.hi <= nil_tol * _norm_power(base.lo, k)
-        if (norm.lo <= nil_tol * _norm_power(base.hi, k)) == verdict:
-            return verdict
-    except NumericalError:  # a corner's threshold leaves the double range and settles nothing
-        pass
-    return _settle(lambda b, p: p <= nil_tol * _norm_power(b, k), (base, k), (norm, -1))
+    while True:
+        if base.lo == base.hi and norm.lo == norm.hi:
+            return norm.lo <= nil_tol * _norm_power(base.lo, k)
+        try:
+            verdict = norm.hi <= nil_tol * _norm_power(base.lo, k)
+            if (norm.lo <= nil_tol * _norm_power(base.hi, k)) == verdict:
+                return verdict
+        except NumericalError:  # a corner's threshold leaves the double range and settles nothing
+            pass
+        (base if _spread(base, k) >= _spread(norm, 1) else norm).narrow()
 
 
 class _NormBracket:
@@ -203,8 +202,8 @@ class _NormBracket:
     subnormal peak starts at [0, inf], and an ||M||_F outside the
     _RANK_ONE_RANGE window skips stage 2.  M must be finite: a non-finite
     entry is an overflowed power of N and raises NumericalError.  Most tests
-    are decided on stage 1 alone, inline (see _power_test); a bracket moves on
-    only inside _settle.
+    are decided on stage 1 alone; a bracket moves on only when a test it
+    scales is left open at both its ends (see settle and _power_test).
     """
 
     __slots__ = ("m", "mods", "at", "stage", "lo", "hi")
@@ -241,45 +240,31 @@ class _NormBracket:
             self.lo = self.hi = cmatrix._spectral_norm(self.m)
         return self.lo
 
+    def settle(self, test):
+        """test(||M||_2) for a test monotone in the norm, with the bracket narrowed only as far as it takes.
 
-def _spread(term: tuple[_NormBracket, int]) -> float:
-    """|e| * ln(hi / lo) of a (bracket, exponent) term: how widely it spreads the product of the norms."""
-    norm, exponent = term
-    if exponent == 0 or norm.lo == norm.hi:
+        Over the bracket a monotone test's verdict lies between its verdicts at
+        lo and hi.  Where those agree, so does the test at the sigma_1 the SVD
+        returns, which lies inside the bracket; otherwise the bracket moves on
+        a stage.  A bound where test raises NumericalError, a threshold leaving
+        the double range, settles nothing, so only the exact norm raises.
+        """
+        while self.lo != self.hi:
+            try:
+                verdict = test(self.lo)
+                if test(self.hi) == verdict:
+                    return verdict
+            except NumericalError:
+                pass
+            self.narrow()
+        return test(self.lo)
+
+
+def _spread(norm: _NormBracket, exponent: int) -> float:
+    """exponent * ln(hi / lo): how widely the bracket spreads ||M||_2**exponent."""
+    if norm.lo == norm.hi:
         return 0.0
-    return abs(exponent) * math.log(norm.hi / norm.lo) if norm.lo > 0.0 else math.inf
-
-
-def _settle(decide, *terms: tuple[_NormBracket, int]):
-    """decide(||M_1||_2, ...) with the brackets of the norms narrowed only as far as it takes.
-
-    Each term is a (bracket, e) pair, and decide must depend on the norms
-    only through the product of ||M_i||_2**e_i, monotonically.  Over the
-    box the brackets span, its verdict then lies between its verdicts at
-    the two corners where that product is least and greatest.  Where those
-    agree, so does decide at the norms the SVD returns, which lie inside the
-    box; otherwise the bracket that spreads the product most moves on a
-    stage.  A corner where decide raises NumericalError, a threshold leaving
-    the double range, settles nothing, so only the exact norms raise.
-
-    The hot tests (_power_test, the flush of _top_power, jordan_chain's
-    budget and compose's degeneracy test) make this loop's first pass
-    inline, at the same two corners in the same order, and call it only when
-    the current bounds leave the verdict open; the verdict is the same
-    either way.
-    """
-    while True:
-        low = [norm.lo if e >= 0 else norm.hi for norm, e in terms]
-        high = [norm.hi if e >= 0 else norm.lo for norm, e in terms]
-        if low == high:  # every norm is known exactly
-            return decide(*low)
-        try:
-            verdict = decide(*low)
-            if decide(*high) == verdict:
-                return verdict
-        except NumericalError:
-            pass
-        max(terms, key=_spread)[0].narrow()
+    return exponent * math.log(norm.hi / norm.lo) if norm.lo > 0.0 else math.inf
 
 
 def _norm_power(norm: float, exponent: int) -> float:
@@ -298,7 +283,7 @@ def _top_power(top: _NormBracket | None, nil_tol: float, norm: _NormBracket) -> 
 
     top is the bracket of N^(n-1) that _nilpotency built for the power test
     (None for N^0 = I at n = 1), so the flush acts on exactly the power the
-    test examined and reuses its |M| (taken again only if _settle dropped it)
+    test examined and reuses its |M| (taken again if its bracket narrowed)
     and the index of its first largest entry.  top.m is flushed in place,
     unless it is N itself (n = 2), which is copied.  Matrix powers of a
     numerically nilpotent N carry rounding residue in positions that are
@@ -320,16 +305,9 @@ def _top_power(top: _NormBracket | None, nil_tol: float, norm: _NormBracket) -> 
         top = _NormBracket(np.ones((1, 1), dtype=complex))
     power = top.m.copy() if top is norm else top.m
     mods = np.abs(power) if top.mods is None else top.mods
-    try:  # the first pass of _settle, inline
-        flush = mods <= nil_tol * _norm_power(norm.lo, dim - 1)
-        flushed = np.count_nonzero(flush)
-        settled = flushed == np.count_nonzero(mods <= nil_tol * _norm_power(norm.hi, dim - 1))
-    except NumericalError:  # a corner's threshold leaves the double range and settles nothing
-        settled = False
-    if not settled:
-        flushed = _settle(lambda b: np.count_nonzero(mods <= nil_tol * _norm_power(b, dim - 1)), (norm, dim - 1))
-        flush = mods <= nil_tol * _norm_power(norm.lo, dim - 1)
+    flushed = norm.settle(lambda b: np.count_nonzero(mods <= nil_tol * _norm_power(b, dim - 1)))
     if flushed:
+        flush = mods <= nil_tol * _norm_power(norm.lo, dim - 1)
         power[flush] = 0.0
     power.setflags(write=False)
     xi = _rank_one_norm(power, "N^(n-1)", mods, top.at)
@@ -469,7 +447,7 @@ def _detect(h: np.ndarray, nil_tol: float | None) -> EpReport:
     """detect_ep of a validated square H, inside the caller's _overflow_scope."""
     ep_eigenvalue, nmat = _traceless_part(h)
     dim = nmat.shape[0]
-    nil_tol = default_nil_tol(dim) if nil_tol is None else _as_float("nil_tol", nil_tol)
+    nil_tol = default_nil_tol(dim) if nil_tol is None else cmatrix._as_number("nil_tol", nil_tol)
     order, norm, top = _nilpotency(nmat, nil_tol)
     power, xi = _top_power(top, nil_tol, norm) if order == dim else (None, None)
     if xi == 0.0:
@@ -506,7 +484,7 @@ def greens_function(report: EpReport, energy: complex) -> np.ndarray:
     """
     if report.order is None:
         raise PreconditionError("Green's function expansion requires a nilpotent traceless part")
-    energy = complex(energy)
+    energy = cmatrix._as_number("energy", energy, complex)
     if not cmath.isfinite(energy):
         raise ParameterError(f"energy must be finite, got {energy}")
     delta = energy - report.ep_eigenvalue
@@ -589,7 +567,7 @@ def predicted_splitting(report: EpReport, h1, eps: float) -> SplittingPrediction
     h1 = cmatrix.as_square(h1, "H1")
     if h1.shape[0] != report.dim:
         raise ShapeError(f"H1 has dimension {h1.shape[0]}, expected {report.dim}")
-    eps = float(eps)
+    eps = cmatrix._as_number("eps", eps)
     if not math.isfinite(eps):
         raise ParameterError(f"eps must be finite, got {eps}")
     with _overflow_scope():  # an H1 large enough to overflow the radicand raises NumericalError below

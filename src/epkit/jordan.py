@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmatrix
-from .ep_core import EpReport, _overflow_scope, _settle
+from .ep_core import EpReport, _overflow_scope
 from .errors import NumericalError, ParameterError, PreconditionError, ShapeError, StructureError
 
 __all__ = ["JordanChain", "jordan_chain", "response_from_chain", "coupling_amplitude"]
@@ -124,12 +124,7 @@ def _chain(report: EpReport) -> JordanChain:
         return chain_res[0] <= budget and all(chain_res[l] <= budget * norms[l - 1] for l in range(1, n))
 
     ok = norm_res <= 1e-12 and all(r <= 1e-10 * norms[-1] * norm for r, norm in zip(ortho_res, norms))
-    if ok:  # _settle's first pass inline: the budget at both ends of the bracket of ||N||_2
-        bracket = report._norm
-        ok = within_budget(bracket.lo)
-        if within_budget(bracket.hi) != ok:
-            ok = _settle(within_budget, (bracket, 1))
-    if not ok:
+    if not (ok and report._norm.settle(within_budget)):
         raise StructureError(
             f"chain conditions violated: chain residuals {chain_res}, normalization {norm_res:.3e}, "
             f"orthogonality {ortho_res}"

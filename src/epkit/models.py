@@ -31,7 +31,7 @@ __all__ = [
 def pt_dimer(omega0: float, g_a: float) -> np.ndarray:
     """Two-site dimer at its order-2 exceptional point: the gain/loss coefficient is locked to g_a."""
     g = _check_positive("g_a", g_a)
-    w = float(omega0)
+    w = cmatrix._as_number("omega0", omega0)
     return np.array([[w + 1j * g, g], [g, w - 1j * g]], dtype=complex)
 
 
@@ -39,7 +39,7 @@ def pt_trimer(omega0: float, g_b: float) -> np.ndarray:
     """Three-site trimer at its order-3 exceptional point: the gain/loss alpha_b is locked to sqrt(2)*g_b."""
     g = _check_positive("g_b", g_b)
     a = _check_positive("alpha_b", math.sqrt(2.0) * g)  # ParameterError where sqrt(2)*g_b overflows
-    w = float(omega0)
+    w = cmatrix._as_number("omega0", omega0)
     return np.array(
         [
             [w + 1j * a, g, 0.0],
@@ -58,7 +58,7 @@ def single_entry_coupling(k: complex, n_b: int, n_a: int, row: int = 1, col: int
     if not (1 <= row <= n_b and 1 <= col <= n_a):
         raise ParameterError(f"entry position ({row}, {col}) outside a {n_b} x {n_a} matrix")
     m = np.zeros((n_b, n_a), dtype=complex)
-    m[row - 1, col - 1] = complex(k)
+    m[row - 1, col - 1] = cmatrix._as_number("k", k, complex)
     return m
 
 

@@ -157,7 +157,7 @@ def _splittings(h: np.ndarray, ep_eigenvalue: complex, h1: np.ndarray, eps: np.n
     every matrix of a stack as on a single matrix, so _eigvals' stacked calls
     give the same bits as one call per matrix.
     """
-    ep = complex(ep_eigenvalue)
+    ep = cmatrix._as_number("ep_eigenvalue", ep_eigenvalue, complex)
     if not cmath.isfinite(ep):
         raise ParameterError(f"ep_eigenvalue must be finite, got {ep}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed entry raises ParameterError below
@@ -180,7 +180,7 @@ def max_splitting(h, ep_eigenvalue: complex, h1, eps: float) -> float:
     h1 = cmatrix.as_square(h1, "H1")
     if h.shape != h1.shape:
         raise ShapeError(f"H has shape {h.shape} but H1 has shape {h1.shape}")
-    eps = float(eps)
+    eps = cmatrix._as_number("eps", eps)
     if eps < 0.0:
         raise ParameterError(f"eps must be nonnegative, got {eps}")
     return float(_splittings(h, ep_eigenvalue, h1[None], np.array([eps]))[0, 0])
@@ -188,7 +188,7 @@ def max_splitting(h, ep_eigenvalue: complex, h1, eps: float) -> float:
 
 def _strengths(eps_grid) -> np.ndarray:
     """eps_grid as a float array; ParameterError unless it is strictly ascending, positive and finite."""
-    strengths = np.array([float(e) for e in eps_grid], dtype=float)
+    strengths = np.array([cmatrix._as_number("eps_grid", e) for e in eps_grid], dtype=float)
     if not (len(strengths) and np.isfinite(strengths).all() and strengths[0] > 0 and (np.diff(strengths) > 0).all()):
         raise ParameterError("eps_grid must be strictly ascending, positive and finite")
     return strengths
@@ -249,7 +249,7 @@ def fit_slope(eps_grid, splittings, window: tuple[float, float]) -> SlopeFit:
     enters as its median over trials.  Requires at least three strengths inside
     the window, every splitting in their rows finite and every median finite.
     """
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = cmatrix._as_number("window", window[0]), cmatrix._as_number("window", window[1])
     if not (0.0 < lo < hi):
         raise ParameterError(f"window must satisfy 0 < lo < hi, got ({lo}, {hi})")
     strengths, table = _table(eps_grid, splittings)
@@ -286,6 +286,7 @@ def records_to_csv(eps_grid, splittings) -> str:
 
 def log_grid(eps_min: float, eps_max: float, points: int) -> list[float]:
     """Logarithmically spaced strength grid, endpoints included."""
+    eps_min, eps_max = cmatrix._as_number("eps_min", eps_min), cmatrix._as_number("eps_max", eps_max)
     points = _index("points", points)
     if not (0.0 < eps_min < eps_max < math.inf) or points < 2:
         raise ParameterError("need finite 0 < eps_min < eps_max and points >= 2")

@@ -182,8 +182,8 @@ def rank_one_svd_rejects(m: np.ndarray) -> bool:
 
 def by_norm_bracket(m: np.ndarray, decide) -> bool:
     """decide(||M||_2) for a predicate monotone in the norm, settled by ep_core's staged bracket of M."""
-    with ep_core._overflow_scope():  # _settle runs inside its caller's scope, as in epkit
-        return ep_core._settle(decide, (ep_core._NormBracket(m), 1))
+    with ep_core._overflow_scope():  # settle runs inside its caller's scope, as in epkit
+        return ep_core._NormBracket(m).settle(decide)
 
 
 def norm_at_most(power: np.ndarray, bound: float) -> bool:

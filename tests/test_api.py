@@ -7,8 +7,12 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import epkit
 from epkit import compose, ep_core, jordan, models, perturb
+from epkit.errors import ParameterError
 
 TOLERANCE_NAMES = {"tol", "nil_tol", "rtol", "eps_mp"}
 
@@ -117,3 +121,38 @@ def test_module_surfaces_are_pinned():
 
 def test_dataclass_fields_are_pinned():
     assert {cls: [f.name for f in dataclasses.fields(cls)] for cls in FIELDS} == FIELDS
+
+
+def _dimer_report():
+    return ep_core.detect_ep(models.pt_dimer(1.0, 1.5))
+
+
+#: (a public call given one number that float() or complex() cannot read, the parameter it names)
+UNREADABLE = {
+    "predicted_splitting eps": (lambda: ep_core.predicted_splitting(_dimer_report(), np.eye(2), None), "eps"),
+    "greens_function None": (lambda: ep_core.greens_function(_dimer_report(), None), "energy"),
+    "greens_function str": (lambda: ep_core.greens_function(_dimer_report(), "abc"), "energy"),
+    "detect_ep nil_tol overflow": (lambda: ep_core.detect_ep(models.pt_dimer(1.0, 1.5), 10**400), "nil_tol"),
+    "log_grid eps_min": (lambda: perturb.log_grid(None, 1e-2, 5), "eps_min"),
+    "log_grid eps_max": (lambda: perturb.log_grid(1e-12, "abc", 5), "eps_max"),
+    "max_splitting eps": (lambda: perturb.max_splitting(np.eye(2), 1.0, np.eye(2), None), "eps"),
+    "sweep ep_eigenvalue": (lambda: perturb.sweep(np.eye(2), None, "generic", [1e-3, 1e-2], 2, 1), "ep_eigenvalue"),
+    "sweep eps_grid": (lambda: perturb.sweep(np.eye(2), 1.0, "generic", [1e-3, None], 2, 1), "eps_grid"),
+    "fit_slope window": (lambda: perturb.fit_slope([1e-3, 1e-2, 1e-1], np.ones((3, 2)), (None, 1)), "window"),
+    "pt_dimer omega0": (lambda: models.pt_dimer(None, 1.0), "omega0"),
+    "pt_trimer omega0": (lambda: models.pt_trimer("abc", 1.0), "omega0"),
+    "single_entry_coupling k": (lambda: models.single_entry_coupling(None, 3, 2), "k"),
+    "response_upper_bound xi_a": (lambda: compose.response_upper_bound(None, 1.0, np.ones((3, 2))), "xi_a"),
+}
+
+
+@pytest.mark.parametrize("call, name", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_an_unreadable_number_raises_parameter_error(call, name):
+    # each raised a bare TypeError, ValueError or OverflowError from float(), complex() or a comparison
+    with pytest.raises(ParameterError, match=name):
+        call()
+
+
+def test_a_numeric_string_reads_as_float_reads_it():
+    assert perturb.log_grid("1e-12", 1e-2, 5) == perturb.log_grid(1e-12, 1e-2, 5)
+    assert models.single_entry_coupling("1+2j", 3, 2)[0, 0] == 1 + 2j

@@ -293,7 +293,7 @@ def _svd_order(h):
     return None
 
 
-@pytest.mark.parametrize("dim", [30, 40, 60, 80])
+@pytest.mark.parametrize("dim", [10, 20, 30, 40, 60, 80])
 def test_detect_ep_on_large_jordan_blocks_takes_about_one_svd(monkeypatch, dim):
     # the SVD of N for ||N||_2; the power-step bracket settles almost every power test the
     # peak bracket leaves open, and the orders stay those of an SVD per power
