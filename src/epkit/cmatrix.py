@@ -8,6 +8,7 @@ non-finite entries.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -39,9 +40,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # validation helpers
 
+def _as_array(a, name: str) -> np.ndarray:
+    """np.asarray(a, dtype=complex); ParameterError where that fails, as for "abc", 10**400 or ragged rows."""
+    try:
+        return np.asarray(a, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"{name} must be an array of complex numbers ({exc})") from None
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite complex 2-d array (no copy when already valid)."""
-    m = np.asarray(a, dtype=complex)
+    m = _as_array(a, name)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeError(f"{name} must be a 2-d array with positive dimensions, got shape {m.shape}")
     if not np.isfinite(m).all():  # complex isfinite checks both parts, at any stride
@@ -64,8 +73,18 @@ def _as_number(name: str, value, kind: type = float):
         raise ParameterError(f"{name} must be a {'real' if kind is float else 'complex'} number, got {value!r}") from None
 
 
+def _as_index(name: str, value) -> int:
+    """value through operator.index, so numpy integers pass; ParameterError where int() would truncate or fail."""
+    if not isinstance(value, bool):  # operator.index(True) is 1
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def as_vector(v, name: str = "vector") -> np.ndarray:
-    w = np.asarray(v, dtype=complex)
+    w = _as_array(v, name)
     if w.ndim != 1 or w.shape[0] < 1:
         raise ShapeError(f"{name} must be a 1-d array with positive length, got shape {w.shape}")
     if not np.isfinite(w).all():

@@ -292,7 +292,8 @@ def composite_response(sys: CompositeSystem) -> float:
 
 def response_upper_bound(xi_a: float, xi_b: float, k) -> float:
     """Submultiplicative bound xi_a * xi_b * ||K||_2 on the composite response."""
-    return _upper_bound(cmatrix._as_number("xi_a", xi_a), cmatrix._as_number("xi_b", xi_b), cmatrix.spectral_norm(k))
+    return _upper_bound(cmatrix._as_number("xi_a", xi_a), cmatrix._as_number("xi_b", xi_b),
+                        cmatrix._spectral_norm(cmatrix.as_matrix(k, "K")))
 
 
 def _upper_bound(xi_a: float, xi_b: float, coupling_norm: float) -> float:

@@ -16,7 +16,6 @@ from . import cmatrix
 from .compose import CompositeSystem, block_compose
 from .ep_core import _check_positive
 from .errors import ParameterError, ParseError
-from .perturb import _index
 
 __all__ = [
     "pt_dimer",
@@ -52,7 +51,8 @@ def pt_trimer(omega0: float, g_b: float) -> np.ndarray:
 
 def single_entry_coupling(k: complex, n_b: int, n_a: int, row: int = 1, col: int = 1) -> np.ndarray:
     """n_b x n_a coupling matrix with a single entry k at 1-based (row, col); sizes and position are integers."""
-    n_b, n_a, row, col = _index("n_b", n_b), _index("n_a", n_a), _index("row", row), _index("col", col)
+    n_b, n_a = cmatrix._as_index("n_b", n_b), cmatrix._as_index("n_a", n_a)
+    row, col = cmatrix._as_index("row", row), cmatrix._as_index("col", col)
     if n_b < 1 or n_a < 1:
         raise ParameterError(f"coupling dimensions must be positive, got {n_b} x {n_a}")
     if not (1 <= row <= n_b and 1 <= col <= n_a):

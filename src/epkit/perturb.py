@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import threading
 from dataclasses import dataclass
 
@@ -53,19 +52,9 @@ def _splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _index(name: str, value) -> int:
-    """value through operator.index, so numpy integers pass; ParameterError where int() would truncate or fail."""
-    if not isinstance(value, bool):  # operator.index(True) is 1
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ParameterError(f"{name} must be an integer, got {value!r}")
-
-
 def _seed(seed: int) -> int:
     """seed as an int in [0, 2**64); ParameterError outside, where masking would alias another seed."""
-    seed = _index("seed", seed)
+    seed = cmatrix._as_index("seed", seed)
     if not 0 <= seed <= _MASK64:
         raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed}")
     return seed
@@ -73,7 +62,7 @@ def _seed(seed: int) -> int:
 
 def child_seed(seed: int, trial: int) -> int:
     """Per-trial seed: seed XOR splitmix64(trial)."""
-    return _seed(seed) ^ _splitmix64(_index("trial", trial))
+    return _seed(seed) ^ _splitmix64(cmatrix._as_index("trial", trial))
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -100,7 +89,7 @@ class SlopeFit:
 
 def random_generic(dim: int, seed: int) -> np.ndarray:
     """Dense perturbation as a read-only complex matrix; real parts drawn first, then imaginary parts."""
-    dim = _index("dim", dim)
+    dim = cmatrix._as_index("dim", dim)
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
     rng = _generator(seed)
@@ -117,7 +106,7 @@ def random_preserving(n_a: int, n_b: int, seed: int) -> np.ndarray:
     All blocks are generic except the n_a x n_b block coupling the downstream
     subsystem back into the upstream one, which is exactly zero.
     """
-    n_a, n_b = _index("n_a", n_a), _index("n_b", n_b)
+    n_a, n_b = cmatrix._as_index("n_a", n_a), cmatrix._as_index("n_b", n_b)
     if n_a < 1 or n_b < 1:
         raise ParameterError(f"block sizes must be >= 1, got {n_a} and {n_b}")
     full = random_generic(n_a + n_b, seed).copy()
@@ -221,13 +210,13 @@ def sweep(h, ep_eigenvalue: complex, mode: str, eps_grid, trials: int, seed: int
     h = cmatrix.as_square(h, "H")
     dim = h.shape[0]
     strengths = _strengths(eps_grid)
-    trials = _index("trials", trials)
+    trials = cmatrix._as_index("trials", trials)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if mode == "generic":
         draws = [random_generic(dim, child_seed(seed, t)) for t in range(trials)]
     elif mode == "preserving":
-        if n_a is None or not (1 <= _index("n_a", n_a) < dim):
+        if n_a is None or not (1 <= cmatrix._as_index("n_a", n_a) < dim):
             raise ParameterError("preserving mode needs the upstream block size n_a (1 <= n_a < dim)")
         draws = [random_preserving(n_a, dim - n_a, child_seed(seed, t)) for t in range(trials)]
     else:
@@ -287,7 +276,7 @@ def records_to_csv(eps_grid, splittings) -> str:
 def log_grid(eps_min: float, eps_max: float, points: int) -> list[float]:
     """Logarithmically spaced strength grid, endpoints included."""
     eps_min, eps_max = cmatrix._as_number("eps_min", eps_min), cmatrix._as_number("eps_max", eps_max)
-    points = _index("points", points)
+    points = cmatrix._as_index("points", points)
     if not (0.0 < eps_min < eps_max < math.inf) or points < 2:
         raise ParameterError("need finite 0 < eps_min < eps_max and points >= 2")
     return [float(e) for e in np.logspace(math.log10(eps_min), math.log10(eps_max), points)]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import epkit
-from epkit import compose, ep_core, jordan, models, perturb
+from epkit import cmatrix, compose, ep_core, jordan, models, perturb
 from epkit.errors import ParameterError
 
 TOLERANCE_NAMES = {"tol", "nil_tol", "rtol", "eps_mp"}
@@ -143,12 +143,23 @@ UNREADABLE = {
     "pt_trimer omega0": (lambda: models.pt_trimer("abc", 1.0), "omega0"),
     "single_entry_coupling k": (lambda: models.single_entry_coupling(None, 3, 2), "k"),
     "response_upper_bound xi_a": (lambda: compose.response_upper_bound(None, 1.0, np.ones((3, 2))), "xi_a"),
+    "spectral_norm str": (lambda: cmatrix.spectral_norm("abc"), "matrix"),
+    "spectral_norm overflow": (lambda: cmatrix.spectral_norm(10**400), "matrix"),
+    "detect_ep str": (lambda: ep_core.detect_ep("abc"), "H"),
+    "detect_ep overflow": (lambda: ep_core.detect_ep([[10**400]]), "H"),
+    "response_upper_bound k": (lambda: compose.response_upper_bound(1.0, 1.0, "abc"), "K"),
+    "max_splitting h": (lambda: perturb.max_splitting("abc", 0, "abc", 1.0), "H"),
+    "coupling_amplitude psi_ep_a": (
+        lambda: jordan.coupling_amplitude(jordan.jordan_chain(_dimer_report()), "abc", np.eye(2)), "psi_ep_a"
+    ),
+    "default_nil_tol None": (lambda: ep_core.default_nil_tol(None), "dim"),
+    "default_nil_tol str": (lambda: ep_core.default_nil_tol("x"), "dim"),
 }
 
 
 @pytest.mark.parametrize("call, name", UNREADABLE.values(), ids=UNREADABLE.keys())
 def test_an_unreadable_number_raises_parameter_error(call, name):
-    # each raised a bare TypeError, ValueError or OverflowError from float(), complex() or a comparison
+    # each raised a bare TypeError, ValueError or OverflowError from float(), complex(), np.asarray or a comparison
     with pytest.raises(ParameterError, match=name):
         call()
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 import helpers
-from epkit import cmatrix, ep_core
+from epkit import cmatrix, compose, ep_core, jordan
 from epkit.errors import (
     NumericalError,
     ParameterError,
@@ -60,6 +60,26 @@ def test_traceless_composite_blocks(system5):
     assert np.array_equal(n[:2, 2:], np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "reversed", "read_only"])
+def test_traceless_part_shifts_only_the_diagonal_in_any_layout(layout):
+    # N is a C-ordered copy of H with the mean taken off its diagonal: the values of H - mean * I, H left
+    # as it was, and a -0.0 off the diagonal kept as -0.0, where subtracting (-0.25 - 0.5j) * 0 made it +0.0
+    base = helpers.complex_uniform(helpers.philox(3), (12, 12)) - (0.25 + 0.5j)
+    h = {"C": base[:6, :6].copy(), "F": np.asfortranarray(base[:6, :6]), "strided": base[::2, ::2],
+         "reversed": base[::-2, ::-2], "read_only": base[:6, :6].copy()}[layout]
+    h[0, 1] = complex(-0.0, -0.0)
+    h.setflags(write=layout != "read_only")
+    before = h.copy()
+    mean, n = ep_core.traceless_part(h)
+    assert mean == complex(h.trace()) / 6
+    np.testing.assert_array_equal(n, h - mean * np.eye(6))
+    off = ~np.eye(6, dtype=bool)
+    assert n[off].tobytes() == h[off].tobytes()
+    assert np.signbit(n[0, 1].real) and np.signbit(n[0, 1].imag)
+    assert n.flags.c_contiguous
+    assert np.array_equal(h, before) and not np.shares_memory(n, h)
+
+
 def test_traceless_residual_trace():
     rng = helpers.philox(31)
     for _ in range(20):
@@ -97,6 +117,12 @@ def test_nilpotency_index_dimer():
 def test_nilpotency_index_composite(system5):
     _, n = ep_core.traceless_part(system5.h)
     assert ep_core.nilpotency_index(n) == 5
+
+
+@pytest.mark.parametrize("matrix", [[[0.0, 5e-324], [0.0, 0.0]], [[0.0, 1e-322], [0.0, 0.0]]])
+def test_only_the_zero_matrix_has_index_one(matrix):
+    # 0.99 * ||N||_2 rounds up to a subnormal ||N||_2, which once passed the k = 1 test
+    assert ep_core.nilpotency_index(matrix, 0.99) == 2
 
 
 def test_nilpotency_index_threshold_is_scale_aware():
@@ -259,6 +285,56 @@ def test_norm_at_most_near_the_power_step_bracket_matches_spectral_norm(case):
     assert helpers.norm_at_most(p, bound) == (cmatrix.spectral_norm(p) <= bound)
 
 
+@st.composite
+def singular_value_profiles(draw):
+    """A complex dim x dim U diag(s) V^H, dims 1-40, with s rank one, rank deficient, clustered or graded.
+
+    It is scaled by 10**e, e in [-140, 140] with the edges of the Gram stage's window (1e+-75) drawn
+    often, or so that its largest entry is subnormal.
+    """
+    dim = draw(st.integers(1, 40))
+    rng = helpers.philox(draw(st.integers(0, 2**32 - 1)))
+    profile = draw(st.sampled_from(["rank_one", "deficient", "clustered", "graded"]))
+    if profile == "rank_one":
+        s = np.zeros(dim)
+        s[0] = 1.0
+    elif profile == "deficient":
+        s = rng.uniform(0.1, 1.0, dim)
+        s[draw(st.integers(1, dim)):] = 0.0
+    elif profile == "clustered":
+        s = 1.0 - draw(st.sampled_from([1e-12, 1e-8, 1e-4, 1e-2])) * rng.random(dim)
+    else:
+        s = draw(st.sampled_from([0.1, 0.5, 0.9, 0.99])) ** np.arange(dim)
+    u, _ = np.linalg.qr(helpers.complex_uniform(rng, (dim, dim)))
+    v, _ = np.linalg.qr(helpers.complex_uniform(rng, (dim, dim)))
+    m = (u * s) @ v.conj().T
+    if draw(st.booleans()):
+        exponent = draw(st.sampled_from([-76, -75, -74, 74, 75, 76]))
+    else:
+        exponent = draw(st.integers(-140, 140))
+    if draw(st.integers(0, 9)) == 0:
+        return m * (1e-310 / np.abs(m).max())  # a subnormal peak
+    return m * 10.0**exponent
+
+
+@settings(deadline=None, max_examples=300)
+@given(singular_value_profiles(), st.floats(0.0, 1.0), st.sampled_from(_NEAR))
+def test_gram_stage_holds_the_spectral_norm(m, t, near):
+    bracket = ep_core._NormBracket(m)
+    with ep_core._overflow_scope():  # narrow runs inside its caller's scope, as in epkit
+        while bracket.stage < 3:
+            bracket.narrow()
+        # the upper end of the Gram stage; a square of M^H M may overflow to inf outside its window
+        gram_end = (1.0 + ep_core._BRACKET_SLACK) * np.sqrt(cmatrix.frobenius_norm(m.conj().T @ m))
+    norm, frob = cmatrix.spectral_norm(m), cmatrix.frobenius_norm(m)
+    assert bracket.lo <= norm <= bracket.hi
+    bounds = [near * norm, near * gram_end]
+    if 0.0 < gram_end < frob:  # a bound between the Gram end and ||M||_F, which the power step leaves open
+        bounds.append(gram_end * (frob / gram_end) ** t)
+    for bound in bounds:
+        assert helpers.norm_at_most(m, bound) == (norm <= bound)
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.integers(1, 40), st.integers(1, 40), st.sampled_from(_TAILS), st.sampled_from(_SCALES),
        st.sampled_from(["spectral", "est", "frobenius"]), st.sampled_from(_NEAR), st.integers(0, 2**32 - 1))
@@ -303,6 +379,29 @@ def test_detect_ep_on_large_jordan_blocks_takes_about_one_svd(monkeypatch, dim):
     counts = helpers.count_linalg(monkeypatch, "svd")
     assert [ep_core.detect_ep(h).order for h in hams] == expected
     assert counts["svd"] <= 1.1 * len(hams)
+
+
+def test_detect_ep_and_jordan_chain_on_a_chain_of_six_dimers_take_no_svd(monkeypatch):
+    # the 12 x 12 composite that CI analyzes: the Gram stage settles every power test the power step leaves open
+    rng = helpers.philox(12)
+    h = compose.compose_many(
+        [pt_dimer(1.0, 1.0 + 0.1 * j) for j in range(6)], [helpers.complex_uniform(rng, (2, 2 * j)) for j in range(1, 6)]
+    ).h
+    counts = helpers.count_linalg(monkeypatch, "svd")
+    report = ep_core.detect_ep(h)
+    jordan.jordan_chain(report)
+    assert report.order == 12
+    assert counts == {"svd": 0}
+
+
+@pytest.mark.parametrize("dim, most", [(20, 0.5), (30, 0.3), (40, 0.2)])
+def test_detect_ep_on_transformed_jordan_blocks_rarely_takes_an_svd(monkeypatch, dim, most):
+    # an SVD of N is left only where the Gram end sqrt(||N^H N||_F) does not settle the deciding power test
+    hams = [helpers.transformed_jordan_block(helpers.philox(seed), dim) for seed in range(20)]
+    counts = helpers.count_linalg(monkeypatch, "svd")
+    for h in hams:
+        ep_core.detect_ep(h)
+    assert counts["svd"] <= most * len(hams)
 
 
 def _index_family(family):
