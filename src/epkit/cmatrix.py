@@ -53,7 +53,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = _as_array(a, name)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeError(f"{name} must be a 2-d array with positive dimensions, got shape {m.shape}")
-    if not np.isfinite(m).all():  # complex isfinite checks both parts, at any stride
+    if not np.logical_and.reduce(np.isfinite(m), axis=None):  # complex isfinite checks both parts, at any stride
         raise ParameterError(f"{name} contains non-finite entries")
     return m
 
@@ -83,11 +83,19 @@ def _as_index(name: str, value) -> int:
     raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
+def _as_list(name: str, items) -> list:
+    """list(items); ParameterError where items is not iterable, as None or a single number is not."""
+    try:
+        return list(items)
+    except TypeError:
+        raise ParameterError(f"{name} must be a sequence, got {items!r}") from None
+
+
 def as_vector(v, name: str = "vector") -> np.ndarray:
     w = _as_array(v, name)
     if w.ndim != 1 or w.shape[0] < 1:
         raise ShapeError(f"{name} must be a 1-d array with positive length, got shape {w.shape}")
-    if not np.isfinite(w).all():
+    if not np.logical_and.reduce(np.isfinite(w), axis=None):
         raise ParameterError(f"{name} contains non-finite entries")
     return w
 

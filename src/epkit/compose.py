@@ -236,8 +236,7 @@ def compose_many(hams, couplings) -> CompositeSystem:
     DegenerateCouplingError naming the achieved order, and the last level's C
     is certified by the result's report.
     """
-    hams = list(hams)
-    couplings = list(couplings)
+    hams, couplings = cmatrix._as_list("hams", hams), cmatrix._as_list("couplings", couplings)
     if len(hams) < 2 or len(couplings) != len(hams) - 1:
         raise ParameterError(
             f"need at least two subsystems and exactly len(hams)-1 couplings, got {len(hams)} and {len(couplings)}"

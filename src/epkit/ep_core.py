@@ -32,6 +32,22 @@ _HUGE = float(np.finfo(float).max)
 #: 1e-13 of ||M||_2, so the 1e-10 rank-one check is sure to pass.
 _RANK_ONE_MARGIN = 1e-13
 
+#: Largest nil_tol at which _top_power takes the flushed N of an order-2 point
+#: as rank one without _power_step.  A traceless 2x2 N has N^2 = -det(N) I, so
+#: ||N^2||_2 = sigma_1 * sigma_2, and the k = 2 test that certified the order
+#: (which holds at the norms the SVD returns, and the product N N is within
+#: 8 * eps * sigma_1^2 of N^2) gives sigma_2 <= (nil_tol + 16 * eps) * sigma_1.
+#: The flush zeroes at most three entries, each below nil_tol * sigma_1 (the
+#: largest, at least sigma_1 / 2, is kept), so by Weyl's inequalities the
+#: flushed P has s_2 / s_1 <= rho = (1 + sqrt(3)) * nil_tol * (1 + 2e-7)
+#: + 4e-15.  Then ||P||_F - s_1 <= s_1 * rho^2 / 2.  The power step from the
+#: row holding the largest entry, whose weight along the top left singular
+#: vector is at least (1 - 3 rho^2) / 4, gives est >= s_1 * (1 - 2 rho^4), and
+#: both are computed to a few eps.  At nil_tol = 5e-8, rho <= 1.37e-7 and
+#: ||P||_F - est <= 9.4e-15 * ||P||_F, more than 10x inside _RANK_ONE_MARGIN,
+#: so the step can only return ||P||_F.  The default nil_tol at dim 2 is 2e-10.
+_ORDER_TWO_TOL = 5e-8
+
 #: _power_step trusts its bracket for ||M||_F in [1/_RANK_ONE_RANGE,
 #: _RANK_ONE_RANGE].  There every square it sums is a normal double or far
 #: below the total, so neither overflow nor gradual underflow can fake agreement.
@@ -125,9 +141,12 @@ def _mean_eigenvalue(diagonal: np.ndarray) -> complex:
     NumericalError when the mean or a diagonal entry of N = H - mean * I
     leaves the double range; off the diagonal N is H itself, so this checks
     all of N.  compose_many reads each level's mean from its blocks' diagonals.
+    The sum and the check call np.add.reduce and np.logical_and.reduce
+    directly: ndarray.sum and ndarray.all reach the same C loops, so the bits
+    are the same, through numpy's Python-level wrappers.
     """
-    mean = complex(diagonal.sum()) / diagonal.size
-    if not (cmath.isfinite(mean) and np.isfinite(diagonal - mean).all()):
+    mean = complex(np.add.reduce(diagonal)) / diagonal.size
+    if not (cmath.isfinite(mean) and np.logical_and.reduce(np.isfinite(diagonal - mean), axis=None)):
         raise NumericalError("the trace or traceless part of H overflows a double")
     return mean
 
@@ -230,7 +249,7 @@ class _NormBracket:
         self.m = m
         self.mods = mods = np.abs(m)
         self.at = int(mods.argmax())  # the flat index of the first largest |m_ij|, NaN included
-        peak = float(mods.ravel()[self.at])  # mods.max() without numpy's Python-level wrapper
+        peak = mods.item(self.at)  # mods.max() without numpy's Python-level wrapper
         if not peak <= _HUGE:
             raise NumericalError("a power of N overflows a double")
         if peak == 0.0:
@@ -315,26 +334,38 @@ def _top_power(top: _NormBracket | None, nil_tol: float, norm: _NormBracket) -> 
     nil_tol * ||N||_2^(n-1), so flushing it restores the exact block pattern
     (and makes structurally zero traces exactly zero) without touching any
     certified entry.  The power of a full-order point has rank one.  The
-    flush is settled on norm, the bracket of ||N||_2: the entries under the
-    threshold are nested in it, so they are the same at both ends of the
-    bracket exactly when their count is.  The flush keeps the first largest
-    entry unless it zeroes every entry, so that entry still locates the peak
-    of the flushed power for _rank_one_norm.  A flush that removes more than
-    nil_tol of the kept norm, ||flushed part||_F > nil_tol * xi, took a
-    certified entry and raises NumericalError; a power flushed to zero
-    (xi = 0) is left to _detect.
+    flush takes the entries strictly below the threshold, so an entry that
+    the threshold rounds up to (as nil_tol * ||N||_2 can for a subnormal
+    ||N||_2) is kept.  It is settled on norm, the bracket of ||N||_2: the
+    entries under the threshold are nested in it, so they are the same at
+    both ends of the bracket exactly when their count is.  When the smallest
+    entry is not below nil_tol * norm.hi^(n-1), the largest threshold the
+    bracket allows, nothing is flushed anywhere in it and the count is not
+    taken; the dimer's, the trimer's and a transformed block's top powers
+    have no zero entry, so theirs end there.  The flush keeps the first
+    largest entry unless it zeroes every entry, so that entry still locates
+    the peak of the flushed power for _rank_one_norm.  At n = 2 and nil_tol
+    at most _ORDER_TWO_TOL the flushed N is rank one far inside the margin of
+    _rank_one_norm, which then returns its ||.||_F without the power step.
+    A flush that removes more than nil_tol of the kept norm,
+    ||flushed part||_F > nil_tol * xi, took a certified entry and raises
+    NumericalError; a power flushed to zero (xi = 0) is left to _detect.
     """
     dim = norm.m.shape[0]
     if top is None:
         top = _NormBracket(np.ones((1, 1), dtype=complex))
     power = top.m.copy() if top is norm else top.m
     mods = np.abs(power) if top.mods is None else top.mods
-    flushed = norm.settle(lambda b: np.count_nonzero(mods <= nil_tol * _norm_power(b, dim - 1)))
+    try:
+        empty = np.minimum.reduce(mods, axis=None) >= nil_tol * _norm_power(norm.hi, dim - 1)
+    except NumericalError:  # the largest threshold leaves the double range and rules nothing out
+        empty = False
+    flushed = 0 if empty else norm.settle(lambda b: np.count_nonzero(mods < nil_tol * _norm_power(b, dim - 1)))
     if flushed:
-        flush = mods <= nil_tol * _norm_power(norm.lo, dim - 1)
+        flush = mods < nil_tol * _norm_power(norm.lo, dim - 1)
         power[flush] = 0.0
     power.setflags(write=False)
-    xi = _rank_one_norm(power, "N^(n-1)", mods, top.at)
+    xi = _rank_one_norm(power, "N^(n-1)", mods, top.at, certified=(dim == 2 and nil_tol <= _ORDER_TWO_TOL))
     if flushed and xi > 0.0:
         x = mods[flush] / xi  # in units of xi a square overflows only far above the threshold
         if not x.dot(x) <= nil_tol * nil_tol:
@@ -355,7 +386,7 @@ def _power_step(m: np.ndarray, mods: np.ndarray, at: int | None = None,
     so is frob, ||M||_F as cmatrix._frobenius_norm takes it.
     """
     top, col = divmod(int(mods.argmax()) if at is None else at, m.shape[1])
-    peak = float(mods[top, col])
+    peak = mods.item(top, col)
     if frob is None:
         frob = cmatrix._frobenius_norm(m)
     if not 1.0 / _RANK_ONE_RANGE <= frob <= _RANK_ONE_RANGE:
@@ -366,7 +397,7 @@ def _power_step(m: np.ndarray, mods: np.ndarray, at: int | None = None,
 
 
 def _rank_one_norm(m: np.ndarray, name: str, mods: np.ndarray | None = None, at: int | None = None,
-                   frob: float | None = None) -> float:
+                   frob: float | None = None, certified: bool = False) -> float:
     """||M||_2 of a finite rank-one M; NumericalError when ||M||_2 and ||M||_F differ beyond 1e-10 relative.
 
     The power step of _power_step certifies rank one without an SVD: when
@@ -375,7 +406,15 @@ def _rank_one_norm(m: np.ndarray, name: str, mods: np.ndarray | None = None, at:
     for ||M||_F outside the _RANK_ONE_RANGE window, one SVD decides.  mods,
     |M| unless given, need only hold the first largest |m_ij| where |M| does;
     at is that entry's flat index and frob is ||M||_F, as _power_step takes them.
+    certified says the caller has proven ||M||_F - est within a tenth of the
+    margin, as _top_power has for the flushed N of an order-2 point (see
+    _ORDER_TWO_TOL); then ||M||_F inside the window is returned without the
+    power step, as the step could return nothing else.
     """
+    if certified:
+        frob = cmatrix._frobenius_norm(m) if frob is None else frob
+        if 1.0 / _RANK_ONE_RANGE <= frob <= _RANK_ONE_RANGE:
+            return frob
     est, frob = _power_step(m, np.abs(m) if mods is None else mods, at, frob)
     if est is not None and abs(frob - est) <= _RANK_ONE_MARGIN * frob:
         return frob

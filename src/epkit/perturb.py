@@ -176,8 +176,9 @@ def max_splitting(h, ep_eigenvalue: complex, h1, eps: float) -> float:
 
 
 def _strengths(eps_grid) -> np.ndarray:
-    """eps_grid as a float array; ParameterError unless it is strictly ascending, positive and finite."""
-    strengths = np.array([cmatrix._as_number("eps_grid", e) for e in eps_grid], dtype=float)
+    """eps_grid as a float array; ParameterError unless it is a strictly ascending, positive and finite sequence."""
+    values = cmatrix._as_list("eps_grid", eps_grid)
+    strengths = np.array([cmatrix._as_number("eps_grid", e) for e in values], dtype=float)
     if not (len(strengths) and np.isfinite(strengths).all() and strengths[0] > 0 and (np.diff(strengths) > 0).all()):
         raise ParameterError("eps_grid must be strictly ascending, positive and finite")
     return strengths
@@ -188,7 +189,7 @@ def _table(eps_grid, splittings) -> tuple[np.ndarray, np.ndarray]:
     strengths = _strengths(eps_grid)
     try:
         table = np.asarray(splittings, dtype=float)
-    except ValueError:  # ragged rows, or an entry that is not a number
+    except (TypeError, ValueError):  # ragged rows, or an entry that is not a real number
         raise ShapeError("splittings must have one row per strength and >= 1 trial, got a ragged or non-numeric table") from None
     if table.ndim != 2 or table.shape[0] != len(strengths) or table.size == 0:
         raise ShapeError(f"splittings must have one row per strength and >= 1 trial, got shape {table.shape}")

@@ -86,9 +86,9 @@ def reference_detect(h, nil_tol=None):
     """detect_ep in plain numpy: (order, ep_eigenvalue, N, top_power, xi), or NumericalError where it must raise one.
 
     N = H - mean * np.eye(n), the order from reference_nilpotency_index, the top power from
-    left_power flushed at nil_tol * ||N||_2^(n-1) with ||N||_2 from an SVD, and rank one and
-    xi decided as ep_core._rank_one_norm documents, with the SVD's sigma_1 in place of the power-step
-    estimate.  A flush removing more than nil_tol * xi in Frobenius norm raises NumericalError, with
+    left_power with its entries strictly below nil_tol * ||N||_2^(n-1) flushed, ||N||_2 from an
+    SVD, and rank one and xi decided as ep_core._rank_one_norm documents, with the SVD's sigma_1
+    in place of the power-step estimate.  A flush removing more than nil_tol * xi in Frobenius norm raises NumericalError, with
     ep_core._top_power's arithmetic.  ||N||_2^dim must stay inside the double range.
     """
     h = np.asarray(h, dtype=complex)
@@ -104,7 +104,7 @@ def reference_detect(h, nil_tol=None):
             return order, mean, nmat, None, None
         power = left_power(nmat, n - 1)
         mods = np.abs(power)
-        flush = mods <= tol * float(np.linalg.svd(nmat, compute_uv=False)[0]) ** (n - 1)
+        flush = mods < tol * float(np.linalg.svd(nmat, compute_uv=False)[0]) ** (n - 1)
         power[flush] = 0.0
         frob = float(np.linalg.norm(power))
     spec = float(np.linalg.svd(power, compute_uv=False)[0])

@@ -127,7 +127,8 @@ def _dimer_report():
     return ep_core.detect_ep(models.pt_dimer(1.0, 1.5))
 
 
-#: (a public call given one number that float() or complex() cannot read, the parameter it names)
+#: (a public call given one number that float() or complex() cannot read, or one sequence that is not
+#: iterable, the parameter it names)
 UNREADABLE = {
     "predicted_splitting eps": (lambda: ep_core.predicted_splitting(_dimer_report(), np.eye(2), None), "eps"),
     "greens_function None": (lambda: ep_core.greens_function(_dimer_report(), None), "energy"),
@@ -138,10 +139,16 @@ UNREADABLE = {
     "max_splitting eps": (lambda: perturb.max_splitting(np.eye(2), 1.0, np.eye(2), None), "eps"),
     "sweep ep_eigenvalue": (lambda: perturb.sweep(np.eye(2), None, "generic", [1e-3, 1e-2], 2, 1), "ep_eigenvalue"),
     "sweep eps_grid": (lambda: perturb.sweep(np.eye(2), 1.0, "generic", [1e-3, None], 2, 1), "eps_grid"),
+    "sweep eps_grid None": (lambda: perturb.sweep(np.eye(2), 1.0, "generic", None, 2, 1), "eps_grid"),
+    "records_to_csv eps_grid number": (lambda: perturb.records_to_csv(1e-3, [[1.0]]), "eps_grid"),
     "fit_slope window": (lambda: perturb.fit_slope([1e-3, 1e-2, 1e-1], np.ones((3, 2)), (None, 1)), "window"),
     "pt_dimer omega0": (lambda: models.pt_dimer(None, 1.0), "omega0"),
     "pt_trimer omega0": (lambda: models.pt_trimer("abc", 1.0), "omega0"),
     "single_entry_coupling k": (lambda: models.single_entry_coupling(None, 3, 2), "k"),
+    "compose_many hams None": (lambda: compose.compose_many(None, []), "hams"),
+    "compose_many couplings None": (
+        lambda: compose.compose_many([models.pt_dimer(1.0, 1.5)] * 2, None), "couplings"
+    ),
     "response_upper_bound xi_a": (lambda: compose.response_upper_bound(None, 1.0, np.ones((3, 2))), "xi_a"),
     "spectral_norm str": (lambda: cmatrix.spectral_norm("abc"), "matrix"),
     "spectral_norm overflow": (lambda: cmatrix.spectral_norm(10**400), "matrix"),

@@ -56,6 +56,15 @@ def test_analyze_matrix_file(capsys, tmp_path):
     assert json.loads(out)["order"] == 2
 
 
+def test_analyze_subnormal_nilpotent_at_a_large_tol(capsys, tmp_path):
+    # nil_tol * ||N||_2 rounds up to the one nonzero entry; it is kept, not flushed to a failure (exit 4)
+    path = write_json(tmp_path / "m.json", cmatrix.matrix_to_json(np.array([[0.0, 5e-324], [0.0, 0.0]])))
+    code, out, _ = run(capsys, ["analyze", "--input", path, "--tol", "0.75"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["order"] == 2 and payload["response_strength"] == 5e-324
+
+
 def test_analyze_writes_output_file(capsys, tmp_path, trimer_file):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, ["analyze", "--input", trimer_file, "--out", str(out_path)])

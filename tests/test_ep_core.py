@@ -125,6 +125,19 @@ def test_only_the_zero_matrix_has_index_one(matrix):
     assert ep_core.nilpotency_index(matrix, 0.99) == 2
 
 
+@pytest.mark.parametrize("entry, nil_tol", [(5e-324, 0.74), (5e-324, 0.75), (1e-323, 0.75), (2e-323, 0.99),
+                                            (5e-324, 0.5)])
+@pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
+def test_subnormal_nilpotent_reports_order_two_with_its_entry(entry, nil_tol, lower):
+    # from nil_tol = 0.74 up, nil_tol * ||N||_2 rounds up to the entry itself (at 0.5 it rounds down to 0); the
+    # flush takes only entries strictly below it, where it once took the entry and raised "N^1 is flushed to zero"
+    n = np.array([[0.0, 0.0], [entry, 0.0]]) if lower else np.array([[0.0, entry], [0.0, 0.0]])
+    report = ep_core.detect_ep(n, nil_tol)
+    assert report.order == 2
+    assert report.response_strength == entry
+    assert report.top_power.tobytes() == n.astype(complex).tobytes()
+
+
 def test_nilpotency_index_threshold_is_scale_aware():
     n = jordan_block(3) * 1e6
     assert ep_core.nilpotency_index(n) == 3
@@ -507,8 +520,8 @@ def test_nilpotency_index_matches_the_exact_norm_reference(data):
 @settings(deadline=None, max_examples=200)
 @given(data=st.data())
 def test_top_power_flush_matches_the_exact_norm_reference(data):
-    # the flushed N^(n-1) is byte for byte the one flushed at nil_tol * spectral_norm(N)^(n-1),
-    # also where nil_tol puts the threshold on an entry
+    # the flushed N^(n-1) is byte for byte the one whose entries strictly below nil_tol * spectral_norm(N)^(n-1)
+    # are flushed, also where nil_tol puts the threshold on an entry, which is then kept
     n = data.draw(nilpotent_inputs())
     dim = n.shape[0]
     power = helpers.left_power(n, dim - 1)
@@ -517,7 +530,7 @@ def test_top_power_flush_matches_the_exact_norm_reference(data):
     nil_tol = data.draw(placed_nil_tols(sorted(set(entries.tolist()))))
     nil_tol = ep_core.default_nil_tol(dim) if nil_tol is None else nil_tol
     mods = np.abs(power)
-    flush = mods <= nil_tol * scale
+    flush = mods < nil_tol * scale
     power[flush] = 0.0
     try:
         with ep_core._overflow_scope():  # _top_power runs inside its caller's scope, as in epkit

@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
@@ -70,16 +70,22 @@ def certification_inputs(draw, families=FAMILIES):
     return h
 
 
+def nil_tols():
+    """None (default_nil_tol), or a nil_tol from 1e-12 to 1e-4 that falls on either side of ep_core._ORDER_TWO_TOL."""
+    near_cap = st.sampled_from([0.98, 1.0, 1.02]).map(lambda f: f * ep_core._ORDER_TWO_TOL)
+    return st.one_of(st.none(), near_cap, st.floats(-12.0, -4.0).map(lambda e: 10.0**e))
+
+
 @settings(deadline=None, max_examples=400)
-@given(certification_inputs())
-def test_detect_ep_matches_the_plain_reference_bit_for_bit(h):
+@given(certification_inputs(), nil_tols())
+def test_detect_ep_matches_the_plain_reference_bit_for_bit(h, nil_tol):
     try:
-        order, mean, nmat, power, xi = helpers.reference_detect(h)
+        order, mean, nmat, power, xi = helpers.reference_detect(h, nil_tol)
     except NumericalError:
         with pytest.raises(NumericalError):
-            ep_core.detect_ep(h)
+            ep_core.detect_ep(h, nil_tol)
         return
-    report = ep_core.detect_ep(h)
+    report = ep_core.detect_ep(h, nil_tol)
     assert report.order == order
     assert _bits(report.ep_eigenvalue) == _bits(mean)
     assert report.nilpotent.tobytes() == nmat.tobytes()
@@ -88,6 +94,46 @@ def test_detect_ep_matches_the_plain_reference_bit_for_bit(h):
     else:
         assert report.top_power.tobytes() == power.tobytes()
         assert _bits(report.response_strength) == _bits(xi)
+
+
+@st.composite
+def order_two_inputs(draw):
+    """A 2x2 H near or at an EP: the dimer, N = [[e, 1], [-e^2, -e]] and [[0, 1], [d, 0]] (whose flush removes
+    the entries below nil_tol * ||N||_2), or a nilpotent u v^H plus a perturbation of 1e-16 to 1e-2, each
+    shifted by a random eigenvalue and scaled by 10**(-100 ... 100)."""
+    rng = helpers.philox(draw(st.integers(0, 2**32 - 1)))
+    eigenvalue = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    family = draw(st.sampled_from(["dimer", "exact", "corner", "perturbed"]))
+    small = 10.0 ** rng.uniform(-16.0, -2.0)
+    if family == "dimer":
+        n = pt_dimer(0.0, 10.0 ** rng.uniform(-1.0, 1.0))
+    elif family == "exact":
+        n = np.array([[small, 1.0], [-small * small, -small]])
+    elif family == "corner":
+        n = np.array([[0.0, 1.0], [small, 0.0]])
+    else:
+        u = helpers.complex_uniform(rng, 2)
+        n = np.outer(u, [u[1], -u[0]]) + small * helpers.complex_uniform(rng, (2, 2))  # (u v^H)^2 = 0
+    return 10.0 ** draw(st.integers(-100, 100)) * (n + eigenvalue * np.eye(2))
+
+
+@settings(deadline=None, max_examples=300)
+@given(order_two_inputs(), nil_tols())
+@example(np.array([[1.0, 1.0], [-1.0 + 4e-4, -1.0]]), 1e-3)  # not rank one: sigma_2 = 2e-4 passes k = 2 at 1e-3
+@example(np.array([[0.0, 1.0], [1e-12, 0.0]]), None)  # the flush removes the 1e-12 entry
+def test_order_two_response_strength_is_the_rank_one_norm_of_its_top_power(h, nil_tol):
+    # above ep_core._ORDER_TWO_TOL the power step and, where it leaves rank one open, an SVD decide; at or below it
+    # neither runs, and the response strength must be what they would return, bit for bit
+    try:
+        report = ep_core.detect_ep(h, nil_tol)
+    except NumericalError:
+        with pytest.raises(NumericalError):
+            helpers.reference_detect(h, nil_tol)
+        return
+    assume(report.is_full_ep)
+    with ep_core._overflow_scope():
+        want = ep_core._rank_one_norm(report.top_power, "N^(n-1)")
+    assert _bits(report.response_strength) == _bits(want)
 
 
 @settings(deadline=None, max_examples=300)

@@ -504,8 +504,8 @@ def test_fit_slope_rejects_bad_window():
 @pytest.mark.parametrize(
     "table",
     [[[1e-4], [1e-3]], [[1e-4], [1e-3], [1e-2], [1e-1]], [1e-4, 1e-3, 1e-2], np.zeros((3, 0)),
-     [[1e-4, 2e-4], [1e-3], [1e-2]], [[1e-4], [1e-3], ["x"]]],
-    ids=["too_few_rows", "too_many_rows", "one_dimensional", "no_trials", "ragged", "non_numeric"],
+     [[1e-4, 2e-4], [1e-3], [1e-2]], [[1e-4], [1e-3], ["x"]], [[1j], [2], [3]]],
+    ids=["too_few_rows", "too_many_rows", "one_dimensional", "no_trials", "ragged", "non_numeric", "complex"],
 )
 def test_fit_slope_and_csv_reject_a_table_not_one_row_per_strength(table):
     grid = [1e-8, 1e-6, 1e-4]
