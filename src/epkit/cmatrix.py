@@ -48,12 +48,22 @@ def _as_array(a, name: str) -> np.ndarray:
         raise ParameterError(f"{name} must be an array of complex numbers ({exc})") from None
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a non-empty a is finite, both parts of a complex one, at any stride.
+
+    The argmin of the np.isfinite mask is its first False, so one read there gives the bool
+    np.logical_and.reduce(mask, axis=None) gives, without the reduction's per-call cost.
+    """
+    finite = np.isfinite(a)
+    return finite.item(finite.argmin())
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite complex 2-d array (no copy when already valid)."""
+    """Coerce to a finite complex 2-d array (no copy when already valid); one _all_finite read checks the entries."""
     m = _as_array(a, name)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeError(f"{name} must be a 2-d array with positive dimensions, got shape {m.shape}")
-    if not np.logical_and.reduce(np.isfinite(m), axis=None):  # complex isfinite checks both parts, at any stride
+    if not _all_finite(m):
         raise ParameterError(f"{name} contains non-finite entries")
     return m
 
@@ -95,7 +105,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     w = _as_array(v, name)
     if w.ndim != 1 or w.shape[0] < 1:
         raise ShapeError(f"{name} must be a 1-d array with positive length, got shape {w.shape}")
-    if not np.logical_and.reduce(np.isfinite(w), axis=None):
+    if not _all_finite(w):
         raise ParameterError(f"{name} contains non-finite entries")
     return w
 

@@ -139,10 +139,10 @@ def _level(a, b, k: np.ndarray, coupling: _NormBracket, mean: complex, nilpotent
     degenerate coupling needs, to name the achieved order.  It raises what
     composite_response documents, inside the caller's _overflow_scope.
     """
-    c = b.top_power @ k @ a.top_power
+    c = b.top_power.dot(k).dot(a.top_power)
     frob = cmatrix._frobenius_norm(c)
     if not math.isfinite(frob):  # a non-finite entry makes ||C||_F non-finite too, so only then is C scanned
-        if not np.isfinite(c).all():
+        if not cmatrix._all_finite(c):
             raise NumericalError("the genericity product overflows a double")
         raise NumericalError("||C||_F of the genericity product overflows a double")
     dim = a.dim + b.dim
@@ -201,7 +201,7 @@ def _block_matrix(blocks: list[np.ndarray], couplings: list[np.ndarray]) -> np.n
 
 def _composite(h: np.ndarray, k: np.ndarray, rep_a: EpReport, rep_b: EpReport) -> CompositeSystem:
     """The CompositeSystem of an assembled H whose last coupling is K, rep_a certifying all but its last block."""
-    return CompositeSystem(h=h, k=k.copy(), ep_eigenvalue=complex(h.trace()) / h.shape[0], rep_a=rep_a, rep_b=rep_b)
+    return CompositeSystem(h=h, k=k.copy(), ep_eigenvalue=_mean_eigenvalue(h.diagonal()), rep_a=rep_a, rep_b=rep_b)
 
 
 def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL) -> CompositeSystem:
@@ -270,8 +270,8 @@ def genericity_product(sys: CompositeSystem) -> np.ndarray:
     leaves the double range raises NumericalError.
     """
     with _overflow_scope():
-        c = sys.rep_b.top_power @ sys.k @ sys.rep_a.top_power
-    if not np.isfinite(c).all():
+        c = sys.rep_b.top_power.dot(sys.k).dot(sys.rep_a.top_power)
+    if not cmatrix._all_finite(c):
         raise NumericalError("the genericity product overflows a double")
     return c
 

@@ -140,13 +140,12 @@ def _mean_eigenvalue(diagonal: np.ndarray) -> complex:
 
     NumericalError when the mean or a diagonal entry of N = H - mean * I
     leaves the double range; off the diagonal N is H itself, so this checks
-    all of N.  compose_many reads each level's mean from its blocks' diagonals.
-    The sum and the check call np.add.reduce and np.logical_and.reduce
-    directly: ndarray.sum and ndarray.all reach the same C loops, so the bits
-    are the same, through numpy's Python-level wrappers.
+    all of N.  compose reads each level's and each composite's mean here.  The
+    sum calls np.add.reduce, the C loop of ndarray.sum without its Python-level
+    wrapper, so the bits are the same; the check is one cmatrix._all_finite.
     """
     mean = complex(np.add.reduce(diagonal)) / diagonal.size
-    if not (cmath.isfinite(mean) and np.logical_and.reduce(np.isfinite(diagonal - mean), axis=None)):
+    if not (cmath.isfinite(mean) and cmatrix._all_finite(diagonal - mean)):
         raise NumericalError("the trace or traceless part of H overflows a double")
     return mean
 
@@ -188,7 +187,7 @@ def _nilpotency(nmat: np.ndarray, nil_tol: float) -> tuple[int | None, _NormBrac
     for k in range(2, dim + 1):
         below = norm
         try:
-            norm = _NormBracket(norm.m @ nmat)
+            norm = _NormBracket(norm.m.dot(nmat))
         except NumericalError:  # a non-finite power, raised after ||N||_2^k overflowing
             _norm_power(base.exact(), k)
             raise
@@ -270,7 +269,7 @@ class _NormBracket:
                 return
         elif self.stage == 2:
             m = self.m
-            gram = cmatrix._frobenius_norm(m.conj().T @ m)
+            gram = cmatrix._frobenius_norm(m.conj().T.dot(m))
             if 1.0 / _RANK_ONE_RANGE <= gram <= _RANK_ONE_RANGE:
                 self.stage, self.hi = 3, min(self.hi, (1.0 + _BRACKET_SLACK) * math.sqrt(gram))
                 return
@@ -339,10 +338,11 @@ def _top_power(top: _NormBracket | None, nil_tol: float, norm: _NormBracket) -> 
     ||N||_2) is kept.  It is settled on norm, the bracket of ||N||_2: the
     entries under the threshold are nested in it, so they are the same at
     both ends of the bracket exactly when their count is.  When the smallest
-    entry is not below nil_tol * norm.hi^(n-1), the largest threshold the
-    bracket allows, nothing is flushed anywhere in it and the count is not
-    taken; the dimer's, the trimer's and a transformed block's top powers
-    have no zero entry, so theirs end there.  The flush keeps the first
+    entry (an argmin read of the finite |M|) is not below nil_tol *
+    norm.hi^(n-1), the largest threshold the bracket allows, nothing is
+    flushed anywhere in it and the count is not taken; the dimer's, the
+    trimer's and a transformed block's top powers have no zero entry, so
+    theirs end there.  The flush keeps the first
     largest entry unless it zeroes every entry, so that entry still locates
     the peak of the flushed power for _rank_one_norm.  At n = 2 and nil_tol
     at most _ORDER_TWO_TOL the flushed N is rank one far inside the margin of
@@ -357,7 +357,7 @@ def _top_power(top: _NormBracket | None, nil_tol: float, norm: _NormBracket) -> 
     power = top.m.copy() if top is norm else top.m
     mods = np.abs(power) if top.mods is None else top.mods
     try:
-        empty = np.minimum.reduce(mods, axis=None) >= nil_tol * _norm_power(norm.hi, dim - 1)
+        empty = mods.item(mods.argmin()) >= nil_tol * _norm_power(norm.hi, dim - 1)
     except NumericalError:  # the largest threshold leaves the double range and rules nothing out
         empty = False
     flushed = 0 if empty else norm.settle(lambda b: np.count_nonzero(mods < nil_tol * _norm_power(b, dim - 1)))
@@ -391,8 +391,8 @@ def _power_step(m: np.ndarray, mods: np.ndarray, at: int | None = None,
         frob = cmatrix._frobenius_norm(m)
     if not 1.0 / _RANK_ONE_RANGE <= frob <= _RANK_ONE_RANGE:
         return None, frob
-    v = m @ (m[top].conj() / peak**2)  # scaled so that 1 <= ||v|| <= m.size
-    w = v.conj() @ m  # the conjugate of M^H v
+    v = m.dot(m[top].conj() / peak**2)  # scaled so that 1 <= ||v|| <= m.size
+    w = v.conj().dot(m)  # the conjugate of M^H v
     return math.sqrt(np.vdot(w, w).real / np.vdot(v, v).real), frob
 
 
@@ -559,8 +559,8 @@ def greens_function(report: EpReport, energy: complex) -> np.ndarray:
         term = np.eye(dim, dtype=complex) / delta
         for _ in range(report.order):
             g += term
-            term = term @ report.nilpotent / delta
-    if not np.isfinite(g).all():
+            term = term.dot(report.nilpotent) / delta
+    if not cmatrix._all_finite(g):
         raise NumericalError(f"the resolvent expansion overflows a double at energy {energy}")
     return g
 
@@ -636,13 +636,13 @@ def predicted_splitting(report: EpReport, h1, eps: float) -> SplittingPrediction
     with _overflow_scope():  # an H1 large enough to overflow the radicand raises NumericalError below
         n = report.dim
         power = report.top_power
-        product = power @ h1
+        product = power.dot(h1)
         trace_form = complex(np.trace(product))
         if n == 1:
             sandwich_form = trace_form
         else:
             psi = cmatrix.kernel_vector(report.nilpotent)
-            sandwich_form = complex(np.vdot(psi, product @ psi))
+            sandwich_form = complex(np.vdot(psi, product.dot(psi)))
         scale = max(cmatrix.frobenius_norm(power) * cmatrix.frobenius_norm(h1), _TINY)
         if abs(trace_form - sandwich_form) > 1e-10 * scale:
             raise NumericalError(

@@ -105,19 +105,19 @@ def _chain(report: EpReport) -> JordanChain:
     block = np.empty((n, n), dtype=complex)  # row l - 1 is j_l, all up to scale until scaled below
     np.divide(power[top].conj(), row_norms[top], out=block[-1])
     for l in range(n - 1, 0, -1):
-        np.matmul(nmat, block[l], out=block[l - 1])
+        nmat.dot(block[l], out=block[l - 1])
     block *= cmatrix._pivot_phase(block[0]) / cmatrix._frobenius_norm(block[0])
     block.setflags(write=False)
     norms = _row_norms(block).tolist()
     if not all(map(math.isfinite, norms)):  # an infinite ||j_n|| would pass every orthogonality test
         raise NumericalError("the norm of a Jordan vector overflows a double; no Jordan chain to certify")
 
-    shifted = block @ nmat.T  # row l - 1 is N j_l, and N j_l - j_(l-1) once the block is taken off one row down
+    shifted = block.dot(nmat.T)  # row l - 1 is N j_l, and N j_l - j_(l-1) once the block is taken off one row down
     shifted[1:] -= block[:-1]
     chain_res = tuple(_row_norms(shifted).tolist())
     norm_res = float(abs(np.vdot(block[0], block[0]).real - 1.0))
     last = block[-1]
-    ortho_res = tuple(np.abs(block[:-1] @ last.conj()).tolist())
+    ortho_res = tuple(np.abs(block[:-1].dot(last.conj())).tolist())
 
     def within_budget(nilpotent_norm: float) -> bool:
         budget = max(1e-10 * nilpotent_norm, _BUDGET_FLOOR)
@@ -157,4 +157,4 @@ def coupling_amplitude(chain_b: JordanChain, psi_ep_a, k) -> complex:
     if k.shape != (last.shape[0], psi.shape[0]):
         raise ShapeError(f"K has shape {k.shape}, expected {(last.shape[0], psi.shape[0])}")
     j_tilde = last / cmatrix._frobenius_norm(last)
-    return complex(np.vdot(j_tilde, k @ psi))
+    return complex(np.vdot(j_tilde, k.dot(psi)))

@@ -174,3 +174,17 @@ def test_an_unreadable_number_raises_parameter_error(call, name):
 def test_a_numeric_string_reads_as_float_reads_it():
     assert perturb.log_grid("1e-12", 1e-2, 5) == perturb.log_grid(1e-12, 1e-2, 5)
     assert models.single_entry_coupling("1+2j", 3, 2)[0, 0] == 1 + 2j
+
+
+@pytest.mark.parametrize("module", [cmatrix, ep_core, compose, jordan], ids=lambda m: m.__name__)
+def test_certification_products_go_through_ndarray_dot(module):
+    # the @ operator and np.matmul pay the matmul gufunc's dispatch on every small product, and run numpy's own
+    # loop on strides BLAS cannot take; ndarray.dot reaches the same BLAS call and copies such an operand first
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    found = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Attribute) and node.attr == "matmul"
+        or isinstance(node, ast.Name) and node.id == "matmul"
+    ]
+    assert found == []

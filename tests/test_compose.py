@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from epkit import cmatrix, compose, ep_core, jordan
+from epkit import cmatrix, compose, ep_core, jordan, models
 from epkit.errors import (
     DegenerateCouplingError,
     EpkitError,
@@ -688,6 +688,28 @@ def test_compose_many_raises_an_overflowing_intermediate_trace_as_the_fold_over_
     with pytest.raises(NumericalError) as expected:
         helpers.reference_compose_many(hams, ks)
     _same_error(info.value, expected.value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda h_a, h_b, k: compose.block_compose(h_a, h_b, k),
+    lambda h_a, h_b, k: compose.compose_many([h_a, h_b], [k]),
+    lambda h_a, h_b, k: models.dimer_trimer_system(5e307, 1.0, 1.0, 1.0),
+], ids=["block_compose", "compose_many", "dimer_trimer_system"])
+def test_a_composite_whose_trace_overflows_raises_at_once(build):
+    # each subsystem's trace is finite and only tr H overflows: no system with ep_eigenvalue inf+nanj is returned
+    h_a, h_b, k = pt_dimer(5e307, 1.0), pt_trimer(5e307, 1.0), single_entry_coupling(1.0, 3, 2)
+    with pytest.raises(NumericalError, match="the trace or traceless part of H overflows a double"):
+        build(h_a, h_b, k)
+
+
+def test_a_composite_mean_is_summed_as_the_trace_sums_it():
+    rng = helpers.philox(83)
+    for _ in range(50):
+        omega0 = 10.0 ** rng.uniform(-3.0, 3.0) * rng.choice([-1.0, 1.0])
+        system = compose.compose_many([pt_dimer(omega0, rng.uniform(0.5, 2.0)) for _ in range(3)],
+                                      [helpers.complex_uniform(rng, (2, 2 * j)) for j in (1, 2)])
+        want = complex(system.h.trace()) / system.dim
+        assert np.array([system.ep_eigenvalue]).tobytes() == np.array([want]).tobytes()
 
 
 def test_certification_takes_no_matrix_power(monkeypatch):
