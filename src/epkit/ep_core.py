@@ -373,8 +373,7 @@ def _top_power(top: _NormBracket | None, nil_tol: float, norm: _NormBracket) -> 
     return power, xi
 
 
-def _power_step(m: np.ndarray, mods: np.ndarray, at: int | None = None,
-                frob: float | None = None) -> tuple[float | None, float]:
+def _power_step(m: np.ndarray, mods: np.ndarray, at: int | None = None) -> tuple[float | None, float]:
     """(est, ||M||_F) of a finite M with mods = |M|, where est <= ||M||_2 <= ||M||_F.
 
     est = ||M^H v|| / ||v|| after one power step v = M r from r, the conjugate
@@ -382,13 +381,11 @@ def _power_step(m: np.ndarray, mods: np.ndarray, at: int | None = None,
     and this one is close to ||M||_2 when one singular value dominates.  est
     is None for ||M||_F outside [1/_RANK_ONE_RANGE, _RANK_ONE_RANGE], as when
     a square overflows to inf inside the caller's _overflow_scope.  at, the
-    flat index of the first largest entry of mods, is found unless given, and
-    so is frob, ||M||_F as cmatrix._frobenius_norm takes it.
+    flat index of the first largest entry of mods, is found unless given.
     """
     top, col = divmod(int(mods.argmax()) if at is None else at, m.shape[1])
     peak = mods.item(top, col)
-    if frob is None:
-        frob = cmatrix._frobenius_norm(m)
+    frob = cmatrix._frobenius_norm(m)
     if not 1.0 / _RANK_ONE_RANGE <= frob <= _RANK_ONE_RANGE:
         return None, frob
     v = m.dot(m[top].conj() / peak**2)  # scaled so that 1 <= ||v|| <= m.size
@@ -397,7 +394,7 @@ def _power_step(m: np.ndarray, mods: np.ndarray, at: int | None = None,
 
 
 def _rank_one_norm(m: np.ndarray, name: str, mods: np.ndarray | None = None, at: int | None = None,
-                   frob: float | None = None, certified: bool = False) -> float:
+                   certified: bool = False) -> float:
     """||M||_2 of a finite rank-one M; NumericalError when ||M||_2 and ||M||_F differ beyond 1e-10 relative.
 
     The power step of _power_step certifies rank one without an SVD: when
@@ -405,17 +402,17 @@ def _rank_one_norm(m: np.ndarray, name: str, mods: np.ndarray | None = None, at:
     then within 1e-13 of ||M||_2 and the 1e-10 check passes.  Otherwise, and
     for ||M||_F outside the _RANK_ONE_RANGE window, one SVD decides.  mods,
     |M| unless given, need only hold the first largest |m_ij| where |M| does;
-    at is that entry's flat index and frob is ||M||_F, as _power_step takes them.
+    at is that entry's flat index, as _power_step takes it.
     certified says the caller has proven ||M||_F - est within a tenth of the
     margin, as _top_power has for the flushed N of an order-2 point (see
     _ORDER_TWO_TOL); then ||M||_F inside the window is returned without the
     power step, as the step could return nothing else.
     """
     if certified:
-        frob = cmatrix._frobenius_norm(m) if frob is None else frob
+        frob = cmatrix._frobenius_norm(m)
         if 1.0 / _RANK_ONE_RANGE <= frob <= _RANK_ONE_RANGE:
             return frob
-    est, frob = _power_step(m, np.abs(m) if mods is None else mods, at, frob)
+    est, frob = _power_step(m, np.abs(m) if mods is None else mods, at)
     if est is not None and abs(frob - est) <= _RANK_ONE_MARGIN * frob:
         return frob
     spec = cmatrix._spectral_norm(m)
@@ -438,7 +435,8 @@ class EpReport:
     whose norm is the response strength; it is None unless the point has
     full order.  detect_ep's top_power is the power its power test examined,
     the left-to-right product N N ... N; a composite's, from the block
-    theorem, is [[0, 0], [C, 0]].
+    theorem, is [[0, 0], [C, 0]].  compose reads a top power through the
+    private pair _pair = (u, y), top_power = u y^H with unit y.
 
     nilpotent_norm, ||N||_2 of the traceless part N, is computed on first
     read and kept.  The thresholds that scale with it (the power tests, the
@@ -455,11 +453,24 @@ class EpReport:
     nil_tol: float
     top_power: np.ndarray | None
     _bracket: InitVar[_NormBracket | None] = None
+    _factors: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
 
-    def __post_init__(self, _bracket):
+    def __post_init__(self, _bracket, _factors):
         self.nilpotent.setflags(write=False)
-        if _bracket is not None:  # kept apart from _bracket, so that dataclasses.replace starts afresh
+        if _bracket is not None:  # each kept apart from its InitVar, so that dataclasses.replace starts afresh
             object.__setattr__(self, "_norm", _bracket)
+        if _factors is not None:
+            object.__setattr__(self, "_pair", _factors)
+
+    @cached_property
+    def _pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """(u, y), u y^H = top_power: y the unit conjugate of the largest row, that of the first largest entry."""
+        power = self.top_power
+        mods = np.abs(power)
+        row = int(mods.argmax()) // self.dim
+        y = power[row].conj()
+        y /= math.hypot(*mods[row].tolist())  # scaled, so no square over- or underflows
+        return power.dot(y), y
 
     @cached_property
     def _norm(self) -> _NormBracket:

@@ -192,14 +192,19 @@ def norm_at_most(power: np.ndarray, bound: float) -> bool:
 
 
 def reference_composite_response(system) -> float:
-    """composite_response with the degeneracy threshold read from system.coupling_norm and rank one decided by an SVD."""
+    """composite_response by the factored formula xi = |y_b^H K u_a| * xi_b, the threshold read from an SVD of K.
+
+    s = y_b^H K u_a is summed from the reports' own factors (u, y) as compose sums it, since on a nearly
+    nongeneric K its cancellation magnifies any other rounding; only the degeneracy threshold
+    1e-8 * xi_a * xi_b * ||K||_2, with ||K||_2 from system.coupling_norm, is decided apart.
+    """
     a, b = system.rep_a, system.rep_b
-    c = b.top_power @ system.k @ a.top_power
-    if cmatrix.frobenius_norm(c) <= 1e-8 * (a.response_strength * b.response_strength * system.coupling_norm):
+    xi = abs(complex(b._pair[1].conj().dot(system.k.dot(a._pair[0])))) * b.response_strength
+    if not np.isfinite(xi * xi):
+        raise NumericalError("the composite response strength overflows a double when squared")
+    if xi <= 1e-8 * (a.response_strength * b.response_strength * system.coupling_norm):
         raise DegenerateCouplingError("coupling is degenerate")
-    if rank_one_svd_rejects(c):
-        raise NumericalError("the genericity product is not numerically rank one")
-    return float(np.linalg.svd(c, compute_uv=False)[0])
+    return xi
 
 
 def reference_compose_many(hams, couplings):

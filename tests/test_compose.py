@@ -1,5 +1,8 @@
 """Tests for hierarchical composition through unidirectional coupling."""
 
+import re
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +82,28 @@ def test_coupling_shape_error():
 def test_subsystems_must_be_full_order():
     with pytest.raises(PreconditionError):
         compose.block_compose(np.diag([1.0, 2.0]), pt_trimer(1.0, 1.3), np.zeros((3, 2)))
+
+
+def hand_built(**changes):
+    """A CompositeSystem built field by field from the dimer-trimer composite, with some fields changed."""
+    system = dimer_trimer()
+    fields = dict(h=system.h, k=system.k, ep_eigenvalue=system.ep_eigenvalue, rep_a=system.rep_a, rep_b=system.rep_b)
+    return compose.CompositeSystem(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("label", ["a", "b"])
+def test_a_hand_built_system_with_a_partial_report_raises_precondition_error(label):
+    # a report with order None has no top power to factor, so the system is refused where it is built
+    partial = ep_core.detect_ep(np.diag([1.0, 2.0]) if label == "a" else np.diag([1.0, 2.0, 3.0]))
+    with pytest.raises(PreconditionError, match=f"subsystem {label} is not at a full-order exceptional point"):
+        hand_built(**{f"rep_{label}": partial})
+
+
+@pytest.mark.parametrize("field, shape", [("k", (2, 3)), ("k", (3, 3)), ("h", (4, 4)), ("h", (5, 6))])
+def test_a_hand_built_system_of_the_wrong_shape_raises_shape_error(field, shape):
+    # a K or H that does not fit the reports' dims has no product with their factors
+    with pytest.raises(ShapeError, match=re.escape(f"{field.upper()} has shape {shape}")):
+        hand_built(**{field: np.zeros(shape, dtype=complex)})
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +201,37 @@ def test_composite_response_decides_as_the_coupling_norm_does(kind, data):
     assert error is expected_error
     if error is None:
         assert xi == pytest.approx(expected_xi, rel=1e-13)
+
+
+def exact_composite_xi(h_a, h_b, k) -> mpmath.mpf:
+    """||N_b^2 K N_a||_2 of a dimer H_a and a trimer H_b in 50-digit arithmetic, from their float entries."""
+    with mpmath.workdps(50):
+        n_a, n_b = (mpmath.matrix(h.tolist()) - sum(h.diagonal().tolist()) / h.shape[0] * mpmath.eye(h.shape[0])
+                    for h in (h_a, h_b))
+        c = n_b * n_b * mpmath.matrix(k.tolist()) * n_a
+        (p, q), (_, r) = (c.H * c).tolist()  # C^H C is 2x2 Hermitian: its largest eigenvalue in closed form
+        return mpmath.sqrt((p.real + r.real) / 2 + mpmath.sqrt(((p.real - r.real) / 2) ** 2 + abs(q) ** 2))
+
+
+@pytest.mark.parametrize("kind", ["single", "dense", "rank_one", "nearly_nongeneric"])
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_composite_response_is_within_four_units_of_the_exact_product(kind, data):
+    # xi = |y_b^H K u_a| * xi_b from the float factors, against C = N_b^2 K N_a formed in 50 digits.  The
+    # error allowed is 4 units of xi_a * xi_b * ||K||_2, where the rounding of s = y_b^H K u_a lands, plus
+    # 4 units of xi itself, which the rounded ||y_a||, ||y_b|| and xi_b scale
+    g_a, g_b, k = data.draw(coupled_pairs(kind))
+    h_a, h_b = pt_dimer(1.0, g_a), pt_trimer(1.0, g_b)
+    system = compose.block_compose(h_a, h_b, k)
+    scale = system.rep_a.response_strength * system.rep_b.response_strength * system.coupling_norm
+    exact = float(exact_composite_xi(h_a, h_b, k))
+    allowed = 4 * 2.0**-53 * (scale + exact)
+    error, xi = _response_outcome(compose.composite_response, system)
+    if error is DegenerateCouplingError:  # refused only where the exact xi is within rounding of the threshold
+        assert exact <= 1e-8 * scale + allowed
+    else:
+        assert error is None
+        assert abs(xi - exact) <= allowed
 
 
 @pytest.mark.parametrize("kind", ["single_entry", "dense"])
