@@ -157,7 +157,7 @@ def _factored(a, b, k: np.ndarray) -> tuple[complex, float]:
     """(s, xi) of the composite of a and b under K: s = y_b^H K u_a, so C = s u_b y_a^H and xi = ||C|| = |s| * xi_b.
 
     K is read C-ordered, so it sums in one order whatever its layout.  NumericalError unless xi * xi is finite,
-    as jordan_chain and predicted_splitting sum the squares of the top power.
+    as jordan_chain sums the squares of N^(n-1) y and predicted_splitting those of the top power.
     """
     s = complex(b._pair[1].conj().dot(np.ascontiguousarray(k).dot(a._pair[0])))
     xi = abs(s) * b.response_strength

@@ -27,29 +27,13 @@ DEFAULT_EPS_MP = 2.22e-16
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
 
-#: Largest relative gap between ||M||_F and a power-step lower bound on ||M||_2
+#: Largest relative gap between ||M||_F and the lower bound ||M y|| on ||M||_2
 #: that _rank_one_norm accepts without an SVD.  Inside it ||M||_F is within
 #: 1e-13 of ||M||_2, so the 1e-10 rank-one check is sure to pass.
 _RANK_ONE_MARGIN = 1e-13
 
-#: Largest nil_tol at which _top_power takes the flushed N of an order-2 point
-#: as rank one without _power_step.  A traceless 2x2 N has N^2 = -det(N) I, so
-#: ||N^2||_2 = sigma_1 * sigma_2, and the k = 2 test that certified the order
-#: (which holds at the norms the SVD returns, and the product N N is within
-#: 8 * eps * sigma_1^2 of N^2) gives sigma_2 <= (nil_tol + 16 * eps) * sigma_1.
-#: The flush zeroes at most three entries, each below nil_tol * sigma_1 (the
-#: largest, at least sigma_1 / 2, is kept), so by Weyl's inequalities the
-#: flushed P has s_2 / s_1 <= rho = (1 + sqrt(3)) * nil_tol * (1 + 2e-7)
-#: + 4e-15.  Then ||P||_F - s_1 <= s_1 * rho^2 / 2.  The power step from the
-#: row holding the largest entry, whose weight along the top left singular
-#: vector is at least (1 - 3 rho^2) / 4, gives est >= s_1 * (1 - 2 rho^4), and
-#: both are computed to a few eps.  At nil_tol = 5e-8, rho <= 1.37e-7 and
-#: ||P||_F - est <= 9.4e-15 * ||P||_F, more than 10x inside _RANK_ONE_MARGIN,
-#: so the step can only return ||P||_F.  The default nil_tol at dim 2 is 2e-10.
-_ORDER_TWO_TOL = 5e-8
-
-#: _power_step trusts its bracket for ||M||_F in [1/_RANK_ONE_RANGE,
-#: _RANK_ONE_RANGE].  There every square it sums is a normal double or far
+#: _power_step and _rank_one_norm trust ||M||_F in [1/_RANK_ONE_RANGE,
+#: _RANK_ONE_RANGE].  There every square they sum is a normal double or far
 #: below the total, so neither overflow nor gradual underflow can fake agreement.
 _RANK_ONE_RANGE = 1e150
 
@@ -320,33 +304,30 @@ def _norm_power(norm: float, exponent: int) -> float:
     return value
 
 
-def _top_power(top: _NormBracket | None, nil_tol: float, norm: _NormBracket) -> tuple[np.ndarray, float]:
-    """N^(n-1) with entries below the certification threshold flushed to 0, and its norm.
+def _top_power(top: _NormBracket | None, nil_tol: float,
+               norm: _NormBracket) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray]]:
+    """(N^(n-1) with entries below the certification threshold flushed to 0, its norm xi, its pair (u, y)).
 
     top is the bracket of N^(n-1) that _nilpotency built for the power test
-    (None for N^0 = I at n = 1), so the flush acts on exactly the power the
-    test examined and reuses its |M| (taken again if its bracket narrowed)
-    and the index of its first largest entry.  top.m is flushed in place,
-    unless it is N itself (n = 2), which is copied.  Matrix powers of a
-    numerically nilpotent N carry rounding residue in positions that are
-    structurally zero; the residue is orders of magnitude below
-    nil_tol * ||N||_2^(n-1), so flushing it restores the exact block pattern
-    (and makes structurally zero traces exactly zero) without touching any
-    certified entry.  The power of a full-order point has rank one.  The
-    flush takes the entries strictly below the threshold, so an entry that
-    the threshold rounds up to (as nil_tol * ||N||_2 can for a subnormal
-    ||N||_2) is kept.  It is settled on norm, the bracket of ||N||_2: the
-    entries under the threshold are nested in it, so they are the same at
-    both ends of the bracket exactly when their count is.  When the smallest
-    entry (an argmin read of the finite |M|) is not below nil_tol *
-    norm.hi^(n-1), the largest threshold the bracket allows, nothing is
-    flushed anywhere in it and the count is not taken; the dimer's, the
-    trimer's and a transformed block's top powers have no zero entry, so
-    theirs end there.  The flush keeps the first
-    largest entry unless it zeroes every entry, so that entry still locates
-    the peak of the flushed power for _rank_one_norm.  At n = 2 and nil_tol
-    at most _ORDER_TWO_TOL the flushed N is rank one far inside the margin of
-    _rank_one_norm, which then returns its ||.||_F without the power step.
+    (None for N^0 = I at n = 1), so the flush acts on the very power the test
+    examined and reuses its |M| (taken again if its bracket narrowed) and the
+    index of its first largest entry.  top.m is flushed in place, unless it
+    is N itself (n = 2), which is copied.  Powers of a numerically nilpotent
+    N carry rounding residue in structurally zero positions, orders of
+    magnitude below nil_tol * ||N||_2^(n-1); flushing it restores the exact
+    block pattern (and makes structurally zero traces exactly zero) without
+    touching a certified entry.  The flush takes the entries strictly below
+    the threshold, so one that the threshold rounds up to (as
+    nil_tol * ||N||_2 can for a subnormal ||N||_2) is kept.  It is settled on
+    norm, the bracket of ||N||_2: the entries under the threshold are nested
+    in it, so they are the same at both ends of the bracket exactly when
+    their count is.  When the smallest entry (an argmin read of the finite
+    |M|) is not below nil_tol * norm.hi^(n-1), the largest threshold the
+    bracket allows, nothing is flushed anywhere in it and the count is not
+    taken, as for the dimer's, the trimer's and a transformed block's top
+    powers, which have no zero entry.  The flush keeps the first largest
+    entry unless it zeroes every entry, and _rank_one_norm takes xi and the
+    pair from that entry's row; the power of a full-order point has rank one.
     A flush that removes more than nil_tol of the kept norm,
     ||flushed part||_F > nil_tol * xi, took a certified entry and raises
     NumericalError; a power flushed to zero (xi = 0) is left to _detect.
@@ -365,12 +346,12 @@ def _top_power(top: _NormBracket | None, nil_tol: float, norm: _NormBracket) -> 
         flush = mods < nil_tol * _norm_power(norm.lo, dim - 1)
         power[flush] = 0.0
     power.setflags(write=False)
-    xi = _rank_one_norm(power, "N^(n-1)", mods, top.at, certified=(dim == 2 and nil_tol <= _ORDER_TWO_TOL))
+    xi, pair = _rank_one_norm(power, top.at)
     if flushed and xi > 0.0:
         x = mods[flush] / xi  # in units of xi a square overflows only far above the threshold
         if not x.dot(x) <= nil_tol * nil_tol:
             raise NumericalError(f"the flush of N^{dim - 1} removes more than nil_tol = {nil_tol:g} of its norm")
-    return power, xi
+    return power, xi, pair
 
 
 def _power_step(m: np.ndarray, mods: np.ndarray, at: int | None = None) -> tuple[float | None, float]:
@@ -393,35 +374,28 @@ def _power_step(m: np.ndarray, mods: np.ndarray, at: int | None = None) -> tuple
     return math.sqrt(np.vdot(w, w).real / np.vdot(v, v).real), frob
 
 
-def _rank_one_norm(m: np.ndarray, name: str, mods: np.ndarray | None = None, at: int | None = None,
-                   certified: bool = False) -> float:
-    """||M||_2 of a finite rank-one M; NumericalError when ||M||_2 and ||M||_F differ beyond 1e-10 relative.
+def _rank_one_norm(m: np.ndarray, at: int) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """(||M||_2, (u, y)) of a finite rank-one M = u y^H whose first largest entry has the flat index at.
 
-    The power step of _power_step certifies rank one without an SVD: when
-    ||M||_F is within _RANK_ONE_MARGIN of est, ||M||_F is returned, as it is
-    then within 1e-13 of ||M||_2 and the 1e-10 check passes.  Otherwise, and
-    for ||M||_F outside the _RANK_ONE_RANGE window, one SVD decides.  mods,
-    |M| unless given, need only hold the first largest |m_ij| where |M| does;
-    at is that entry's flat index, as _power_step takes it.
-    certified says the caller has proven ||M||_F - est within a tenth of the
-    margin, as _top_power has for the flushed N of an order-2 point (see
-    _ORDER_TWO_TOL); then ||M||_F inside the window is returned without the
-    power step, as the step could return nothing else.
+    y is the conjugate of that entry's row over the row's norm, a math.hypot
+    of its moduli so that no square over- or underflows (a zero M has y = 0),
+    and u = M y.  As ||M y|| <= ||M||_2 <= ||M||_F for a unit y, ||M||_F
+    inside the _RANK_ONE_RANGE window is returned without an SVD when
+    ||M||_F - ||u|| <= _RANK_ONE_MARGIN * ||M||_F.  Otherwise one SVD decides,
+    and NumericalError is raised where ||M||_2 and ||M||_F differ by > 1e-10 relative.
     """
-    if certified:
-        frob = cmatrix._frobenius_norm(m)
-        if 1.0 / _RANK_ONE_RANGE <= frob <= _RANK_ONE_RANGE:
-            return frob
-    est, frob = _power_step(m, np.abs(m) if mods is None else mods, at)
-    if est is not None and abs(frob - est) <= _RANK_ONE_MARGIN * frob:
-        return frob
+    row = m[at // m.shape[1]]
+    y = row.conj()
+    y /= math.hypot(*np.abs(row).tolist()) or 1.0
+    u = m.dot(y)
+    frob = cmatrix._frobenius_norm(m)
+    if 1.0 / _RANK_ONE_RANGE <= frob <= _RANK_ONE_RANGE and frob - cmatrix._frobenius_norm(u) <= _RANK_ONE_MARGIN * frob:
+        return frob, (u, y)
     spec = cmatrix._spectral_norm(m)
     if abs(spec - frob) > 1e-10 * max(frob, _TINY):
-        raise NumericalError(
-            f"spectral ({spec:.15g}) and Frobenius ({frob:.15g}) norms of {name} disagree; "
-            "matrix is not numerically rank one"
-        )
-    return spec
+        raise NumericalError(f"spectral ({spec:.15g}) and Frobenius ({frob:.15g}) norms of N^(n-1) disagree; "
+                             "matrix is not numerically rank one")
+    return spec, (u, y)
 
 
 @dataclass(frozen=True)
@@ -435,8 +409,8 @@ class EpReport:
     whose norm is the response strength; it is None unless the point has
     full order.  detect_ep's top_power is the power its power test examined,
     the left-to-right product N N ... N; a composite's, from the block
-    theorem, is [[0, 0], [C, 0]].  compose reads a top power through the
-    private pair _pair = (u, y), top_power = u y^H with unit y.
+    theorem, is [[0, 0], [C, 0]].  compose and jordan_chain read its private
+    pair _pair = (u, y), top_power = u y^H with unit y, taken as it is certified.
 
     nilpotent_norm, ||N||_2 of the traceless part N, is computed on first
     read and kept.  The thresholds that scale with it (the power tests, the
@@ -464,13 +438,8 @@ class EpReport:
 
     @cached_property
     def _pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """(u, y), u y^H = top_power: y the unit conjugate of the largest row, that of the first largest entry."""
-        power = self.top_power
-        mods = np.abs(power)
-        row = int(mods.argmax()) // self.dim
-        y = power[row].conj()
-        y /= math.hypot(*mods[row].tolist())  # scaled, so no square over- or underflows
-        return power.dot(y), y
+        """(u, y) of a report made without them, as by dataclasses.replace: _rank_one_norm's pair of top_power."""
+        return _rank_one_norm(self.top_power, int(np.abs(self.top_power).argmax()))[1]
 
     @cached_property
     def _norm(self) -> _NormBracket:
@@ -523,7 +492,7 @@ def _detect(h: np.ndarray, nil_tol: float | None) -> EpReport:
     dim = nmat.shape[0]
     nil_tol = default_nil_tol(dim) if nil_tol is None else cmatrix._as_number("nil_tol", nil_tol)
     order, norm, top = _nilpotency(nmat, nil_tol)
-    power, xi = _top_power(top, nil_tol, norm) if order == dim else (None, None)
+    power, xi, pair = _top_power(top, nil_tol, norm) if order == dim else (None, None, None)
     if xi == 0.0:
         raise NumericalError(
             f"N^{dim - 1} is flushed to zero at a full-order verdict (dim {dim}); no response strength to certify"
@@ -537,6 +506,7 @@ def _detect(h: np.ndarray, nil_tol: float | None) -> EpReport:
         nil_tol=nil_tol,
         top_power=power,
         _bracket=norm,
+        _factors=pair,
     )
 
 

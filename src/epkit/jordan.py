@@ -2,11 +2,11 @@
 
 The chain j_1 ... j_n satisfies N j_1 = 0 and N j_l = j_{l-1}, with the gauge
 fixed by ||j_1|| = 1 and j_n orthogonal to all earlier vectors.  It is built
-forward from the certified rank-one top power N^(n-1) by matrix-vector
-products, with no SVD and no solve.  In that gauge the response strength is
-1 / ||j_n||, which shares its direction with the top power and so is not an
-independent route.  The last Jordan vector of one subsystem combines with the
-degenerate eigenstate of another to give the coupling amplitude that
+forward from y of the certified rank-one top power N^(n-1) = u y^H by
+matrix-vector products, with no SVD and no solve.  In that gauge the response
+strength is 1 / ||j_n||, which shares its direction with the top power and so
+is not an independent route.  The last Jordan vector of one subsystem combines
+with the degenerate eigenstate of another to give the coupling amplitude that
 factorizes the composite response strength.
 """
 
@@ -64,24 +64,24 @@ def _row_norms(m: np.ndarray) -> np.ndarray:
 def jordan_chain(report: EpReport) -> JordanChain:
     """Construct the gauge-fixed Jordan chain of a certified full-order point.
 
-    The certified top power N^(n-1) = xi u v^H has rank one, and v spans the
-    orthogonal complement of ker N^(n-1), which holds j_1 ... j_{n-1}.  So j_n
-    points along the conjugate of every nonzero row of N^(n-1), taken from the
-    largest.  The chain is built as one read-only n x n array B whose row l is
-    j_l: j_n is its last row, each row above is N times the row below (one
-    matrix-vector product each, so j_l = N^(n-l) j_n), and one in-place
-    scaling of B divides every vector by ||j_1|| and fixes the phase of j_1 as
-    kernel_vector does, which fixes the gauge.  The checks read whole-array
-    products: the chain residuals ||N j_l - j_(l-1)|| (j_0 = 0) are the row
-    norms of B N^T less B shifted down one row, and the overlaps with j_n come
-    from one matrix-vector product.  Chain residuals are accepted up to
+    The certified top power N^(n-1) = u y^H has rank one, and y spans the
+    orthogonal complement of ker N^(n-1), which holds j_1 ... j_{n-1}; so the
+    chain starts at j_n = y, the unit vector the report carries from where
+    its top power was certified.  It is one read-only n x n array B whose
+    row l is j_l: each row above the last is N times the row below, so
+    j_l = N^(n-l) y, and one in-place scaling of B divides every vector by
+    ||j_1|| = ||N^(n-1) y|| and fixes the phase of j_1 as kernel_vector does,
+    which fixes the gauge.  The checks read whole-array products: the chain
+    residuals ||N j_l - j_(l-1)|| (j_0 = 0) are the row norms of B N^T less
+    B shifted down one row, and the overlaps with j_n come from one
+    matrix-vector product.  Chain residuals are accepted up to
     1e-10 * ||N||_2, a budget settled on the report's bracket of ||N||_2, so
     no SVD is taken unless the residuals fall between the budgets at its two
-    ends.  Orthogonality is
-    accepted when |<j_n, j_l>| <= 1e-10 * ||j_n|| * ||j_l||, a relative
-    overlap: in this gauge ||j_l|| grows like ||N||^-(l-1) for a small N, and
-    so does the rounding of the inner product.  A row of N^(n-1), or a
-    Jordan vector, whose norm overflows a double raises NumericalError.
+    ends.  Orthogonality is accepted when |<j_n, j_l>| <= 1e-10 * ||j_n|| *
+    ||j_l||, a relative overlap: in this gauge ||j_l|| grows like
+    ||N||^-(l-1) for a small N, and so does the rounding of the inner
+    product.  A zero ||j_1|| raises StructureError, and an ||j_1|| or a Jordan
+    vector norm that overflows a double raises NumericalError.
     """
     if not report.is_full_ep:
         raise PreconditionError(
@@ -95,18 +95,16 @@ def _chain(report: EpReport) -> JordanChain:
     """jordan_chain of a full-order report, inside the caller's _overflow_scope."""
     nmat = report.nilpotent
     n = report.dim
-    power = report.top_power
-    row_norms = _row_norms(power)
-    top = int(row_norms.argmax())
-    if not row_norms[top] > 0.0:
-        raise StructureError("N^(n-1) is numerically zero; no Jordan chain to build")
-    if row_norms[top] == math.inf:
-        raise NumericalError("a row norm of N^(n-1) overflows a double; no Jordan chain to build")
     block = np.empty((n, n), dtype=complex)  # row l - 1 is j_l, all up to scale until scaled below
-    np.divide(power[top].conj(), row_norms[top], out=block[-1])
+    block[-1] = report._pair[1]
     for l in range(n - 1, 0, -1):
         nmat.dot(block[l], out=block[l - 1])
-    block *= cmatrix._pivot_phase(block[0]) / cmatrix._frobenius_norm(block[0])
+    first = cmatrix._frobenius_norm(block[0])  # ||N^(n-1) y||, which is xi for a unit y
+    if not first > 0.0:
+        raise StructureError("N^(n-1) is numerically zero; no Jordan chain to build")
+    if first == math.inf:
+        raise NumericalError("a row norm of N^(n-1) overflows a double; no Jordan chain to build")
+    block *= cmatrix._pivot_phase(block[0]) / first
     block.setflags(write=False)
     norms = _row_norms(block).tolist()
     if not all(map(math.isfinite, norms)):  # an infinite ||j_n|| would pass every orthogonality test

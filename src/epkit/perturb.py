@@ -236,10 +236,14 @@ def fit_slope(eps_grid, splittings, window: tuple[float, float]) -> SlopeFit:
     """Fit log10(median splitting) against log10(eps) inside the window.
 
     Each row of the sweep table `splittings`, one per strength of eps_grid,
-    enters as its median over trials.  Requires at least three strengths inside
-    the window, every splitting in their rows finite and every median finite.
+    enters as its median over trials.  Requires a window of two numbers, at least
+    three strengths inside it, every splitting in their rows finite and every
+    median finite; a window that is not two numbers raises ParameterError.
     """
-    lo, hi = cmatrix._as_number("window", window[0]), cmatrix._as_number("window", window[1])
+    window = cmatrix._as_list("window", window)
+    if len(window) != 2:
+        raise ParameterError(f"window must be two strengths (lo, hi), got {window!r}")
+    lo, hi = (cmatrix._as_number("window", bound) for bound in window)
     if not (0.0 < lo < hi):
         raise ParameterError(f"window must satisfy 0 < lo < hi, got ({lo}, {hi})")
     strengths, table = _table(eps_grid, splittings)

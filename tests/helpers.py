@@ -87,9 +87,11 @@ def reference_detect(h, nil_tol=None):
 
     N = H - mean * np.eye(n), the order from reference_nilpotency_index, the top power from
     left_power with its entries strictly below nil_tol * ||N||_2^(n-1) flushed, ||N||_2 from an
-    SVD, and rank one and xi decided as ep_core._rank_one_norm documents, with the SVD's sigma_1
-    in place of the power-step estimate.  A flush removing more than nil_tol * xi in Frobenius norm raises NumericalError, with
-    ep_core._top_power's arithmetic.  ||N||_2^dim must stay inside the double range.
+    SVD, and rank one and xi decided as ep_core._rank_one_norm documents, with the SVD's sigma_1 in
+    place of its lower bound ||P y||: xi = ||P||_F inside the [1e-150, 1e150] window where that is
+    within 1e-13 of sigma_1, else sigma_1.  A flush removing more than nil_tol * xi in Frobenius
+    norm raises NumericalError, with ep_core._top_power's arithmetic.  ||N||_2^dim must stay inside
+    the double range.
     """
     h = np.asarray(h, dtype=complex)
     n = h.shape[0]
@@ -121,17 +123,17 @@ def reference_detect(h, nil_tol=None):
     return order, mean, nmat, power, xi
 
 
-def reference_chain(nmat: np.ndarray, power: np.ndarray):
+def reference_chain(nmat: np.ndarray, y: np.ndarray):
     """jordan_chain's docstring recipe in plain numpy: (vectors, chain, normalization, orthogonality residuals).
 
-    j_n along the conjugate of the largest row of the certified N^(n-1), j_l = N^(n-l) j_n by
+    j_n along y, the unit vector of the report's pair (u, y) with N^(n-1) = u y^H, j_l = N^(n-l) y by
     matrix-vector products, every vector divided by ||j_1|| and given the phase that makes the first
     component of largest modulus of j_1 real and positive (ties within 1e-12 relative pick the first).
-    A top row whose norm overflows raises NumericalError and a zero one StructureError, as jordan_chain does.
+    A zero ||j_1|| raises StructureError and one that overflows NumericalError, as jordan_chain does.
     The residuals are taken on the block B whose rows are j_1 ... j_n: the chain residuals are the row
     norms of B N^T less B shifted down one row, the overlaps the moduli of B[:-1] times the conjugate of j_n.
     """
-    vectors = _chain_vectors(nmat, power)
+    vectors = _chain_vectors(nmat, y)
     block = np.array(vectors)
     with np.errstate(over="ignore", invalid="ignore"):  # jordan_chain raises on an overflowing ||j_l|| first
         shifted = block @ nmat.T
@@ -142,9 +144,9 @@ def reference_chain(nmat: np.ndarray, power: np.ndarray):
     return vectors, tuple(chain.tolist()), normalization, tuple(orthogonality.tolist())
 
 
-def per_vector_chain(nmat: np.ndarray, power: np.ndarray):
+def per_vector_chain(nmat: np.ndarray, y: np.ndarray):
     """reference_chain with each residual and overlap taken one vector at a time, as jordan_chain once did."""
-    vectors = _chain_vectors(nmat, power)
+    vectors = _chain_vectors(nmat, y)
     with np.errstate(over="ignore", invalid="ignore"):
         chain = [float(np.linalg.norm(nmat @ vectors[0]))]
         chain += [float(np.linalg.norm(nmat @ vectors[l] - vectors[l - 1])) for l in range(1, len(vectors))]
@@ -153,23 +155,22 @@ def per_vector_chain(nmat: np.ndarray, power: np.ndarray):
     return vectors, tuple(chain), normalization, tuple(orthogonality)
 
 
-def _chain_vectors(nmat: np.ndarray, power: np.ndarray) -> list[np.ndarray]:
+def _chain_vectors(nmat: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
     """The vectors j_1 ... j_n of reference_chain, each its own array, scaled one at a time."""
     n = nmat.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing row norm raises NumericalError below
-        row_norms = np.linalg.norm(power, axis=1)
-        top = int(np.argmax(row_norms))
-        if row_norms[top] == np.inf:
-            raise NumericalError("a row norm of N^(n-1) overflows a double")
-        if not row_norms[top] > 0.0:
-            raise StructureError("N^(n-1) is numerically zero")
-        vectors = [power[top].conj() / row_norms[top]]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing ||j_1|| raises NumericalError below
+        vectors = [y]
         for _ in range(n - 1):
             vectors.append(nmat @ vectors[-1])
         j_1 = vectors[-1]
+        first = float(np.linalg.norm(j_1))
+        if first == np.inf:
+            raise NumericalError("||N^(n-1) y|| overflows a double")
+        if not first > 0.0:
+            raise StructureError("N^(n-1) is numerically zero")
         mods = np.abs(j_1)
         pivot = int(np.flatnonzero(mods >= (1.0 - 1e-12) * mods.max())[0])
-        factor = (j_1[pivot].conjugate() / mods[pivot]) / float(np.linalg.norm(j_1))
+        factor = (j_1[pivot].conjugate() / mods[pivot]) / first
         return [v * factor for v in reversed(vectors)]
 
 

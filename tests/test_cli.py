@@ -197,7 +197,7 @@ def test_reproduce_fig3_leaves_numpy_ma_unimported(tmp_path):
 
 
 def test_compose_overflowing_response_norm_exits_4(tmp_path, dimer_file, trimer_file):
-    # K = 1e160: C and its cross-check stay finite, but the sum of squares behind ||C||_F overflows
+    # K = 1e160: xi = |y_b^H K u_a| * xi_b stays finite, but xi * xi overflows, and compose's range rule rejects it
     k_path = write_json(tmp_path / "k.json", cmatrix.matrix_to_json(single_entry_coupling(1e160, 3, 2)))
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(

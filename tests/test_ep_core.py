@@ -229,7 +229,7 @@ def test_rank_one_norm_matches_svd_without_one(rows, cols, exponent, seed):
     expected = float(np.linalg.svd(m, compute_uv=False)[0])
     with pytest.MonkeyPatch.context() as mp:
         counts = helpers.count_linalg(mp, "svd")
-        norm = ep_core._rank_one_norm(m, "M")
+        norm = ep_core._rank_one_norm(m, int(np.abs(m).argmax()))[0]
     assert counts == {"svd": 0}
     assert abs(norm - expected) <= 1e-13 * expected
 
@@ -244,9 +244,9 @@ def test_rank_one_norm_rejects_rank_two_as_the_svd_check_does(dim, log_ratio, ex
     m = 10.0**exponent * (np.outer(u[:, 0], v[:, 0].conj()) + 10.0**log_ratio * np.outer(u[:, 1], v[:, 1].conj()))
     if helpers.rank_one_svd_rejects(m):
         with pytest.raises(NumericalError, match="not numerically rank one"):
-            ep_core._rank_one_norm(m, "M")
+            ep_core._rank_one_norm(m, int(np.abs(m).argmax()))
     else:
-        ep_core._rank_one_norm(m, "M")
+        ep_core._rank_one_norm(m, int(np.abs(m).argmax()))
 
 
 def _dominated(rng, rows, cols, tail):
@@ -534,12 +534,12 @@ def test_top_power_flush_matches_the_exact_norm_reference(data):
     power[flush] = 0.0
     try:
         with ep_core._overflow_scope():  # _top_power runs inside its caller's scope, as in epkit
-            flushed, _ = ep_core._top_power(ep_core._NormBracket(helpers.left_power(n, dim - 1)), nil_tol,
-                                            ep_core._NormBracket(n))
+            flushed, _, _ = ep_core._top_power(ep_core._NormBracket(helpers.left_power(n, dim - 1)), nil_tol,
+                                               ep_core._NormBracket(n))
     except NumericalError:  # the reference flush fails the rank-one check or removes more than nil_tol of xi
         with ep_core._overflow_scope():
             try:
-                xi = ep_core._rank_one_norm(power, "N^(n-1)")
+                xi = ep_core._rank_one_norm(power, int(np.abs(power).argmax()))[0]
             except NumericalError as exc:
                 assert "rank one" in str(exc)
             else:

@@ -19,12 +19,14 @@ from epkit.models import dimer_trimer_system, pt_dimer, pt_trimer
 
 
 def _huge_coupling_system(k=1e300):
-    # ||C||_F of C = N_b^2 K N_a leaves the double range although H itself is finite; at k = 1e308 C does too
+    # xi = |y_b^H K u_a| * xi_b is finite but xi * xi leaves the double range, although H itself is finite;
+    # at k = 1e308 K u_a overflows and xi is NaN
     return compose.block_compose(pt_dimer(1.0, 1.5), pt_trimer(1.0, 1.3), np.full((3, 2), k))
 
 
 def _overflowing_chain_report():
-    # a unitary similarity of J_40 scaled by 1e4: certified with xi = 1e156, whose squared rows overflow
+    # a unitary similarity of J_40 scaled by 1e4: certified with xi = 1e156, so the square of ||j_1|| = ||N^39 y||,
+    # taken before the chain is scaled, overflows
     q, _ = np.linalg.qr(helpers.complex_uniform(helpers.philox(3), (40, 40)))
     return ep_core.detect_ep(1e4 * (q @ np.diag(np.ones(39, dtype=complex), 1) @ q.conj().T))
 

@@ -6,6 +6,8 @@ output is compared byte for byte with helpers.reference_detect (one SVD per
 norm) and helpers.reference_chain (the recipe in jordan_chain's docstring).
 """
 
+import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -71,8 +73,8 @@ def certification_inputs(draw, families=FAMILIES):
 
 
 def nil_tols():
-    """None (default_nil_tol), or a nil_tol from 1e-12 to 1e-4 that falls on either side of ep_core._ORDER_TWO_TOL."""
-    near_cap = st.sampled_from([0.98, 1.0, 1.02]).map(lambda f: f * ep_core._ORDER_TWO_TOL)
+    """None (default_nil_tol), a nil_tol from 1e-12 to 1e-4, or one within 2% of 5e-8."""
+    near_cap = st.sampled_from([0.98, 1.0, 1.02]).map(lambda f: f * 5e-8)
     return st.one_of(st.none(), near_cap, st.floats(-12.0, -4.0).map(lambda e: 10.0**e))
 
 
@@ -122,8 +124,8 @@ def order_two_inputs(draw):
 @example(np.array([[1.0, 1.0], [-1.0 + 4e-4, -1.0]]), 1e-3)  # not rank one: sigma_2 = 2e-4 passes k = 2 at 1e-3
 @example(np.array([[0.0, 1.0], [1e-12, 0.0]]), None)  # the flush removes the 1e-12 entry
 def test_order_two_response_strength_is_the_rank_one_norm_of_its_top_power(h, nil_tol):
-    # above ep_core._ORDER_TWO_TOL the power step and, where it leaves rank one open, an SVD decide; at or below it
-    # neither runs, and the response strength must be what they would return, bit for bit
+    # the response strength is what ep_core._rank_one_norm returns for the reported top power, bit for bit:
+    # ||N||_F where ||N y|| certifies rank one, else the SVD's sigma_1
     try:
         report = ep_core.detect_ep(h, nil_tol)
     except NumericalError:
@@ -132,8 +134,44 @@ def test_order_two_response_strength_is_the_rank_one_norm_of_its_top_power(h, ni
         return
     assume(report.is_full_ep)
     with ep_core._overflow_scope():
-        want = ep_core._rank_one_norm(report.top_power, "N^(n-1)")
+        want = ep_core._rank_one_norm(report.top_power, int(np.abs(report.top_power).argmax()))[0]
     assert _bits(report.response_strength) == _bits(want)
+
+
+@settings(deadline=None, max_examples=200)
+@given(certification_inputs(FULL_ORDER_FAMILIES))
+def test_detect_ep_carries_the_pair_its_fallback_and_plain_numpy_derive(h):
+    # (u, y) is taken once, where the top power is certified; a report made without it derives the same bits
+    try:
+        report = ep_core.detect_ep(h)
+    except NumericalError:
+        assume(False)
+    assume(report.is_full_ep)
+    power = report.top_power
+    row = power[int(np.argmax(np.abs(power))) // report.dim]  # the row of the first largest entry
+    carried = [v.tobytes() for v in report._pair]
+    # both run in the caller's scope, as in epkit: a subnormal row norm makes numpy's complex division overflow
+    with ep_core._overflow_scope():
+        fallback = dataclasses.replace(report)._pair
+        y = row.conj() / math.hypot(*np.abs(row).tolist())
+        plain = [(power @ y).tobytes(), y.tobytes()]
+    assert [v.tobytes() for v in fallback] == carried
+    assert plain == carried
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["single_entry", "dense"])
+def test_jordan_chain_of_a_composite_starts_at_its_carried_y(dense):
+    rng = helpers.philox(35)
+    for _ in range(16):
+        omega0 = rng.uniform(-1.0, 1.0)
+        a, b = pt_dimer(omega0, 10.0 ** rng.uniform(-1.0, 1.0)), pt_trimer(omega0, 10.0 ** rng.uniform(-1.0, 1.0))
+        k = helpers.complex_uniform(rng, (3, 2)) if dense else single_entry_coupling(rng.uniform(0.1, 10), 3, 2)
+        system = compose.block_compose(a, b, k)
+        report = system.report
+        y = report._pair[1]
+        assert y[:2].tobytes() == system.rep_a._pair[1].tobytes() and not y[2:].any()  # y = y_a (+) 0
+        vectors = helpers.per_vector_chain(report.nilpotent, y)[0]
+        assert [v.tobytes() for v in jordan.jordan_chain(report).vectors] == [v.tobytes() for v in vectors]
 
 
 @settings(deadline=None, max_examples=300)
@@ -145,7 +183,7 @@ def test_jordan_chain_matches_the_docstring_recipe_bit_for_bit(h):
         assume(False)
     assume(report.is_full_ep)
     try:
-        vectors, chain, normalization, orthogonality = helpers.reference_chain(report.nilpotent, report.top_power)
+        vectors, chain, normalization, orthogonality = helpers.reference_chain(report.nilpotent, report._pair[1])
     except (NumericalError, StructureError) as exc:
         with pytest.raises(type(exc)):
             jordan.jordan_chain(report)
@@ -217,7 +255,7 @@ def test_jordan_chain_vectors_match_the_per_vector_recipe_byte_for_byte(family):
     dims = set()
     for report in _chain_reports(family, helpers.philox(28)):
         try:
-            vectors = helpers.per_vector_chain(report.nilpotent, report.top_power)[0]
+            vectors = helpers.per_vector_chain(report.nilpotent, report._pair[1])[0]
             chain = jordan.jordan_chain(report)
         except (NumericalError, StructureError):
             continue
@@ -239,7 +277,7 @@ def test_chain_residuals_agree_with_the_per_vector_recipe_to_rounding(h):
         chain = jordan.jordan_chain(report)
     except (NumericalError, StructureError):
         assume(False)
-    _, residuals, _, overlaps = helpers.per_vector_chain(report.nilpotent, report.top_power)
+    _, residuals, _, overlaps = helpers.per_vector_chain(report.nilpotent, report._pair[1])
     n, eps = chain.n, np.finfo(float).eps
     norms = [float(np.linalg.norm(v)) for v in chain.vectors]
     scale = float(np.linalg.norm(report.nilpotent))

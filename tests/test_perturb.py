@@ -501,6 +501,14 @@ def test_fit_slope_rejects_bad_window():
         perturb.fit_slope(grid, [[e] for e in grid], (1e-3, 1e-8))
 
 
+@pytest.mark.parametrize("window", [5, None, (1e-9,), (), (1e-9, 1e-6, 1e-3)],
+                         ids=["number", "none", "one", "empty", "three"])
+def test_fit_slope_rejects_a_window_that_is_not_two_strengths(window):
+    grid = [1e-8, 1e-7, 1e-6]
+    with pytest.raises(ParameterError, match="window"):
+        perturb.fit_slope(grid, [[e] for e in grid], window)
+
+
 @pytest.mark.parametrize(
     "table",
     [[[1e-4], [1e-3]], [[1e-4], [1e-3], [1e-2], [1e-1]], [1e-4, 1e-3, 1e-2], np.zeros((3, 0)),
