@@ -11,8 +11,8 @@ carries the composite response strength xi = ||C||.  With the blocks' rank-one
 top powers u y^H (unit y), C = s u_b y_a^H for the one scalar s = y_b^H K u_a,
 so xi = |s| * xi_b.  The coupling is degenerate when xi <= 1e-8 * xi_a * xi_b
 * ||K||_2, a fraction of the bound xi <= xi_a * xi_b * ||K||_2 whatever the
-subsystem scale.  compose_many folds over these block-theorem certificates:
-one power test per subsystem, one s per level, and H assembled once, at the end.
+subsystem scale.  One fold over these block-theorem certificates builds every
+composite: one power test per subsystem, one s per level, H assembled once.
 """
 
 from __future__ import annotations
@@ -198,9 +198,25 @@ def _block_matrix(blocks: list[np.ndarray], couplings: list[np.ndarray]) -> np.n
     return h
 
 
-def _composite(h: np.ndarray, k: np.ndarray, rep_a: EpReport, rep_b: EpReport) -> CompositeSystem:
-    """The CompositeSystem of an assembled H whose last coupling is K, rep_a certifying all but its last block."""
-    return CompositeSystem(h=h, k=k.copy(), ep_eigenvalue=_mean_eigenvalue(h.diagonal()), rep_a=rep_a, rep_b=rep_b)
+def _fold(hams: list, couplings: list, tol: float) -> CompositeSystem:
+    """compose_many of hams and couplings with the eigenvalues joined to tol; block_compose is its two-block case."""
+    blocks = [cmatrix.as_square(hams[0], "H_a"), cmatrix.as_square(hams[1], "H_b")]
+    ks = [cmatrix.as_matrix(couplings[0], "K")]
+    with _overflow_scope():
+        level = first = _certified(_detect(blocks[0], None), "a")
+        rep_b = _joined(level, blocks[1], ks[0], tol)
+        for h_next, k_next in zip(hams[2:], couplings[1:]):
+            h_next, k_next = cmatrix.as_square(h_next, "H_b"), cmatrix.as_matrix(k_next, "K")
+            mean = _mean_eigenvalue(np.concatenate([block.diagonal() for block in blocks]))
+            level = _level(level, rep_b, ks[-1], _NormBracket(ks[-1]), mean,
+                           lambda: _traceless_part(_block_matrix(blocks, ks))[1])
+            rep_b = _joined(level, h_next, k_next, tol)
+            blocks.append(h_next)
+            ks.append(k_next)
+        h = _block_matrix(blocks, ks)
+        rep_a = first if level is first else level.report(_traceless_part(h[:level.dim, :level.dim])[1])
+        return CompositeSystem(h=h, k=ks[-1].copy(), ep_eigenvalue=_mean_eigenvalue(h.diagonal()), rep_a=rep_a,
+                               rep_b=rep_b)
 
 
 def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL) -> CompositeSystem:
@@ -212,16 +228,11 @@ def block_compose(h_a, h_b, k, tol: float = DEFAULT_EIGENVALUE_TOL) -> Composite
     tol = cmatrix._as_number("tol", tol)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ParameterError(f"tol must be finite and non-negative, got {tol}")
-    h_a, h_b = cmatrix.as_square(h_a, "H_a"), cmatrix.as_square(h_b, "H_b")
-    k = cmatrix.as_matrix(k, "K")
-    with _overflow_scope():
-        rep_a = _certified(_detect(h_a, None), "a")
-        rep_b = _joined(rep_a, h_b, k, tol)
-        return _composite(_block_matrix([h_a, h_b], [k]), k, rep_a, rep_b)
+    return _fold([h_a, h_b], [k], tol)
 
 
 def compose_many(hams, couplings) -> CompositeSystem:
-    """Left fold of block_compose over several subsystems.
+    """The hierarchical composite of several subsystems, by the fold whose two-block case is block_compose.
 
     couplings[i] maps the composite of hams[:i+1] into hams[i+1], so it must
     have shape (dim of hams[i+1]) x (sum of dims of hams[:i+1]).  The fold
@@ -237,24 +248,7 @@ def compose_many(hams, couplings) -> CompositeSystem:
     if len(hams) < 2 or len(couplings) != len(hams) - 1:
         raise ParameterError(f"need at least two subsystems and exactly len(hams)-1 couplings, "
                              f"got {len(hams)} and {len(couplings)}")
-    blocks = [cmatrix.as_square(hams[0], "H_a"), cmatrix.as_square(hams[1], "H_b")]
-    ks = [cmatrix.as_matrix(couplings[0], "K")]
-    with _overflow_scope():
-        level = first = _certified(_detect(blocks[0], None), "a")
-        rep_b = _joined(level, blocks[1], ks[0], DEFAULT_EIGENVALUE_TOL)
-        diagonal = np.concatenate([block.diagonal() for block in blocks])
-        for h_next, k_next in zip(hams[2:], couplings[1:]):
-            h_next, k_next = cmatrix.as_square(h_next, "H_b"), cmatrix.as_matrix(k_next, "K")
-            mean = _mean_eigenvalue(diagonal)
-            level = _level(level, rep_b, ks[-1], _NormBracket(ks[-1]), mean,
-                           lambda: _traceless_part(_block_matrix(blocks, ks))[1])
-            rep_b = _joined(level, h_next, k_next, DEFAULT_EIGENVALUE_TOL)
-            blocks.append(h_next)
-            ks.append(k_next)
-            diagonal = np.concatenate((diagonal, h_next.diagonal()))
-        h = _block_matrix(blocks, ks)
-        rep_a = first if level is first else level.report(_traceless_part(h[:level.dim, :level.dim])[1])
-        return _composite(h, ks[-1], rep_a, rep_b)
+    return _fold(hams, couplings, DEFAULT_EIGENVALUE_TOL)
 
 
 def genericity_product(sys: CompositeSystem) -> np.ndarray:

@@ -354,17 +354,17 @@ def _top_power(top: _NormBracket | None, nil_tol: float,
     return power, xi, pair
 
 
-def _power_step(m: np.ndarray, mods: np.ndarray, at: int | None = None) -> tuple[float | None, float]:
+def _power_step(m: np.ndarray, mods: np.ndarray, at: int) -> tuple[float | None, float]:
     """(est, ||M||_F) of a finite M with mods = |M|, where est <= ||M||_2 <= ||M||_F.
 
     est = ||M^H v|| / ||v|| after one power step v = M r from r, the conjugate
     of the row holding the largest entry; any nonzero v gives a lower bound,
     and this one is close to ||M||_2 when one singular value dominates.  est
     is None for ||M||_F outside [1/_RANK_ONE_RANGE, _RANK_ONE_RANGE], as when
-    a square overflows to inf inside the caller's _overflow_scope.  at, the
-    flat index of the first largest entry of mods, is found unless given.
+    a square overflows to inf inside the caller's _overflow_scope.  at is the
+    flat index of the first largest entry of mods.
     """
-    top, col = divmod(int(mods.argmax()) if at is None else at, m.shape[1])
+    top, col = divmod(at, m.shape[1])
     peak = mods.item(top, col)
     frob = cmatrix._frobenius_norm(m)
     if not 1.0 / _RANK_ONE_RANGE <= frob <= _RANK_ONE_RANGE:
@@ -378,15 +378,20 @@ def _rank_one_norm(m: np.ndarray, at: int) -> tuple[float, tuple[np.ndarray, np.
     """(||M||_2, (u, y)) of a finite rank-one M = u y^H whose first largest entry has the flat index at.
 
     y is the conjugate of that entry's row over the row's norm, a math.hypot
-    of its moduli so that no square over- or underflows (a zero M has y = 0),
-    and u = M y.  As ||M y|| <= ||M||_2 <= ||M||_F for a unit y, ||M||_F
-    inside the _RANK_ONE_RANGE window is returned without an SVD when
+    of its moduli so that no square over- or underflows (a zero M has y = 0;
+    a subnormal norm is that of the row scaled by 2**600), and u = M y.  As
+    ||M y|| <= ||M||_2 <= ||M||_F for a unit y, ||M||_F inside the
+    _RANK_ONE_RANGE window is returned without an SVD when
     ||M||_F - ||u|| <= _RANK_ONE_MARGIN * ||M||_F.  Otherwise one SVD decides,
     and NumericalError is raised where ||M||_2 and ||M||_F differ by > 1e-10 relative.
     """
     row = m[at // m.shape[1]]
     y = row.conj()
-    y /= math.hypot(*np.abs(row).tolist()) or 1.0
+    norm = math.hypot(*np.abs(row).tolist())
+    if 0.0 < norm < _TINY:  # 1 / norm would overflow: scale the row by 2**600 first, which is exact
+        np.ldexp(y.view(float), 600, out=y.view(float))
+        norm = math.hypot(*np.abs(y).tolist())
+    y /= norm or 1.0
     u = m.dot(y)
     frob = cmatrix._frobenius_norm(m)
     if 1.0 / _RANK_ONE_RANGE <= frob <= _RANK_ONE_RANGE and frob - cmatrix._frobenius_norm(u) <= _RANK_ONE_MARGIN * frob:

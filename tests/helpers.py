@@ -209,25 +209,23 @@ def reference_composite_response(system) -> float:
 
 
 def reference_compose_many(hams, couplings):
-    """compose_many as a left fold of block_compose over .report: every level assembles its composite.
+    """compose_many as a left fold over assembled composites, from public pieces only.
 
-    Each level after the first enters the next through its block-theorem report, and the next
-    subsystem is certified, checked and joined as block_compose does it, with the same messages.
+    The first level certifies H_a by detect_ep, and each later level enters the next through the
+    block-theorem report of the composite so far.  The next subsystem is certified, checked and joined
+    as compose does it, with the same messages, and each composite's mean is read by traceless_part,
+    which raises compose's overflow error.
     """
     hams, couplings = list(hams), list(couplings)
     if len(hams) < 2 or len(couplings) != len(hams) - 1:
         raise ParameterError(
             f"need at least two subsystems and exactly len(hams)-1 couplings, got {len(hams)} and {len(couplings)}"
         )
-    system = compose.block_compose(hams[0], hams[1], couplings[0])
-    for h_next, k_next in zip(hams[2:], couplings[1:]):
+    h, system = cmatrix.as_square(hams[0], "H_a"), None
+    for h_next, k_next in zip(hams[1:], couplings):
         h_next, k_next = cmatrix.as_square(h_next, "H_b"), cmatrix.as_matrix(k_next, "K")
-        rep_a = system.report
-        rep_b = ep_core.detect_ep(h_next)
-        if not rep_b.is_full_ep:
-            raise PreconditionError(
-                f"subsystem b is not at a full-order exceptional point (order {rep_b.order}, dim {rep_b.dim})"
-            )
+        rep_a = _full_order(ep_core.detect_ep(h), "a") if system is None else system.report
+        rep_b = _full_order(ep_core.detect_ep(h_next), "b")
         n_a, n_b = rep_a.dim, rep_b.dim
         if k_next.shape != (n_b, n_a):
             raise ShapeError(f"K has shape {k_next.shape}, expected {(n_b, n_a)}")
@@ -236,14 +234,19 @@ def reference_compose_many(hams, couplings):
             raise IncompatibleSubsystemsError(
                 f"subsystem eigenvalues differ by {mismatch:.3e} (> {compose.DEFAULT_EIGENVALUE_TOL:g})"
             )
-        dim = n_a + n_b
-        h = np.zeros((dim, dim), dtype=complex)
-        h[:n_a, :n_a] = system.h
-        h[n_a:, :n_a] = k_next
-        h[n_a:, n_a:] = h_next
-        system = compose.CompositeSystem(h=h, k=k_next.copy(), ep_eigenvalue=complex(h.trace()) / dim,
+        h = np.block([[h, np.zeros((n_a, n_b))], [k_next, h_next]]).astype(complex, copy=False)
+        system = compose.CompositeSystem(h=h, k=k_next.copy(), ep_eigenvalue=ep_core.traceless_part(h)[0],
                                          rep_a=rep_a, rep_b=rep_b)
     return system
+
+
+def _full_order(report, label: str):
+    """report itself when it certifies a full-order point; compose's PreconditionError otherwise."""
+    if not report.is_full_ep:
+        raise PreconditionError(
+            f"subsystem {label} is not at a full-order exceptional point (order {report.order}, dim {report.dim})"
+        )
+    return report
 
 
 def count_linalg(monkeypatch, *names: str) -> dict[str, int]:

@@ -1,6 +1,7 @@
 """Tests for the dense complex linear algebra kernel."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -15,6 +16,7 @@ from epkit.errors import (
     DegeneracyError,
     ParameterError,
     ParseError,
+    ShapeError,
 )
 from epkit.models import dimer_trimer_system, pt_dimer, pt_trimer, single_entry_coupling
 
@@ -47,6 +49,17 @@ def test_transposed_views_accepted():
     bad[1, 2] = np.inf
     with pytest.raises(ParameterError):
         cmatrix.as_matrix(bad.T)
+
+
+@pytest.mark.parametrize("call, shape", [
+    (lambda: cmatrix.as_matrix([1.0, 2.0]), (2,)),
+    (lambda: cmatrix.as_matrix([]), (0,)),
+    (lambda: cmatrix.as_matrix(np.zeros((0, 2))), (0, 2)),
+    (lambda: cmatrix.as_vector(np.eye(2)), (2, 2)),
+], ids=["matrix_1d", "matrix_empty", "matrix_no_rows", "vector_2d"])
+def test_an_array_of_the_wrong_dimensionality_raises_shape_error(call, shape):
+    with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+        call()
 
 
 # ---------------------------------------------------------------------------

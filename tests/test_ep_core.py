@@ -266,8 +266,9 @@ _NEAR = [1.0 - 1e-6, 1.0 + 1e-6, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-12, 1.0 + 1e-1
 
 def _anchor(m, which):
     """||M||_2, the power-step lower bound est (||M||_2 outside its window) or ||M||_F."""
+    mods = np.abs(m)
     with ep_core._overflow_scope():  # _power_step runs inside its caller's scope, as in epkit
-        est, frob = ep_core._power_step(m, np.abs(m))
+        est, frob = ep_core._power_step(m, mods, int(mods.argmax()))
     if which == "frobenius":
         return frob
     return est if which == "est" and est is not None else cmatrix.spectral_norm(m)
@@ -870,6 +871,19 @@ def test_predicted_splitting_zero_strength(report5):
     prediction = ep_core.predicted_splitting(report5, h1, 0.0)
     assert prediction.radicand == 0
     assert np.array_equal(prediction.predicted_eigenvalues, np.full(5, report5.ep_eigenvalue))
+
+
+def test_predicted_splitting_of_a_one_by_one_point_shifts_its_eigenvalue():
+    # n = 1: N^0 = I, so the radicand is eps * H1 and the one eigenvalue moves by it
+    prediction = ep_core.predicted_splitting(ep_core.detect_ep([[2 + 1j]]), [[3.0]], 0.5)
+    assert (prediction.n, prediction.radicand) == (1, 1.5)
+    assert prediction.predicted_eigenvalues.tolist() == [3.5 + 1j]
+
+
+def test_predicted_splitting_raises_where_its_two_routes_disagree(report5):
+    # a top power that is not N^4: tr(I H1) and the kernel vector's psi^H H1 psi differ
+    with pytest.raises(NumericalError, match="forms of the radicand disagree"):
+        ep_core.predicted_splitting(dataclasses.replace(report5, top_power=np.eye(5)), np.ones((5, 5)), 1e-6)
 
 
 def test_predicted_splitting_shape_error(report5):

@@ -150,13 +150,27 @@ def test_detect_ep_carries_the_pair_its_fallback_and_plain_numpy_derive(h):
     power = report.top_power
     row = power[int(np.argmax(np.abs(power))) // report.dim]  # the row of the first largest entry
     carried = [v.tobytes() for v in report._pair]
-    # both run in the caller's scope, as in epkit: a subnormal row norm makes numpy's complex division overflow
-    with ep_core._overflow_scope():
+    with ep_core._overflow_scope():  # both run in the caller's scope, as in epkit
         fallback = dataclasses.replace(report)._pair
-        y = row.conj() / math.hypot(*np.abs(row).tolist())
+        y = row.conj()
+        if math.hypot(*np.abs(row).tolist()) < np.finfo(float).tiny:  # 1 / norm overflows: scale by 2**600 first
+            y = (y.view(float) * 2.0**600).view(complex)
+        y = y / math.hypot(*np.abs(y).tolist())
         plain = [(power @ y).tobytes(), y.tobytes()]
     assert [v.tobytes() for v in fallback] == carried
     assert plain == carried
+
+
+@pytest.mark.parametrize("g_a, twin", [(2.0**-1060, 2.0**-10), (1e-319, math.ldexp(1e-319, 600))],
+                         ids=["power_of_two", "subnormal"])
+def test_a_subnormal_row_norm_gives_the_pair_of_the_row_scaled_by_a_power_of_two(g_a, twin):
+    # 1 / ||row|| overflows a double, so the row is first scaled by 2**600, exactly: y is that of the dimer at
+    # twin, a power of two times g_a
+    report = ep_core.detect_ep(pt_dimer(0.0, g_a))
+    assert report.is_full_ep and 0.0 < report.response_strength < np.finfo(float).tiny
+    u, y = report._pair
+    assert np.isfinite(u).all() and np.isfinite(y).all()
+    assert y.tobytes() == ep_core.detect_ep(pt_dimer(0.0, twin))._pair[1].tobytes()
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["single_entry", "dense"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from epkit import cmatrix, ep_core, jordan, models
+from epkit import cmatrix, ep_core, jordan, models, perturb
 from epkit.compose import composite_response
 from epkit.errors import ParameterError, ParseError
 
@@ -82,6 +82,17 @@ def test_single_entry_coupling_rejects_bad_position():
         models.single_entry_coupling(1.0, 3, 2, 4, 1)
     with pytest.raises(ParameterError):
         models.single_entry_coupling(1.0, 3, 2, 1, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ep_core.default_nil_tol(0),
+    lambda: models.single_entry_coupling(1.0, 0, 2),
+    lambda: perturb.random_generic(0, 1),
+    lambda: perturb.random_preserving(0, 2, 1),
+], ids=["default_nil_tol", "single_entry_coupling", "random_generic", "random_preserving"])
+def test_a_size_below_one_raises_parameter_error(call):
+    with pytest.raises(ParameterError, match="must be positive|must be a positive integer|must be >= 1"):
+        call()
 
 
 @pytest.mark.parametrize(

@@ -465,6 +465,13 @@ def test_fit_slope_rejects_overflowing_median():
         perturb.fit_slope(grid, np.full((3, 2), 1.7e308), (1e-8, 1e-4))
 
 
+def test_fit_slope_rejects_a_zero_median():
+    # every splitting in the window is zero, so log10 of its median is -inf
+    grid = [1e-8, 1e-6, 1e-4]
+    with pytest.raises(FitError, match="median splitting must be positive"):
+        perturb.fit_slope(grid, np.zeros((3, 2)), (1e-8, 1e-4))
+
+
 @st.composite
 def full_tables(draw):
     """A table of 1-8 ascending strengths by 1-9 trials of positive splittings, and a fit window.
